@@ -125,15 +125,7 @@ def plan_daisy_chain(deficits: dict[ZoneId, int], rows: int, cols: int,
 
 def nearest_free_cell(grid: GridMap, point: tuple[float, float]) -> Optional[Cell]:
     """Free cell closest to a real-valued point (Euclidean, ties by y then x)."""
-    best: Optional[Cell] = None
-    best_key: Optional[tuple[float, int, int]] = None
     px, py = point
-    for y in range(grid.height):
-        for x in range(grid.width):
-            c = Cell(x, y)
-            if not grid.is_free(c):
-                continue
-            key = ((x - px) ** 2 + (y - py) ** 2, y, x)
-            if best_key is None or key < best_key:
-                best, best_key = c, key
-    return best
+    # free_cells is in (y, x) order and min keeps the first of equal keys.
+    return min(grid.free_cells, key=lambda c: (c.x - px) ** 2 + (c.y - py) ** 2,
+               default=None)

@@ -153,6 +153,8 @@ class Simulation:
         self.round = 0
         self.costs = jobmod.CostField(self.grid)
         self.jobs: dict[str, jobmod.Job] = {}
+        # Stable on spawn_tick, so jobs keep their file order within a tick.
+        self._spawn_order = sorted(config.jobs, key=lambda s: s.spawn_tick)
         self._spawn_idx = 0
         self._first_spawn_round: Optional[int] = None
         self._last_complete_round: Optional[int] = None
@@ -248,7 +250,7 @@ class Simulation:
         return self.metrics, self.trace
 
     def _all_jobs_done(self) -> bool:
-        if self._spawn_idx < len(self.cfg.jobs):
+        if self._spawn_idx < len(self._spawn_order):
             return False
         return all(j.status is jobmod.JobStatus.COMPLETED for j in self.jobs.values())
 
@@ -714,8 +716,8 @@ class Simulation:
 
     # Phase 3: job spawns from the independent controller.
     def _phase_spawns(self) -> None:
-        while self._spawn_idx < len(self.cfg.jobs):
-            spec = sorted(self.cfg.jobs, key=lambda s: s.spawn_tick)[self._spawn_idx]
+        while self._spawn_idx < len(self._spawn_order):
+            spec = self._spawn_order[self._spawn_idx]
             if spec.spawn_tick > self.round:
                 break
             self._spawn_idx += 1

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .world import Cell, GridMap
+from .world import Cell, GridMap, InvalidPositionError
 
 
 class JobStatus(Enum):
@@ -53,37 +52,49 @@ class CostField:
     """BFS distance fields from job locations, cached per location.
 
     Values equal shortest obstacle-respecting path lengths, i.e. exactly what
-    an A* plan from the agent to the job would produce.
+    an A* plan from the agent to the job would produce. A field is a flat
+    list indexed by ``y * width + x`` (see ``GridMap.neighbor_table``) holding
+    the distance, or None where the cell is unreachable: one 8-byte slot per
+    map cell, about 29 KB for a 60x60 map. Distances up to 256 are shared int
+    objects, so on such maps the slots are the whole cost.
     """
 
     def __init__(self, grid: GridMap) -> None:
         self.grid = grid
-        self._fields: dict[Cell, dict[Cell, int]] = {}
+        self._fields: dict[Cell, list[Optional[int]]] = {}
 
-    def _field(self, origin: Cell) -> dict[Cell, int]:
+    def _field(self, origin: Cell) -> list[Optional[int]]:
         cached = self._fields.get(origin)
         if cached is not None:
             return cached
-        dist = {origin: 0}
-        queue = deque([origin])
-        while queue:
-            cur = queue.popleft()
-            for n in self.grid.free_neighbors(cur):
-                if n not in dist:
-                    dist[n] = dist[cur] + 1
-                    queue.append(n)
+        grid = self.grid
+        if not grid.in_bounds(origin):
+            raise InvalidPositionError(f"cost field origin {origin} outside the map")
+        table = grid.neighbor_table
+        dist: list[Optional[int]] = [None] * (grid.width * grid.height)
+        start = origin.y * grid.width + origin.x
+        dist[start] = 0
+        frontier = [start]
+        d = 0
+        while frontier:
+            d += 1
+            reached = []
+            for i in frontier:
+                for j in table[i]:
+                    if dist[j] is None:
+                        dist[j] = d
+                        reached.append(j)
+            frontier = reached
         self._fields[origin] = dist
         return dist
 
     def cost(self, position: Cell, job_location: Cell) -> Optional[int]:
-        return self._field(Cell(*job_location)).get(Cell(*position))
-
-
-def compute_job_cost(position: Cell, job: Job, grid: GridMap,
-                     cache: Optional[CostField] = None) -> Optional[int]:
-    """Moves along the shortest free path to the job; None if unreachable."""
-    cache = cache or CostField(grid)
-    return cache.cost(position, job.location)
+        """Path length from `position` to the job; None if unreachable or off the map."""
+        x, y = position
+        w = self.grid.width
+        if not (0 <= x < w and 0 <= y < self.grid.height):
+            return None
+        return self._field(Cell(*job_location))[y * w + x]
 
 
 def choose_assignee(bids: list[Bid]) -> Optional[Bid]:

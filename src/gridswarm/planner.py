@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Container, Optional
 
 from .world import Cell, DIRECTIONS, GridMap
 
@@ -171,23 +171,20 @@ def compute_force(i: KinematicState, j: Optional[KinematicState],
             f * p_i * jdy + f * j.priority * ry)
 
 
-# Candidate move order for tie-breaking: N, E, S, W, wait.
-_MOVE_ORDER: tuple[Cell, ...] = (Cell(0, 1), Cell(1, 0), Cell(0, -1), Cell(-1, 0))
-
-
 def quantize_move(force: tuple[float, float], current: Cell, grid: GridMap,
-                  occupied: set[Cell]) -> Cell:
+                  occupied: Container[Cell]) -> Cell:
     """Map a force vector to the admissible move maximizing the dot product.
 
     Waiting scores 0; ties resolve in N, E, S, W, wait order. A zero force
-    always waits.
+    always waits. Only the four neighbours of `current` are tested against
+    `occupied`, never `current` itself.
     """
     fx, fy = force
     if fx == 0 and fy == 0:
         return current
     best: Optional[Cell] = None
     best_score = 0.0
-    for d in _MOVE_ORDER:
+    for d in DIRECTIONS:
         target = Cell(current.x + d.x, current.y + d.y)
         if not grid.is_free(target) or target in occupied:
             continue
@@ -299,8 +296,8 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
         force = compute_force(yielder, keeper, kind, params, grid,
                               rng_for(yielder.agent),
                               deadlock=yielder.agent in deadlocked)
-        blocked = set(occ) - {yielder.current}
-        proposal[yielder.agent] = quantize_move(force, yielder.current, grid, blocked)
+        # occ still holds the yielder's own cell; quantize_move never tests it.
+        proposal[yielder.agent] = quantize_move(force, yielder.current, grid, occ)
         ops.tick(4)
         if log is not None:
             log.append((kind, keeper.agent, yielder.agent))
@@ -315,8 +312,8 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
             continue
         force = compute_force(s, j, ConflictKind.STATIC, params, grid,
                               rng_for(agent), deadlock=True)
-        blocked = set(occ) - {s.current}
-        proposal[agent] = quantize_move(force, s.current, grid, blocked)
+        # As above: occ holds s.current, which quantize_move never tests.
+        proposal[agent] = quantize_move(force, s.current, grid, occ)
         ops.tick(4)
         if log is not None:
             log.append(("deadlock", j.agent, agent))

@@ -6,6 +6,7 @@ Everything here is immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 ZoneId = tuple[int, int]  # (row, col)
@@ -53,6 +54,38 @@ class GridMap:
             if self.is_free(n):
                 out.append(n)
         return out
+
+    # Flat-index views, built on first use and cached on the instance. A cell
+    # (x, y) has flat index y * width + x.
+
+    @cached_property
+    def _free_flags(self) -> bytearray:
+        """1 at the flat index of every free cell, 0 at every obstacle."""
+        w = self.width
+        flags = bytearray(b"\x01") * (w * self.height)
+        for c in self.obstacles:
+            flags[c.y * w + c.x] = 0
+        return flags
+
+    @cached_property
+    def neighbor_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row i holds the flat indices of `free_neighbors` of cell i, in order."""
+        w, h = self.width, self.height
+        free = self._free_flags
+        steps = [(d.x, d.y, d.y * w + d.x) for d in DIRECTIONS]
+        rows = []
+        for y in range(h):
+            for x in range(w):
+                i = y * w + x
+                rows.append(tuple(i + off for dx, dy, off in steps
+                                  if 0 <= x + dx < w and 0 <= y + dy < h and free[i + off]))
+        return tuple(rows)
+
+    @cached_property
+    def free_cells(self) -> tuple[Cell, ...]:
+        """Every free cell in (y, x) order."""
+        w = self.width
+        return tuple(Cell(i % w, i // w) for i, f in enumerate(self._free_flags) if f)
 
 
 @dataclass(frozen=True)
@@ -146,7 +179,3 @@ def subscribed_zones(cell: Cell, partition: ZonePartition) -> set[ZoneId]:
         if x0 <= cell.x <= x1 and y0 <= cell.y <= y1:
             out.add(z.id)
     return out
-
-
-def is_free(grid: GridMap, cell: Cell) -> bool:
-    return grid.is_free(cell)

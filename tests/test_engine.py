@@ -222,3 +222,19 @@ def test_job_on_obstacle_is_rejected_not_fatal():
     spawns = events_of(trace, "JobSpawn")
     assert any(e["rejected"] for e in spawns)
     assert metrics.completed  # the valid job still runs to completion
+
+
+def test_spawns_follow_spawn_tick_and_keep_file_order_within_a_tick():
+    jobs = [{"spawn_tick": 3, "location": [10, 4], "priority": 1.5},
+            {"spawn_tick": 0, "location": [1, 1], "priority": 2.0},
+            {"spawn_tick": 3, "location": [5, 5], "priority": 1.8}]
+    _, trace = run_scenario(two_zone(jobs=jobs))
+    spawned = [(e["job"], e["location"]) for e in events_of(trace, "JobSpawn")]
+    assert spawned == [("j000", [1, 1]), ("j001", [10, 4]), ("j002", [5, 5])]
+
+
+def test_grid_tables_are_not_built_at_setup():
+    sim = Simulation(two_zone())
+    assert "neighbor_table" not in vars(sim.grid)
+    sim.run()
+    assert "neighbor_table" in vars(sim.grid)

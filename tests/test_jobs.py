@@ -2,9 +2,10 @@ from collections import deque
 
 import pytest
 
-from gridswarm.jobs import (Bid, CostField, Job, SpawnRejected, choose_assignee,
-                            compute_job_cost, spawn_job)
-from gridswarm.world import Cell, GridMap
+from hypothesis import given, strategies as st
+
+from gridswarm.jobs import Bid, CostField, SpawnRejected, choose_assignee, spawn_job
+from gridswarm.world import Cell, GridMap, InvalidPositionError
 
 
 def bfs_distance(grid, start, goal):
@@ -46,20 +47,53 @@ def test_cost_matches_bfs_oracle():
     grid = GridMap(width=8, height=8,
                    obstacles=frozenset({Cell(3, y) for y in range(1, 8)}))
     cache = CostField(grid)
-    job = Job(id="j", location=Cell(6, 6), priority=1.0, spawn_tick=0)
+    goal = Cell(6, 6)
     for y in range(8):
         for x in range(8):
             c = Cell(x, y)
             if not grid.is_free(c):
                 continue
-            assert compute_job_cost(c, job, grid, cache) == bfs_distance(grid, c, job.location)
+            assert cache.cost(c, goal) == bfs_distance(grid, c, goal)
 
 
 def test_cost_none_when_unreachable():
     grid = GridMap(width=5, height=1, obstacles=frozenset({Cell(2, 0)}))
-    job = Job(id="j", location=Cell(4, 0), priority=1.0, spawn_tick=0)
-    assert compute_job_cost(Cell(0, 0), job, grid) is None
-    assert compute_job_cost(Cell(3, 0), job, grid) == 1
+    assert CostField(grid).cost(Cell(0, 0), Cell(4, 0)) is None
+    assert CostField(grid).cost(Cell(3, 0), Cell(4, 0)) == 1
+
+
+def test_cost_field_origin_off_the_map_raises():
+    with pytest.raises(InvalidPositionError):
+        CostField(GridMap(width=3, height=3)).cost(Cell(0, 0), Cell(3, 0))
+
+
+@st.composite
+def pocket_maps(draw):
+    """Random obstacle maps, some with a walled-off pocket in one corner."""
+    w = draw(st.integers(1, 12))
+    h = draw(st.integers(1, 12))
+    obstacles = set(draw(st.sets(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+                                 max_size=w * h // 3)))
+    if draw(st.booleans()) and w >= 4 and h >= 4:
+        k = draw(st.integers(2, min(w, h) - 2))
+        obstacles -= {(x, y) for x in range(k) for y in range(k)}
+        obstacles |= {(k, y) for y in range(k + 1)} | {(x, k) for x in range(k + 1)}
+    return GridMap(width=w, height=h, obstacles=frozenset(obstacles))
+
+
+@given(pocket_maps(), st.data())
+def test_cost_matches_bfs_oracle_on_random_maps(grid, data):
+    cells = [Cell(x, y) for y in range(grid.height) for x in range(grid.width)]
+    free = [c for c in cells if grid.is_free(c)]
+    if not free:
+        return
+    goal = data.draw(st.sampled_from(free))
+    field = CostField(grid)
+    for c in cells:
+        assert field.cost(c, goal) == (bfs_distance(grid, c, goal)
+                                       if grid.is_free(c) else None)
+    for c in (Cell(-1, 0), Cell(0, -1), Cell(grid.width, 0), Cell(0, grid.height)):
+        assert field.cost(c, goal) is None
 
 
 def test_cost_field_is_cached():

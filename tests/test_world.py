@@ -105,3 +105,26 @@ def test_subscribed_zones_grow_with_overlap(x, y, k1, k2):
     small = build_partition(grid, 2, 2, overlap=min(k1, k2))
     large = build_partition(grid, 2, 2, overlap=max(k1, k2))
     assert subscribed_zones(Cell(x, y), small) <= subscribed_zones(Cell(x, y), large)
+
+
+@given(st.integers(1, 9), st.integers(1, 9),
+       st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8))))
+def test_neighbor_table_matches_free_neighbors(w, h, obstacle_xy):
+    obstacles = frozenset(Cell(x, y) for x, y in obstacle_xy if x < w and y < h)
+    grid = GridMap(width=w, height=h, obstacles=obstacles)
+    table = grid.neighbor_table
+    assert len(table) == w * h
+    for y in range(h):
+        for x in range(w):
+            expected = tuple(n.y * w + n.x for n in grid.free_neighbors(Cell(x, y)))
+            assert table[y * w + x] == expected
+    assert grid.free_cells == tuple(Cell(x, y) for y in range(h) for x in range(w)
+                                    if grid.is_free(Cell(x, y)))
+
+
+def test_flat_views_built_on_first_use():
+    grid = GridMap(width=4, height=3, obstacles=frozenset({Cell(1, 1)}))
+    assert "neighbor_table" not in vars(grid)
+    assert grid.neighbor_table[0] == (4, 1)  # (0,0): N is (0,1), E is (1,0)
+    assert "neighbor_table" in vars(grid)
+    assert grid == GridMap(width=4, height=3, obstacles=frozenset({Cell(1, 1)}))
