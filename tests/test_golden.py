@@ -11,6 +11,7 @@ Print the current digests with `PYTHONPATH=src python tests/test_golden.py`.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,10 @@ GOLDEN = {
         "48f0d3d2a298a23d3490fe55282c0ad928dc8706b8b800a3c8de7962b8f23524",
     "kill_revive/99":
         "118517f6430189ec208401e5dc0bd96868acc79ebfc5397368e1b794c938aafc",
+    "dense/1x2":
+        "41e6c32e2ae2331624e88b1621e52976b73120b58e9689be5af978396b0d4cf9",
+    "lossy_faults/3":
+        "824eb8636f50c6fe7ab79d5effb87c2619589da73dc873ae2afdc462e691ac2f",
 }
 
 
@@ -96,6 +101,37 @@ def _kill_revive(seed: int) -> dict:
     return base
 
 
+def _dense_zones() -> dict:
+    # Two zones of 30 agents each: per-zone message fan-out is quadratic.
+    rng = random.Random(2024)
+    width, height = 24, 12
+    cells = [[x, y] for y in range(height) for x in range(width)]
+    starts = (rng.sample([c for c in cells if c[0] < width // 2], 30)
+              + rng.sample([c for c in cells if c[0] >= width // 2], 30))
+    jobs = [{"spawn_tick": rng.randint(0, 30), "location": rng.choice(cells),
+             "priority": round(rng.uniform(1.2, 3.0), 2)} for _ in range(30)]
+    return {
+        "map": {"width": width, "height": height},
+        "partition": {"rows": 1, "cols": 2, "overlap": 1},
+        "agents": [{"id": f"a{i:02d}", "start": c} for i, c in enumerate(starts)],
+        "jobs": jobs, "network": {}, "planner": {},
+        "consensus": {"timeout_steps": 10}, "balance": {"period": 10},
+        "seed": 5, "max_ticks": 150, "faults": [],
+    }
+
+
+def _lossy_faults(seed: int) -> dict:
+    # Drops, random delays, a partition and a kill/revive pair in one run.
+    base = bench_scenario(12, 20, seed=seed, max_ticks=300)
+    base["network"] = {"drop_prob": 0.05, "delay_steps": [0, 2]}
+    base["faults"] = [{"tick": 6, "kind": "partition",
+                       "groups": [["a00", "a01", "a02", "a03"]]},
+                      {"tick": 9, "kind": "kill", "agent": "a05"},
+                      {"tick": 14, "kind": "heal"},
+                      {"tick": 24, "kind": "revive", "agent": "a05"}]
+    return base
+
+
 def corpus() -> dict[str, dict]:
     """Scenario dicts by name, in a fixed order."""
     out = {}
@@ -106,6 +142,8 @@ def corpus() -> dict[str, dict]:
         out[f"bench/{n_agents}x{n_jobs}"] = bench_scenario(n_agents, n_jobs, seed=11)
     out["isolation/0"] = _isolation(0)
     out["kill_revive/99"] = _kill_revive(99)
+    out["dense/1x2"] = _dense_zones()
+    out["lossy_faults/3"] = _lossy_faults(3)
     return out
 
 
