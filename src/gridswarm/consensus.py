@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .world import Cell
-
-
-class Phase(Enum):
-    COLLECT_STATES = "collect_states"
-    AWAIT_STATE_ACKS = "await_state_acks"
-    TICK_BROADCAST = "tick_broadcast"
-    AWAIT_TICK_ACKS = "await_tick_acks"
 
 
 class Liveness(Enum):
@@ -57,11 +50,15 @@ class StateRecord:
 class ZoneSnapshot:
     tick: int
     records: tuple[StateRecord, ...]  # sorted by agent id
+    _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def digest(self) -> str:
-        blob = json.dumps([self.tick] + [r.as_payload() for r in self.records],
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        # Every roster member acknowledges the same snapshot, so compute once.
+        if self._digest is None:
+            blob = json.dumps([self.tick] + [r.as_payload() for r in self.records],
+                              separators=(",", ":"))
+            object.__setattr__(self, "_digest", hashlib.sha256(blob.encode()).hexdigest()[:16])
+        return self._digest
 
 
 def make_snapshot(tick: int, records: dict[str, StateRecord]) -> ZoneSnapshot:

@@ -25,13 +25,6 @@ class Candidacy:
     distance: float
 
 
-@dataclass(frozen=True)
-class RoleAssignment:
-    zone: tuple[int, int]
-    leader: str
-    since_tick: int
-
-
 def centroid_distance(position: Cell, zone: Zone) -> float:
     gx, gy = zone_centroid(zone)
     return math.hypot(gx - position.x, gy - position.y)

@@ -18,7 +18,7 @@ from . import consensus as cons
 from . import election as elec
 from . import jobs as jobmod
 from . import planner as plan
-from .netsim import Bus, derive_seed, zone_topic
+from .netsim import Bus, Envelope, derive_seed, zone_topic
 from .scenario import ScenarioConfig, scenario_from_dict
 from .trace import TraceWriter
 from .world import (Cell, GridMap, ZoneId, build_partition, home_zone,
@@ -95,7 +95,6 @@ class LeaderRound:
     tick: int
     expected: set[str]
     states: dict[str, cons.StateRecord] = field(default_factory=dict)
-    state_acked: set[str] = field(default_factory=set)
     tick_acks: set[str] = field(default_factory=set)
     waited_states: int = 0
     waited_acks: int = 0
@@ -150,6 +149,7 @@ class Simulation:
         self.trace = TraceWriter()
         self.metrics = Metrics()
         self.bus = Bus(config.network, config.seed)
+        self._topics: dict[str, tuple[Optional[ZoneId], str]] = {}
         self.round = 0
         self.costs = jobmod.CostField(self.grid)
         self.jobs: dict[str, jobmod.Job] = {}
@@ -258,8 +258,8 @@ class Simulation:
         for zone in sorted(self.zones):
             self._start_election(zone, elec.ElectionReason.BOOTSTRAP)
         for _ in range(2 * self.timeout + 6):
-            for recipient, env in self.bus.step_deliver():
-                self._handle(recipient, env, {})
+            for env, recipients in self.bus.step_deliver():
+                self._deliver(env, recipients, {})
             self._super_eval()
             if not self.sup.elections and self.bus.pending() == 0:
                 break
@@ -304,10 +304,10 @@ class Simulation:
                 self._publish(aid, zone_topic(a.home, "db_update"),
                               {"kind": "resync_req", "agent": aid,
                                "tick": a.local_tick})
-        peer_seen: dict[str, set[str]] = {}
+        acked: set[str] = set()
         for _ in range(3 * self.timeout + 6):
-            for recipient, env in self.bus.step_deliver():
-                self._handle(recipient, env, rounds, peer_seen)
+            for env, recipients in self.bus.step_deliver():
+                self._deliver(env, recipients, rounds, acked)
             for zone in sorted(rounds):
                 self._leader_eval(rounds[zone])
             self._super_eval()
@@ -446,67 +446,82 @@ class Simulation:
 
     # ---------------------------------------------------------- bus handlers
 
-    def _handle(self, recipient: str, env, rounds: dict[ZoneId, LeaderRound],
-                peer_seen: Optional[dict[str, set[str]]] = None) -> None:
-        topic = env.topic
+    def _topic(self, topic: str) -> tuple[Optional[ZoneId], str]:
+        """(zone, suffix) of a zone/<row>,<col>/<suffix> topic, else (None, topic)."""
+        parsed = self._topics.get(topic)
+        if parsed is None:
+            if topic.startswith("zone/"):
+                _, part, suffix = topic.split("/")
+                row, col = part.split(",")
+                parsed = ((int(row), int(col)), suffix)
+            else:
+                parsed = (None, topic)
+            self._topics[topic] = parsed
+        return parsed
+
+    def _deliver(self, env: Envelope, recipients: tuple[str, ...],
+                 rounds: dict[ZoneId, LeaderRound],
+                 acked: Optional[set[str]] = None) -> None:
+        """Hand one envelope to its recipients in order. `acked` holds the
+        agents that have acknowledged a peer's state this round (None: no
+        acknowledgements, as during bootstrap)."""
+        zone, kind = self._topic(env.topic)
         payload = env.payload
-        if recipient == SUPER:
-            self._handle_super(env)
+        if kind == "state_ack":
+            return  # published and counted, but nothing gates on it
+        if kind == "db_update" and payload["kind"] == "state":
+            self._deliver_state(env, zone, recipients, rounds.get(zone), acked)
             return
-        a = self.agents.get(recipient)
-        if a is None or not a.powered:
-            return
-        if topic.startswith("zone/"):
-            zone = self._topic_zone(topic)
-            if topic.endswith("db_update"):
-                self._handle_db_update(a, zone, env, rounds, peer_seen)
-            elif topic.endswith("global_tick"):
+        for recipient in recipients:
+            if recipient == SUPER:
+                self._handle_super(env)
+                continue
+            a = self.agents.get(recipient)
+            if a is None or not a.powered:
+                continue
+            if kind == "db_update":
+                self._handle_resync_req(a, zone, payload, rounds)
+            elif kind == "global_tick":
                 self._handle_global_tick(a, zone, payload, rounds)
-            elif topic.endswith("state_ack"):
-                lr = rounds.get(zone)
-                if lr and lr.leader == recipient:
-                    lr.state_acked.add(env.sender)
-            elif topic.endswith("tick_ack"):
+            elif kind == "tick_ack":
                 self._handle_tick_ack(a, zone, env, rounds)
-        elif topic == "super/election":
-            self._handle_election_msg(a, payload, rounds)
-        elif topic == "super/mandates":
-            self._handle_mandate_msg(a, payload)
+            elif kind == "super/election":
+                self._handle_election_msg(a, payload, rounds)
+            elif kind == "super/mandates":
+                self._handle_mandate_msg(a, payload)
 
-    @staticmethod
-    def _topic_zone(topic: str) -> ZoneId:
-        part = topic.split("/")[1]
-        row, col = part.split(",")
-        return (int(row), int(col))
+    def _deliver_state(self, env: Envelope, zone: ZoneId, recipients: tuple[str, ...],
+                       lr: Optional[LeaderRound], acked: Optional[set[str]]) -> None:
+        sender = env.sender
+        rec: cons.StateRecord = env.payload["record"]
+        # Only the zone leader stores records, and only from its roster.
+        keeper = lr.leader if lr is not None and sender in lr.expected else None
+        for aid in recipients:
+            a = self.agents[aid]  # only agents subscribe to zone topics
+            if not a.powered:
+                continue
+            if aid == keeper:
+                lr.states[sender] = rec
+            # A home-zone member acknowledges the first peer state it hears.
+            if (acked is not None and aid not in acked
+                    and a.status is cons.Liveness.ALIVE and zone == a.home):
+                acked.add(aid)
+                self._emit("StateAck", aid, zone=list(zone), peers=[sender])
+                self._publish(aid, zone_topic(zone, "state_ack"),
+                              {"kind": "state_ack", "agent": aid})
 
-    def _handle_db_update(self, a: AgentSim, zone: ZoneId, env,
-                          rounds: dict[ZoneId, LeaderRound],
-                          peer_seen: Optional[dict[str, set[str]]]) -> None:
-        payload = env.payload
+    def _handle_resync_req(self, a: AgentSim, zone: ZoneId, payload: dict,
+                           rounds: dict[ZoneId, LeaderRound]) -> None:
         lr = rounds.get(zone)
-        is_zone_leader = lr is not None and lr.leader == a.id
-        if payload["kind"] == "state":
-            rec: cons.StateRecord = payload["record"]
-            if is_zone_leader and env.sender in lr.expected:
-                lr.states[env.sender] = rec
-            if peer_seen is not None and a.status is cons.Liveness.ALIVE and zone == a.home:
-                seen = peer_seen.setdefault(a.id, set())
-                if env.sender not in seen:
-                    first = not seen
-                    seen.add(env.sender)
-                    if first:
-                        self._emit("StateAck", a.id, zone=list(zone),
-                                   peers=sorted(seen))
-                        self._publish(a.id, zone_topic(zone, "state_ack"),
-                                      {"kind": "state_ack", "agent": a.id})
-        elif payload["kind"] == "resync_req" and is_zone_leader:
-            zs = self.zones[zone]
-            if zs.snapshot is None:
-                return
-            self._publish(a.id, zone_topic(zone, "global_tick"),
-                          {"kind": "resync_resp", "target": payload["agent"],
-                           "tick": zs.tick, "snapshot": zs.snapshot,
-                           "roster": sorted(lr.expected | {payload["agent"]})})
+        if lr is None or lr.leader != a.id:
+            return
+        zs = self.zones[zone]
+        if zs.snapshot is None:
+            return
+        self._publish(a.id, zone_topic(zone, "global_tick"),
+                      {"kind": "resync_resp", "target": payload["agent"],
+                       "tick": zs.tick, "snapshot": zs.snapshot,
+                       "roster": sorted(lr.expected | {payload["agent"]})})
 
     def _handle_global_tick(self, a: AgentSim, zone: ZoneId, payload: dict,
                             rounds: dict[ZoneId, LeaderRound]) -> None:

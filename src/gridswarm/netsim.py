@@ -2,8 +2,9 @@
 
 Replaces a real middleware transport with an in-process queue that supports
 named topics, per-message delay, seeded probabilistic drop, and partition
-injection. Delivery order is totally ordered by (deliver_at, sender, seq,
-recipient) so identical seeds replay identically.
+injection. Each publish is one queue entry carrying its recipients, worked out
+once at publish time. Delivery is totally ordered by (deliver_at, sender,
+topic, seq, recipient) so identical seeds replay identically.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ class Bus:
         self._rng = random.Random(derive_seed(seed, "bus"))
         self._registered: set[str] = set()
         self._subs: dict[str, set[str]] = {}
-        self._queue: list[tuple[int, str, str, int, str, Envelope]] = []
+        self._sorted_subs: dict[str, tuple[str, ...]] = {}
+        self._queue: list[tuple[int, str, str, int, Envelope, tuple[str, ...]]] = []
         self._seq: dict[tuple[str, str], int] = {}
         self._last_deliver_at: dict[tuple[str, str], int] = {}
         self._group: dict[str, int] = {}
@@ -85,12 +87,17 @@ class Bus:
 
     def subscribe(self, agent: str, topic: str) -> None:
         self._subs.setdefault(topic, set()).add(agent)
+        self._sorted_subs.pop(topic, None)
 
     def unsubscribe(self, agent: str, topic: str) -> None:
         self._subs.get(topic, set()).discard(agent)
+        self._sorted_subs.pop(topic, None)
 
-    def subscribers(self, topic: str) -> list[str]:
-        return sorted(self._subs.get(topic, ()))
+    def subscribers(self, topic: str) -> tuple[str, ...]:
+        subs = self._sorted_subs.get(topic)
+        if subs is None:
+            subs = self._sorted_subs[topic] = tuple(sorted(self._subs.get(topic, ())))
+        return subs
 
     def set_partition(self, partitions: Iterable[Iterable[str]]) -> None:
         """Replace the active partition map; an empty set heals everything."""
@@ -116,7 +123,8 @@ class Bus:
         return self._rng.randint(d[0], d[1])
 
     def publish(self, sender: str, topic: str, payload: Any, tick: int = 0) -> bool:
-        """Queue `payload` for every current subscriber; False if dropped."""
+        """Queue `payload` for every current subscriber other than the sender
+        and those a partition cuts off; False if dropped."""
         if sender not in self._registered:
             raise UnknownSenderError(sender)
         if self.config.drop_prob > 0 and self._rng.random() < self.config.drop_prob:
@@ -130,23 +138,30 @@ class Bus:
         self._last_deliver_at[key] = deliver_at
         env = Envelope(seq=seq, sender=sender, topic=topic, sent_tick=tick,
                        deliver_at=deliver_at, payload=payload)
-        for sub in self.subscribers(topic):
-            if sub == sender:
-                continue
-            if not self.reachable(sender, sub):
-                continue
-            heapq.heappush(self._queue, (deliver_at, sender, topic, seq, sub, env))
+        recipients = self.subscribers(topic)
+        if self._group:
+            recipients = tuple(sub for sub in recipients
+                               if sub != sender and self.reachable(sender, sub))
+        elif sender in self._subs.get(topic, ()):
+            i = recipients.index(sender)
+            recipients = recipients[:i] + recipients[i + 1:]
+        if recipients:
+            # (deliver_at, sender, topic, seq) is unique per publish, so the
+            # heap never compares envelopes.
+            heapq.heappush(self._queue, (deliver_at, sender, topic, seq, env, recipients))
         self.published += 1
         return True
 
     def pending(self) -> int:
+        """Queued publishes that still have recipients to reach."""
         return len(self._queue)
 
-    def step_deliver(self) -> list[tuple[str, Envelope]]:
-        """Advance one step and return everything due, in canonical order."""
+    def step_deliver(self) -> list[tuple[Envelope, tuple[str, ...]]]:
+        """Advance one step and return every due envelope with its recipients
+        (sorted), in canonical order."""
         self.now += 1
-        out: list[tuple[str, Envelope]] = []
+        out: list[tuple[Envelope, tuple[str, ...]]] = []
         while self._queue and self._queue[0][0] <= self.now:
-            _, _, _, _, recipient, env = heapq.heappop(self._queue)
-            out.append((recipient, env))
+            _, _, _, _, env, recipients = heapq.heappop(self._queue)
+            out.append((env, recipients))
         return out

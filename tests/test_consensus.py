@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from gridswarm.consensus import (Advance, MarkDeadAndAdvance, RoleError,
@@ -20,6 +23,18 @@ def test_snapshot_digest_depends_on_content():
     moved = dict(base, b=record("b", 2))
     assert make_snapshot(3, moved).digest() != s1.digest()
     assert make_snapshot(4, base).digest() != s1.digest()
+
+
+def test_snapshot_digest_cache_matches_fresh_digest():
+    base = {"a": record("a"), "b": record("b", 1, job="j1")}
+    s1 = make_snapshot(3, base)
+    first = s1.digest()
+    assert s1.digest() is first  # served from the cache
+    s2 = make_snapshot(3, dict(base))  # equal content, never digested
+    assert s2 == s1 and hash(s2) == hash(s1)
+    assert s2.digest() == first
+    blob = json.dumps([3] + [r.as_payload() for r in s1.records], separators=(",", ":"))
+    assert first == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def test_snapshot_records_sorted_by_agent():

@@ -1,6 +1,10 @@
-import pytest
+import heapq
+import random
 
-from gridswarm.netsim import (Bus, BusConfig, PartitionConfigError,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gridswarm.netsim import (Bus, BusConfig, Envelope, PartitionConfigError,
                               UnknownSenderError, derive_seed, zone_topic)
 
 
@@ -12,10 +16,15 @@ def make_bus(**kw):
     return bus
 
 
+def flatten(due):
+    """(recipient, envelope) pairs of one step, in delivery order."""
+    return [(r, env) for env, recipients in due for r in recipients]
+
+
 def drain(bus, steps):
     out = []
     for _ in range(steps):
-        out.extend(bus.step_deliver())
+        out.extend(flatten(bus.step_deliver()))
     return out
 
 
@@ -34,7 +43,7 @@ def test_delivery_next_step_with_zero_delay():
     bus = make_bus()
     bus.subscribe("b", "t")
     bus.publish("a", "t", "hello")
-    got = bus.step_deliver()
+    got = flatten(bus.step_deliver())
     assert [(r, e.payload) for r, e in got] == [("b", "hello")]
     assert bus.step_deliver() == []
 
@@ -44,7 +53,7 @@ def test_fixed_delay():
     bus.subscribe("b", "t")
     bus.publish("a", "t", 1)
     assert bus.step_deliver() == []
-    got = bus.step_deliver()
+    got = flatten(bus.step_deliver())
     assert [(r, e.payload) for r, e in got] == [("b", 1)]
 
 
@@ -67,6 +76,17 @@ def test_subscription_evaluated_at_publish():
     got = drain(bus, 3)
     # b still receives the message published while it was subscribed; c only the later one
     assert sorted((r, e.payload) for r, e in got) == [("b", "early"), ("c", "late")]
+
+
+def test_unsubscribe_applies_to_the_next_publish():
+    bus = make_bus()
+    bus.subscribe("b", "t")
+    bus.subscribe("c", "t")
+    bus.publish("a", "t", 1)
+    bus.unsubscribe("b", "t")
+    bus.publish("a", "t", 2)
+    got = drain(bus, 2)
+    assert [(r, e.payload) for r, e in got] == [("b", 1), ("c", 1), ("c", 2)]
 
 
 def test_fifo_per_sender_topic_under_random_delay():
@@ -133,5 +153,136 @@ def test_delivery_order_is_canonical():
     bus.subscribe("c", "t2")
     bus.publish("b", "t1", "from-b")
     bus.publish("a", "t2", "from-a")
-    got = bus.step_deliver()
+    got = flatten(bus.step_deliver())
     assert [e.sender for _, e in got] == ["a", "b"]
+
+
+def test_state_fan_out_is_one_queue_entry_per_publish():
+    # One zone of n agents, each publishing its state once: n queue entries,
+    # n*(n-1) deliveries.
+    n = 20
+    bus = Bus(BusConfig(), 1)
+    topic = zone_topic((0, 0), "db_update")
+    agents = [f"a{i:02d}" for i in range(n)]
+    for a in agents:
+        bus.register(a)
+        bus.subscribe(a, topic)
+    for a in agents:
+        bus.publish(a, topic, {"kind": "state"})
+    assert bus.pending() == n
+    got = flatten(bus.step_deliver())
+    assert len(got) == n * (n - 1)
+    assert bus.pending() == 0
+
+
+def test_publish_without_recipients_queues_nothing():
+    bus = make_bus()
+    bus.subscribe("a", "t")
+    assert bus.publish("a", "t", 1)  # accepted, but only the sender listens
+    bus.subscribe("b", "t")
+    bus.set_partition([["a"]])
+    assert bus.publish("a", "t", 2)
+    assert bus.pending() == 0
+    assert bus.step_deliver() == []
+
+
+class ReferenceBus:
+    """One queue entry per (publish, recipient): the order the bus must keep."""
+
+    def __init__(self, config, seed):
+        self.config = config
+        self.now = 0
+        self._rng = random.Random(derive_seed(seed, "bus"))
+        self._subs = {}
+        self._queue = []
+        self._seq = {}
+        self._last_deliver_at = {}
+        self._group = {}
+
+    def subscribe(self, agent, topic):
+        self._subs.setdefault(topic, set()).add(agent)
+
+    def unsubscribe(self, agent, topic):
+        self._subs.get(topic, set()).discard(agent)
+
+    def set_partition(self, groups):
+        self._group = {a: idx for idx, g in enumerate(groups) for a in g}
+
+    def publish(self, sender, topic, payload, tick=0):
+        if self.config.drop_prob > 0 and self._rng.random() < self.config.drop_prob:
+            return False
+        key = (sender, topic)
+        seq = self._seq.get(key, 0) + 1
+        self._seq[key] = seq
+        d = self.config.delay_steps
+        delay = d if isinstance(d, int) else self._rng.randint(d[0], d[1])
+        deliver_at = max(self.now + delay, self._last_deliver_at.get(key, 0))
+        self._last_deliver_at[key] = deliver_at
+        env = Envelope(seq=seq, sender=sender, topic=topic, sent_tick=tick,
+                       deliver_at=deliver_at, payload=payload)
+        for sub in sorted(self._subs.get(topic, ())):
+            if sub != sender and self._group.get(sub, -1) == self._group.get(sender, -1):
+                heapq.heappush(self._queue, (deliver_at, sender, topic, seq, sub, env))
+        return True
+
+    def pending(self):
+        return len(self._queue)
+
+    def step_deliver(self):
+        self.now += 1
+        out = []
+        while self._queue and self._queue[0][0] <= self.now:
+            _, _, _, _, recipient, env = heapq.heappop(self._queue)
+            out.append((recipient, env))
+        return out
+
+
+ACTORS = ("a", "b", "c", "d", "super")
+TOPICS = ("t", "u", zone_topic((0, 1), "db_update"))
+
+bus_ops = st.one_of(
+    st.tuples(st.sampled_from(["sub", "unsub", "pub"]),
+              st.sampled_from(ACTORS), st.sampled_from(TOPICS)),
+    # Each actor's partition group: -1 is the implicit rest group.
+    st.tuples(st.just("part"),
+              st.lists(st.sampled_from([-1, 0, 1]), min_size=len(ACTORS),
+                       max_size=len(ACTORS))),
+    st.tuples(st.just("heal")),
+    st.tuples(st.just("step")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       drop_prob=st.sampled_from([0.0, 0.2, 0.5]),
+       delay=st.one_of(st.integers(0, 2),
+                       st.tuples(st.integers(0, 2), st.integers(0, 3))
+                       .map(lambda d: (d[0], d[0] + d[1]))),
+       ops=st.lists(bus_ops, max_size=60))
+def test_bus_matches_per_recipient_reference(seed, drop_prob, delay, ops):
+    config = BusConfig(drop_prob=drop_prob, delay_steps=delay)
+    bus, ref = Bus(config, seed), ReferenceBus(config, seed)
+    for actor in ACTORS:
+        bus.register(actor)
+    for i, op in enumerate(ops):
+        if op[0] == "sub":
+            bus.subscribe(op[1], op[2])
+            ref.subscribe(op[1], op[2])
+        elif op[0] == "unsub":
+            bus.unsubscribe(op[1], op[2])
+            ref.unsubscribe(op[1], op[2])
+        elif op[0] == "pub":
+            assert bus.publish(op[1], op[2], i, tick=i) == ref.publish(op[1], op[2], i, tick=i)
+        elif op[0] == "part":
+            groups = [[a for a, g in zip(ACTORS, op[1]) if g == idx] for idx in (0, 1)]
+            bus.set_partition(groups)
+            ref.set_partition(groups)
+        elif op[0] == "heal":
+            bus.set_partition([])
+            ref.set_partition([])
+        else:
+            assert flatten(bus.step_deliver()) == ref.step_deliver()
+        assert (bus.pending() == 0) == (ref.pending() == 0)
+    while ref.pending():
+        assert flatten(bus.step_deliver()) == ref.step_deliver()
+    assert bus.pending() == 0
