@@ -175,17 +175,6 @@ def test_state_fan_out_is_one_queue_entry_per_publish():
     assert bus.pending() == 0
 
 
-def test_publish_without_recipients_queues_nothing():
-    bus = make_bus()
-    bus.subscribe("a", "t")
-    assert bus.publish("a", "t", 1)  # accepted, but only the sender listens
-    bus.subscribe("b", "t")
-    bus.set_partition([["a"]])
-    assert bus.publish("a", "t", 2)
-    assert bus.pending() == 0
-    assert bus.step_deliver() == []
-
-
 class ReferenceBus:
     """One queue entry per (publish, recipient): the order the bus must keep."""
 
