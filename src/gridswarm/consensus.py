@@ -23,10 +23,6 @@ class Liveness(Enum):
     RECOVERING = "recovering"
 
 
-class RoleError(RuntimeError):
-    """A consensus action was attempted by an actor without the required role."""
-
-
 @dataclass(frozen=True)
 class StateRecord:
     agent: str
@@ -82,12 +78,9 @@ class MarkDeadAndAdvance:
 
 
 def leader_tick_decision(ack_set: set[str], expected: set[str], waited_steps: int,
-                         timeout_steps: int, tick: int = 0,
-                         caller_is_leader: bool = True) -> Advance | Wait | MarkDeadAndAdvance:
+                         timeout_steps: int, tick: int = 0) -> Advance | Wait | MarkDeadAndAdvance:
     """Advance when coverage is full, wait below the timeout, then mark the
     missing agents dead and advance over the reduced set."""
-    if not caller_is_leader:
-        raise RoleError("only the zone leader advances the tick")
     if ack_set >= expected:
         return Advance(new_tick=tick + 1)
     if waited_steps < timeout_steps:

@@ -26,6 +26,8 @@ from .world import (Cell, GridMap, ZoneId, build_partition, home_zone,
 
 SUPER = "super"
 CONTROLLER = "controller"
+# Zone topics a leader listens on besides its member subscriptions.
+LEADER_TOPICS = ("state_ack", "tick_ack")
 
 
 @dataclass
@@ -70,8 +72,7 @@ class AgentSim:
     local_tick: int = 0
     committed_round: int = -1
     stale_rounds: int = 0
-    is_leader: bool = False
-    led_zone: Optional[ZoneId] = None
+    is_leader: bool = False  # leads its home zone
     solo_rounds: int = 0
     home: ZoneId = (0, 0)
     subscribed: frozenset[ZoneId] = frozenset()
@@ -101,7 +102,6 @@ class LeaderRound:
     probe_sent: bool = False
     confirm_ok: bool = False
     broadcast: bool = False
-    advanced: bool = False
     complete: bool = False
     solicited: list[str] = field(default_factory=list)
 
@@ -150,6 +150,9 @@ class Simulation:
         self.metrics = Metrics()
         self.bus = Bus(config.network, config.seed)
         self._topics: dict[str, tuple[Optional[ZoneId], str]] = {}
+        # Planning map for the current set of powered-off agents' cells.
+        self._plan_grid_key: frozenset[Cell] = frozenset()
+        self._plan_grid_cache: GridMap = self.grid
         self.round = 0
         self.costs = jobmod.CostField(self.grid)
         self.jobs: dict[str, jobmod.Job] = {}
@@ -186,7 +189,7 @@ class Simulation:
         self.trace.emit(self.round, kind, actor, **payload)
 
     def _publish(self, sender: str, topic: str, payload: dict) -> bool:
-        cls = topic.rsplit("/", 1)[-1] if topic.startswith("zone/") else topic.replace("/", "_")
+        cls = self._topic(topic)[1]
         accepted = self.bus.publish(sender, topic, payload, tick=self.round)
         if accepted:
             self.metrics.messages[cls] = self.metrics.messages.get(cls, 0) + 1
@@ -202,12 +205,14 @@ class Simulation:
             self.bus.subscribe(a.id, zone_topic(z, "global_tick"))
         a.subscribed = new
 
-    def _set_leader_subs(self, a: AgentSim, zone: ZoneId, on: bool) -> None:
-        for suffix in ("state_ack", "tick_ack"):
-            if on:
-                self.bus.subscribe(a.id, zone_topic(zone, suffix))
-            else:
-                self.bus.unsubscribe(a.id, zone_topic(zone, suffix))
+    def _demote(self, a: AgentSim) -> None:
+        """Step `a` down from leading its home zone."""
+        a.is_leader = False
+        for suffix in LEADER_TOPICS:
+            self.bus.unsubscribe(a.id, zone_topic(a.home, suffix))
+        zs = self.zones[a.home]
+        if zs.leader == a.id:
+            zs.leader = None
 
     def _members(self, zone: ZoneId) -> list[AgentSim]:
         return [a for aid, a in sorted(self.agents.items())
@@ -222,12 +227,24 @@ class Simulation:
             return a
         return None
 
-    def _record_for(self, a: AgentSim) -> cons.StateRecord:
-        intent = a.position
+    @staticmethod
+    def _next_cell(a: AgentSim) -> Cell:
+        """The next cell on `a`'s path, or its own cell at the path's end."""
         if a.path and a.path_i + 1 < len(a.path):
-            intent = a.path[a.path_i + 1]
-        return cons.StateRecord(agent=a.id, position=a.position, intent=intent,
-                                job=a.job, priority=a.priority, tick=a.local_tick)
+            return a.path[a.path_i + 1]
+        return a.position
+
+    @staticmethod
+    def _drop_job(a: AgentSim) -> None:
+        a.job = None
+        a.goal = None
+        a.path = None
+        a.priority = 1.0
+
+    def _record_for(self, a: AgentSim) -> cons.StateRecord:
+        return cons.StateRecord(agent=a.id, position=a.position,
+                                intent=self._next_cell(a), job=a.job,
+                                priority=a.priority, tick=a.local_tick)
 
     def _force_rng(self, agent: str) -> random.Random:
         return random.Random(derive_seed(self.seed, "force", self.round, agent))
@@ -257,11 +274,20 @@ class Simulation:
     def _bootstrap(self) -> None:
         for zone in sorted(self.zones):
             self._start_election(zone, elec.ElectionReason.BOOTSTRAP)
-        for _ in range(2 * self.timeout + 6):
+        self._pump({}, 2 * self.timeout + 6)
+
+    def _pump(self, rounds: dict[ZoneId, LeaderRound], max_steps: int,
+              acked: Optional[set[str]] = None) -> None:
+        """Step the bus, the leaders' rounds and the super-leader until every
+        round is complete and the bus is quiet, or `max_steps` run out."""
+        for _ in range(max_steps):
             for env, recipients in self.bus.step_deliver():
-                self._deliver(env, recipients, {})
+                self._deliver(env, recipients, rounds, acked)
+            for zone in sorted(rounds):
+                self._leader_eval(rounds[zone])
             self._super_eval()
-            if not self.sup.elections and self.bus.pending() == 0:
+            if (all(lr.complete for lr in rounds.values())
+                    and not self.sup.elections and self.bus.pending() == 0):
                 break
 
     # ------------------------------------------------------------- the phases
@@ -304,33 +330,20 @@ class Simulation:
                 self._publish(aid, zone_topic(a.home, "db_update"),
                               {"kind": "resync_req", "agent": aid,
                                "tick": a.local_tick})
-        acked: set[str] = set()
-        for _ in range(3 * self.timeout + 6):
-            for env, recipients in self.bus.step_deliver():
-                self._deliver(env, recipients, rounds, acked)
-            for zone in sorted(rounds):
-                self._leader_eval(rounds[zone])
-            self._super_eval()
-            if (all(lr.complete for lr in rounds.values())
-                    and not self.sup.elections and self.bus.pending() == 0):
-                break
+        self._pump(rounds, 3 * self.timeout + 6, acked=set())
         for zone in sorted(self.zones):
             lr = rounds.get(zone)
             has_live = any(a.powered and a.status is not cons.Liveness.DEAD
                            for a in self.agents.values() if a.home == zone)
-            if has_live and (lr is None or not lr.advanced):
+            if has_live and (lr is None or not lr.broadcast):
                 self.metrics.ticks_halted += 1
-            if lr is not None and not lr.advanced and lr.probe_sent and not lr.confirm_ok:
+            if lr is not None and not lr.broadcast and lr.probe_sent and not lr.confirm_ok:
                 # Probe unanswered: the leader halted this round suspecting
                 # its own isolation; after two such rounds it steps down.
                 leader = self.agents[lr.leader]
                 leader.solo_rounds += 1
                 if leader.solo_rounds >= 2 and leader.is_leader:
-                    leader.is_leader = False
-                    self._set_leader_subs(leader, zone, on=False)
-                    leader.led_zone = None
-                    if self.zones[zone].leader == lr.leader:
-                        self.zones[zone].leader = None
+                    self._demote(leader)
                     self._publish(lr.leader, "super/election",
                                   {"kind": "stepdown", "zone": zone,
                                    "leader": lr.leader})
@@ -401,10 +414,7 @@ class Simulation:
                 job.status = jobmod.JobStatus.PENDING
                 job.assignee = None
                 job.assign_tick = None
-                a.job = None
-                a.goal = None
-                a.path = None
-                a.priority = 1.0
+                self._drop_job(a)
             self._emit("MarkDead", lr.leader, zone=list(lr.zone), agent=aid,
                        released_job=released)
             lr.expected.discard(aid)
@@ -439,7 +449,6 @@ class Simulation:
         leader.committed_round = self.round
         leader.stale_rounds = 0
         lr.broadcast = True
-        lr.advanced = True
         self._emit("TickBroadcast", lr.leader, zone=list(lr.zone),
                    new_tick=new_tick, roster=sorted(lr.expected),
                    digest=snapshot.digest())
@@ -447,7 +456,9 @@ class Simulation:
     # ---------------------------------------------------------- bus handlers
 
     def _topic(self, topic: str) -> tuple[Optional[ZoneId], str]:
-        """(zone, suffix) of a zone/<row>,<col>/<suffix> topic, else (None, topic)."""
+        """(zone, kind) of a topic. The kind, also the topic's message-count
+        class, is the suffix of a zone/<row>,<col>/<suffix> topic and the
+        topic with "/" replaced by "_" otherwise (zone None)."""
         parsed = self._topics.get(topic)
         if parsed is None:
             if topic.startswith("zone/"):
@@ -455,7 +466,7 @@ class Simulation:
                 row, col = part.split(",")
                 parsed = ((int(row), int(col)), suffix)
             else:
-                parsed = (None, topic)
+                parsed = (None, topic.replace("/", "_"))
             self._topics[topic] = parsed
         return parsed
 
@@ -485,9 +496,9 @@ class Simulation:
                 self._handle_global_tick(a, zone, payload, rounds)
             elif kind == "tick_ack":
                 self._handle_tick_ack(a, zone, env, rounds)
-            elif kind == "super/election":
+            elif kind == "super_election":
                 self._handle_election_msg(a, payload, rounds)
-            elif kind == "super/mandates":
+            elif kind == "super_mandates":
                 self._handle_mandate_msg(a, payload)
 
     def _deliver_state(self, env: Envelope, zone: ZoneId, recipients: tuple[str, ...],
@@ -597,7 +608,6 @@ class Simulation:
                 if a.home != zone or a.status is not cons.Liveness.ALIVE:
                     return
                 a.is_leader = True
-                a.led_zone = zone
                 a.solo_rounds = 0
                 zs = self.zones[zone]
                 zs.leader = a.id
@@ -606,11 +616,10 @@ class Simulation:
                     self._emit("Resync", a.id, zone=list(zone),
                                resync_tick=zs.tick)
                 a.local_tick = max(a.local_tick, zs.tick)
-                self._set_leader_subs(a, zone, on=True)
-            elif a.is_leader and a.led_zone == zone:
-                a.is_leader = False
-                self._set_leader_subs(a, zone, on=False)
-                a.led_zone = None
+                for suffix in LEADER_TOPICS:
+                    self.bus.subscribe(a.id, zone_topic(zone, suffix))
+            elif a.is_leader and a.home == zone:
+                self._demote(a)
         elif kind == "suspect_ok":
             lr = rounds.get(payload["zone"])
             if lr is not None and lr.leader == a.id:
@@ -711,13 +720,7 @@ class Simulation:
                 a = self.agents[f.agent]
                 a.powered = False
                 if a.is_leader:  # a rebooted robot does not retain leadership
-                    zone = a.led_zone
-                    a.is_leader = False
-                    if zone is not None:
-                        self._set_leader_subs(a, zone, on=False)
-                        a.led_zone = None
-                        if self.zones[zone].leader == a.id:
-                            self.zones[zone].leader = None
+                    self._demote(a)
             elif f.kind == "revive":
                 a = self.agents[f.agent]
                 a.powered = True
@@ -761,7 +764,7 @@ class Simulation:
     def _phase_assign(self, rounds: dict[ZoneId, LeaderRound]) -> None:
         for zone in sorted(rounds):
             lr = rounds[zone]
-            if not lr.advanced:
+            if not lr.broadcast:
                 continue
             leader = self._active_leader(zone)
             if leader is None:
@@ -840,13 +843,11 @@ class Simulation:
     def _plan_grid(self) -> GridMap:
         """Base map plus powered-off agents, which sit still indefinitely."""
         dead = frozenset(a.position for a in self.agents.values() if not a.powered)
-        if not dead:
-            return self.grid
-        if getattr(self, "_plan_grid_key", None) != dead:
+        if dead != self._plan_grid_key:
             self._plan_grid_key = dead
-            self._plan_grid_cache = GridMap(width=self.grid.width,
-                                            height=self.grid.height,
-                                            obstacles=self.grid.obstacles | dead)
+            self._plan_grid_cache = GridMap(
+                width=self.grid.width, height=self.grid.height,
+                obstacles=self.grid.obstacles | dead) if dead else self.grid
         return self._plan_grid_cache
 
     def _phase_plan(self) -> tuple[dict[str, Cell], set[str]]:
@@ -866,8 +867,7 @@ class Simulation:
                     if a.path is None:  # boxed in for now; keep the plain route
                         a.path = plan.plan_path(self.grid, a.position, a.goal)
                     a.path_i = 0
-                if a.path and a.path_i + 1 < len(a.path):
-                    intent = a.path[a.path_i + 1]
+                intent = self._next_cell(a)
             if can_move:
                 movable.add(aid)
             states[aid] = plan.KinematicState(
@@ -909,30 +909,21 @@ class Simulation:
         return proposals, movable
 
     def _phase_move(self, proposals: dict[str, Cell], movable: set[str]) -> None:
-        order = sorted(self.agents.values(), key=lambda a: (-a.priority, a.id))
+        # Non-movable agents were pinned to their own cell by _phase_plan.
+        order = [(a.id, a.position) for a in
+                 sorted(self.agents.values(), key=lambda a: (-a.priority, a.id))]
         occ = {a.position: a.id for a in self.agents.values()}
-        final: dict[str, Cell] = {}
-        reserved: set[Cell] = set()
-        for a in order:
-            target = proposals[a.id]
-            ok = (a.id in movable and target != a.position
-                  and self.grid.is_free(target)
-                  and target not in reserved
-                  and (target not in occ
-                       or (occ[target] in final and final[occ[target]] != target)))
-            if not ok:
-                target = a.position
-            final[a.id] = target
-            reserved.add(target)
+        final = plan.reserve_moves(order, proposals, occ, self.grid)
         for aid in sorted(self.agents):
             a = self.agents[aid]
             target = final[aid]
             if target != a.position:
                 self._emit("Move", aid, src=list(a.position), dst=list(target))
                 old = a.position
+                step = self._next_cell(a)
                 a.position = target
                 a.stuck = 0
-                if a.path and a.path_i + 1 < len(a.path) and a.path[a.path_i + 1] == target:
+                if step == target:
                     a.path_i += 1
                 else:
                     a.path = None
@@ -953,15 +944,10 @@ class Simulation:
     def _after_move(self, a: AgentSim, old: Cell) -> None:
         new_home = home_zone(a.position, self.partition)
         if new_home != a.home:
-            if a.is_leader and a.led_zone == a.home:
-                zone = a.led_zone
-                a.is_leader = False
-                self._set_leader_subs(a, zone, on=False)
-                a.led_zone = None
-                if self.zones[zone].leader == a.id:
-                    self.zones[zone].leader = None
+            if a.is_leader:
+                self._demote(a)
                 self._publish(a.id, "super/election",
-                              {"kind": "stepdown", "zone": zone, "leader": a.id})
+                              {"kind": "stepdown", "zone": a.home, "leader": a.id})
             a.home = new_home
             if a.mandate is not None and new_home == a.mandate.to_zone:
                 self.metrics.migrations += 1
@@ -989,10 +975,7 @@ class Simulation:
             waits = self.metrics.job_waits[job.id]
             self.metrics.job_waits[job.id] = (waits[0], self.round - job.spawn_tick)
             self._last_complete_round = self.round
-            a.job = None
-            a.goal = None
-            a.path = None
-            a.priority = 1.0
+            self._drop_job(a)
 
 
 def run_scenario(config: ScenarioConfig | dict) -> tuple[Metrics, TraceWriter]:

@@ -196,6 +196,17 @@ def quantize_move(force: tuple[float, float], current: Cell, grid: GridMap,
     return best if best is not None else current
 
 
+def _blockers(states: list[KinematicState]) -> dict[str, KinematicState]:
+    """The agent whose current cell each agent intends to enter, if any."""
+    by_cell = {s.current: s for s in states}
+    out = {}
+    for s in states:
+        b = by_cell.get(s.intent)
+        if b is not None and b.agent != s.agent:
+            out[s.agent] = b
+    return out
+
+
 def detect_deadlock(states: list[KinematicState], threshold: int) -> set[str]:
     """Agents whose stuck counter has matured inside a cycle of blocking relations.
 
@@ -203,13 +214,8 @@ def detect_deadlock(states: list[KinematicState], threshold: int) -> set[str]:
     cells and positions are distinct, the blocking relation is a functional
     graph and cycles are found by pointer chasing.
     """
-    by_cell = {s.current: s.agent for s in states}
     info = {s.agent: s for s in states}
-    succ: dict[str, str] = {}
-    for s in states:
-        blocker = by_cell.get(s.intent)
-        if blocker is not None and blocker != s.agent:
-            succ[s.agent] = blocker
+    succ = {a: b.agent for a, b in _blockers(states).items()}
     on_cycle: set[str] = set()
     color: dict[str, int] = {}  # 0 visiting, 1 done
     for a in sorted(info):
@@ -229,14 +235,30 @@ def detect_deadlock(states: list[KinematicState], threshold: int) -> set[str]:
             if info[a].stuck >= threshold and info[a].has_job}
 
 
-def _blockers(states: list[KinematicState]) -> dict[str, KinematicState]:
-    by_cell = {s.current: s for s in states}
-    out = {}
-    for s in states:
-        b = by_cell.get(s.intent)
-        if b is not None and b.agent != s.agent:
-            out[s.agent] = b
-    return out
+def reserve_moves(order: list[tuple[str, Cell]], proposal: dict[str, Cell],
+                  occ: dict[Cell, str], grid: GridMap) -> dict[str, Cell]:
+    """Commit each (agent, current cell) in `order` to its proposed cell or
+    to its current one.
+
+    An agent may enter a cell only if it is free on the map, not yet
+    reserved, and either empty or left by an occupant that has already
+    committed elsewhere. Earlier agents in `order` win; waiting is always
+    safe, and swaps are excluded outright.
+    """
+    final: dict[str, Cell] = {}
+    reserved: set[Cell] = set()
+    for agent, current in order:
+        target = proposal[agent]
+        ok = target == current or (
+            grid.is_free(target)
+            and target not in reserved
+            and (target not in occ
+                 or (occ[target] in final and final[occ[target]] != target)))
+        if not ok:
+            target = current
+        final[agent] = target
+        reserved.add(target)
+    return final
 
 
 def _rank_key(s: KinematicState) -> tuple[float, str]:
@@ -318,9 +340,7 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
         if log is not None:
             log.append(("deadlock", j.agent, agent))
 
-    # Final reservation pass, in priority rank order. An agent may enter a
-    # cell only if it is unreserved and its occupant has already committed to
-    # leave; this makes waiting always safe and excludes swaps outright.
+    # Final reservation pass, in priority rank order.
     class _Ranked:
         __slots__ = ("s",)
 
@@ -331,21 +351,9 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
             ops.tick()
             return _rank_key(self.s) < _rank_key(other.s)
 
-    order = [r.s for r in sorted(_Ranked(s) for s in states)]
-    final: dict[str, Cell] = {}
-    reserved: set[Cell] = set()
-    for s in order:
-        target = proposal[s.agent]
-        ops.tick()
-        ok = target == s.current or (
-            grid.is_free(target)
-            and target not in reserved
-            and (target not in occ
-                 or (occ[target] in final and final[occ[target]] != target)))
-        if not ok:
-            target = s.current
-        final[s.agent] = target
-        reserved.add(target)
+    order = [(r.s.agent, r.s.current) for r in sorted(_Ranked(s) for s in states)]
+    ops.tick(len(order))
+    final = reserve_moves(order, proposal, occ, grid)
 
     # Safety: distinct targets and no swaps.
     assert len(set(final.values())) == len(final)

@@ -1,12 +1,9 @@
 import hashlib
 import json
 
-import pytest
-
-from gridswarm.consensus import (Advance, MarkDeadAndAdvance, RoleError,
-                                 StateRecord, Wait, leader_tick_decision,
-                                 make_snapshot, resolve_overlap_tick,
-                                 tick_gap_requires_resync)
+from gridswarm.consensus import (Advance, MarkDeadAndAdvance, StateRecord,
+                                 Wait, leader_tick_decision, make_snapshot,
+                                 resolve_overlap_tick, tick_gap_requires_resync)
 from gridswarm.world import Cell
 
 
@@ -62,11 +59,6 @@ def test_leader_decision_marks_missing_dead_at_timeout():
     d = leader_tick_decision({"a"}, {"a", "b", "c"}, waited_steps=10,
                              timeout_steps=10, tick=2)
     assert d == MarkDeadAndAdvance(missing=frozenset({"b", "c"}), new_tick=3)
-
-
-def test_only_leader_may_decide():
-    with pytest.raises(RoleError):
-        leader_tick_decision({"a"}, {"a"}, 0, 10, caller_is_leader=False)
 
 
 def test_tick_gap_detection():

@@ -1,6 +1,7 @@
 import pytest
 
-from gridswarm.engine import Simulation, run_scenario
+from gridswarm.engine import SUPER, Simulation, run_scenario
+from gridswarm.netsim import zone_topic
 from gridswarm.scenario import scenario_from_dict
 from gridswarm.trace import parse_trace, verify_trace
 
@@ -238,3 +239,57 @@ def test_grid_tables_are_not_built_at_setup():
     assert "neighbor_table" not in vars(sim.grid)
     sim.run()
     assert "neighbor_table" in vars(sim.grid)
+
+
+# Step-down: each trigger must leave the agent not leader, off its zone's
+# tick_ack topic, and no longer named as the zone's leader.
+
+def run_until(sim, leader, trigger, max_rounds=100):
+    """Bootstrap, then run whole rounds while `leader` leads its home zone,
+    until `trigger(sim)` holds; returns the zone it led."""
+    sim._bootstrap()
+    zone = sim.agents[leader].home
+    assert sim.zones[zone].leader == leader
+    while not trigger(sim):
+        assert sim.agents[leader].is_leader and sim.round < max_rounds
+        sim.round += 1
+        sim._run_round()
+    return zone
+
+
+def assert_stepped_down(sim, aid, zone):
+    assert not sim.agents[aid].is_leader
+    assert aid not in sim.bus.subscribers(zone_topic(zone, "tick_ack"))
+    assert sim.zones[zone].leader != aid
+
+
+def test_killed_leader_steps_down():
+    sim = Simulation(two_zone(faults=[{"tick": 3, "kind": "kill", "agent": "a00"}]))
+    zone = run_until(sim, "a00", lambda s: not s.agents["a00"].powered)
+    assert_stepped_down(sim, "a00", zone)
+
+
+def test_leader_walking_out_of_its_zone_steps_down():
+    sim = Simulation(two_zone(agents=[{"id": "a00", "start": [2, 3]}],
+                              jobs=[{"spawn_tick": 0, "location": [10, 4],
+                                     "priority": 2.0}]))
+    zone = run_until(sim, "a00", lambda s: s.agents["a00"].home != (0, 0))
+    assert_stepped_down(sim, "a00", zone)
+
+
+def test_isolated_leader_steps_down_after_two_unanswered_probes():
+    sim = Simulation(two_zone(jobs=LONG_JOBS, faults=[
+        {"tick": 4, "kind": "partition", "groups": [["a00"]]},
+        {"tick": 10, "kind": "heal"}]))
+    zone = run_until(sim, "a00", lambda s: s.agents["a00"].solo_rounds >= 2)
+    assert_stepped_down(sim, "a00", zone)
+
+
+def test_role_naming_another_agent_demotes_the_leader():
+    sim = Simulation(two_zone())
+    zone = run_until(sim, "a00", lambda s: True)
+    sim._publish(SUPER, "super/election",
+                 {"kind": "role", "zone": zone, "leader": "a01", "since_tick": 0})
+    sim._pump({}, 1)
+    assert_stepped_down(sim, "a00", zone)
+    assert sim.agents["a01"].is_leader and sim.zones[zone].leader == "a01"
