@@ -26,8 +26,6 @@ from .world import (Cell, GridMap, ZoneId, build_partition, home_zone,
 
 SUPER = "super"
 CONTROLLER = "controller"
-# Zone topics a leader listens on besides its member subscriptions.
-LEADER_TOPICS = ("state_ack", "tick_ack")
 
 
 @dataclass
@@ -208,8 +206,7 @@ class Simulation:
     def _demote(self, a: AgentSim) -> None:
         """Step `a` down from leading its home zone."""
         a.is_leader = False
-        for suffix in LEADER_TOPICS:
-            self.bus.unsubscribe(a.id, zone_topic(a.home, suffix))
+        self.bus.unsubscribe(a.id, zone_topic(a.home, "tick_ack"))
         zs = self.zones[a.home]
         if zs.leader == a.id:
             zs.leader = None
@@ -276,13 +273,12 @@ class Simulation:
             self._start_election(zone, elec.ElectionReason.BOOTSTRAP)
         self._pump({}, 2 * self.timeout + 6)
 
-    def _pump(self, rounds: dict[ZoneId, LeaderRound], max_steps: int,
-              acked: Optional[set[str]] = None) -> None:
+    def _pump(self, rounds: dict[ZoneId, LeaderRound], max_steps: int) -> None:
         """Step the bus, the leaders' rounds and the super-leader until every
         round is complete and the bus is quiet, or `max_steps` run out."""
         for _ in range(max_steps):
             for env, recipients in self.bus.step_deliver():
-                self._deliver(env, recipients, rounds, acked)
+                self._deliver(env, recipients, rounds)
             for zone in sorted(rounds):
                 self._leader_eval(rounds[zone])
             self._super_eval()
@@ -330,7 +326,7 @@ class Simulation:
                 self._publish(aid, zone_topic(a.home, "db_update"),
                               {"kind": "resync_req", "agent": aid,
                                "tick": a.local_tick})
-        self._pump(rounds, 3 * self.timeout + 6, acked=set())
+        self._pump(rounds, 3 * self.timeout + 6)
         for zone in sorted(self.zones):
             lr = rounds.get(zone)
             has_live = any(a.powered and a.status is not cons.Liveness.DEAD
@@ -471,17 +467,16 @@ class Simulation:
         return parsed
 
     def _deliver(self, env: Envelope, recipients: tuple[str, ...],
-                 rounds: dict[ZoneId, LeaderRound],
-                 acked: Optional[set[str]] = None) -> None:
-        """Hand one envelope to its recipients in order. `acked` holds the
-        agents that have acknowledged a peer's state this round (None: no
-        acknowledgements, as during bootstrap)."""
+                 rounds: dict[ZoneId, LeaderRound]) -> None:
+        """Hand one envelope to its recipients in order."""
         zone, kind = self._topic(env.topic)
         payload = env.payload
-        if kind == "state_ack":
-            return  # published and counted, but nothing gates on it
         if kind == "db_update" and payload["kind"] == "state":
-            self._deliver_state(env, zone, recipients, rounds.get(zone), acked)
+            # Only the zone leader stores records, and only from its roster.
+            lr = rounds.get(zone)
+            if (lr is not None and env.sender in lr.expected
+                    and lr.leader in recipients):
+                lr.states[env.sender] = payload["record"]
             return
         for recipient in recipients:
             if recipient == SUPER:
@@ -500,26 +495,6 @@ class Simulation:
                 self._handle_election_msg(a, payload, rounds)
             elif kind == "super_mandates":
                 self._handle_mandate_msg(a, payload)
-
-    def _deliver_state(self, env: Envelope, zone: ZoneId, recipients: tuple[str, ...],
-                       lr: Optional[LeaderRound], acked: Optional[set[str]]) -> None:
-        sender = env.sender
-        rec: cons.StateRecord = env.payload["record"]
-        # Only the zone leader stores records, and only from its roster.
-        keeper = lr.leader if lr is not None and sender in lr.expected else None
-        for aid in recipients:
-            a = self.agents[aid]  # only agents subscribe to zone topics
-            if not a.powered:
-                continue
-            if aid == keeper:
-                lr.states[sender] = rec
-            # A home-zone member acknowledges the first peer state it hears.
-            if (acked is not None and aid not in acked
-                    and a.status is cons.Liveness.ALIVE and zone == a.home):
-                acked.add(aid)
-                self._emit("StateAck", aid, zone=list(zone), peers=[sender])
-                self._publish(aid, zone_topic(zone, "state_ack"),
-                              {"kind": "state_ack", "agent": aid})
 
     def _handle_resync_req(self, a: AgentSim, zone: ZoneId, payload: dict,
                            rounds: dict[ZoneId, LeaderRound]) -> None:
@@ -616,8 +591,7 @@ class Simulation:
                     self._emit("Resync", a.id, zone=list(zone),
                                resync_tick=zs.tick)
                 a.local_tick = max(a.local_tick, zs.tick)
-                for suffix in LEADER_TOPICS:
-                    self.bus.subscribe(a.id, zone_topic(zone, suffix))
+                self.bus.subscribe(a.id, zone_topic(zone, "tick_ack"))
             elif a.is_leader and a.home == zone:
                 self._demote(a)
         elif kind == "suspect_ok":

@@ -15,7 +15,6 @@ from typing import Any, Iterable, Optional
 # Payload field order per event kind; canonicalization rejects unknown kinds.
 EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     "StatePublish": ("zone", "position", "intent", "job", "agent_tick"),
-    "StateAck": ("zone", "peers"),
     "TickBroadcast": ("zone", "new_tick", "roster", "digest"),
     "TickAck": ("zone", "committed_tick", "digest"),
     "MarkDead": ("zone", "agent", "released_job"),

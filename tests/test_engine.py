@@ -2,7 +2,7 @@ import pytest
 
 from gridswarm.engine import SUPER, Simulation, run_scenario
 from gridswarm.netsim import zone_topic
-from gridswarm.scenario import scenario_from_dict
+from gridswarm.scenario import random_scenario, scenario_from_dict
 from gridswarm.trace import parse_trace, verify_trace
 
 
@@ -293,3 +293,12 @@ def test_role_naming_another_agent_demotes_the_leader():
     sim._pump({}, 1)
     assert_stepped_down(sim, "a00", zone)
     assert sim.agents["a01"].is_leader and sim.zones[zone].leader == "a01"
+
+
+@pytest.mark.xfail(strict=True, reason="the super-leader publishes each role "
+                   "message once, and nothing recovers a dropped one")
+def test_dropped_role_message_leaves_one_assigner():
+    # At tick 13 the role message naming a01 is dropped: a01 never takes
+    # office and a02, the old leader, keeps assigning as a non-leader.
+    _, trace = run_scenario(random_scenario(13, drop_prob=0.1, delay=1))
+    assert verify_trace(trace.dump()) == []

@@ -24,45 +24,45 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN = {
     "random/0":
-        "4a1746aeaa3d851d6f875f393a97e2241f4fe6a3e9a08eb699870d47c8958ebb",
+        "a95a1b3a692984d7664199eb662a9d2ae9e7c43376596b178509ceac4bbbf0f2",
     "random/1":
-        "5ba86b7b1c2d318c087c71df83c7e06e3d8bbe982c89c3db80329bfb2a0e8213",
+        "d8dc8d5f66292c53c0d80ede01d4d46cdcb3941d5c6505c240c0191ce6abeeb8",
     "random/2":
-        "548942df24212d571fcd50b055ce164f2bb321018fbe64b8d8d13d120eb548a0",
+        "627f76c750e5562e34ca6c5b71dedfc935b3b9998b3b5ea4f09ceb9198f71e3f",
     "random/3":
-        "ab3014f756932688128c1d6538bd2b6e6910c55cc4d28829160d75a9ce8d369f",
+        "60dd4475f8e3b78ec390c3a237f48870ad2418d7d47c2e273ef263b2ce68ac1a",
     "random/4":
-        "9ce04dc5126ce2b1435d4c49497d75f48fca09fafa4392ecf6f5bca748623f97",
+        "6641e530ad9daeff11ccf070d23d88c8556c408d9111e822a2f3e8192cad35cf",
     "random/5":
-        "9c8b216ece315ba54ac3502cb88bd14831292b80d002cf72a96a7e2fa615dc44",
+        "77a169817f3abe7feebb258da36c5846fbded7c33b67e9aced21ae6ca8982f2a",
     "random/6":
-        "ac3c76c71b93481a9932439a6d03a2f4c0329c0a6431233f3b631e82c802ad3d",
+        "524fb0d26c74348006b812f69be1ca3f7a1b86c04c6b1bc25c29a0a4ec480839",
     "random/7":
-        "0063d88b28af24aacc166dd7076f06cb9f8e5105f19194e89c35905804bdc8cd",
+        "87054470efa4c1371c596965732b7a6a7c86cf525551177642c41b1d758f78fd",
     "random/8":
-        "af754f7240593e03292e14c9699cccce3900e0158d58a30b64cf4e706d081393",
+        "c75eaa7615e9f9611d78e43c3bddaa3cb9f514801ffa8a33f1126e0174b79c63",
     "random/9":
-        "7e3cc50d4ac5e27af41557e647f8a76cd6046ca68d4f6eb541347c9e629af3a3",
+        "7dbf175719edf950b738c824d8bd8ed38038d733f7caa070d2b922f3ca65ba7d",
     "random/10":
-        "98c96590f117454e08f45ac5328c4bf68b54cedb613c3b6b73bd50077cf8e836",
+        "90e01894cacf6fa379800680a272f23f266a787767dbbdbb6ed5e0cb58bb2f2b",
     "random/11":
-        "fa0278ef6c2745a81e8519a279ee1565668148439c6ea7a8807aa520b9a479ae",
+        "ad7ab3825ceeb3817f26c8c98e2be91999292b385ff2c68ba482027455d661ba",
     "bench/5x10":
-        "ca7e7f67ac0f4cf2771dbe14206d5b1536386663640ec99a378a5b2509cd9170",
+        "a60e117f9c3853fd4132fd5aaf760aef2af5efcb155a1a21fdaf686083c553ba",
     "bench/10x20":
-        "14acfa6ac724663ab8b53d971269a8940fd5ca0354b68995b96b9812b870e627",
+        "70ab958bcb6b1f9f2819b5e2c4f0dababf94076e11870f3c52f8b57e6407d36c",
     "bench/20x30":
-        "3c4715f25d1ed67b069e6b463acc09375d3dbc59a8d70db2c82995e1cb12c76a",
+        "19302c43e7d53122d0c6bcc78a53480f151e0a4f02458c7bbc1b50e2ae1f858a",
     "bench/30x50":
-        "e2d42ccd71ebcee3ef8eb1d13d9d429247e9eaa6c2634b3004b4879b9c1372cf",
+        "42c3180fc1783961c1a32408fdf04e49f5cfbd645de335dcfade13a1cb508478",
     "isolation/0":
-        "48f0d3d2a298a23d3490fe55282c0ad928dc8706b8b800a3c8de7962b8f23524",
+        "4e4bda4cd623ae0429aaf7fb407fcc0341b1a948df324e2617a28068c939f113",
     "kill_revive/99":
-        "118517f6430189ec208401e5dc0bd96868acc79ebfc5397368e1b794c938aafc",
+        "b8958eebcf070efff42c1e1f958213321b3879cfbc2e65571e7dc23aba3533c9",
     "dense/1x2":
-        "41e6c32e2ae2331624e88b1621e52976b73120b58e9689be5af978396b0d4cf9",
+        "8fd0641222baac6bee6df0c66e7ecb64fede56104cf744d2071da461468cc7c0",
     "lossy_faults/3":
-        "824eb8636f50c6fe7ab79d5effb87c2619589da73dc873ae2afdc462e691ac2f",
+        "684c6eb06da40e6b13e068a899ebe552ffba45f05a064a3ecbae912cb32d32d7",
 }
 
 
