@@ -124,8 +124,32 @@ def plan_daisy_chain(deficits: dict[ZoneId, int], rows: int, cols: int,
 
 
 def nearest_free_cell(grid: GridMap, point: tuple[float, float]) -> Optional[Cell]:
-    """Free cell closest to a real-valued point (Euclidean, ties by y then x)."""
+    """Free cell closest to a real-valued point (Euclidean, ties by y then x).
+
+    Searches square rings of growing radius around the map cell nearest the
+    point. Every cell on ring r is at least r - e from the point along one
+    axis, where e is the point's offset from the ring centre, so the search
+    stops at the first ring whose bound exceeds the best distance found.
+    """
     px, py = point
-    # free_cells is in (y, x) order and min keeps the first of equal keys.
-    return min(grid.free_cells, key=lambda c: (c.x - px) ** 2 + (c.y - py) ** 2,
-               default=None)
+    w, h = grid.width, grid.height
+    free = grid.free_flags
+    cx = min(max(round(px), 0), w - 1)
+    cy = min(max(round(py), 0), h - 1)
+    e = max(abs(px - cx), abs(py - cy))
+    best: Optional[tuple[float, int, int]] = None
+    for r in range(max(cx, w - 1 - cx, cy, h - 1 - cy) + 1):
+        if best is not None and max(r - e, 0) ** 2 > best[0]:
+            break
+        for y in range(max(cy - r, 0), min(cy + r, h - 1) + 1):
+            # The ring's full rows at its top and bottom, its two end cells
+            # in every row between.
+            xs = (range(max(cx - r, 0), min(cx + r, w - 1) + 1)
+                  if abs(y - cy) == r else
+                  [x for x in (cx - r, cx + r) if 0 <= x < w])
+            for x in xs:
+                if free[y * w + x]:
+                    key = ((x - px) ** 2 + (y - py) ** 2, y, x)
+                    if best is None or key < best:
+                        best = key
+    return None if best is None else Cell(best[2], best[1])

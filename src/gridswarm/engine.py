@@ -162,14 +162,16 @@ class Simulation:
 
         self.zones = {z: ZoneState(id=z) for z in self.partition.zone_ids()}
         self.sup = SuperState()
-        for z in self.zones:
-            self.sup.roles[z] = None
+        self.sup.roles = dict.fromkeys(self.zones)
 
         self.agents: dict[str, AgentSim] = {}
+        # Agent ids by home zone; _after_move is the only place homes change.
+        self._by_home: dict[ZoneId, set[str]] = {z: set() for z in self.zones}
         for aid, start in config.agents:
             a = AgentSim(id=aid, position=start)
             a.home = home_zone(start, self.partition)
             self.agents[aid] = a
+            self._by_home[a.home].add(aid)
 
         self.bus.register(SUPER)
         self.bus.register(CONTROLLER)
@@ -212,8 +214,8 @@ class Simulation:
             zs.leader = None
 
     def _members(self, zone: ZoneId) -> list[AgentSim]:
-        return [a for aid, a in sorted(self.agents.items())
-                if a.home == zone and a.status is cons.Liveness.ALIVE]
+        agents = (self.agents[aid] for aid in sorted(self._by_home[zone]))
+        return [a for a in agents if a.status is cons.Liveness.ALIVE]
 
     def _active_leader(self, zone: ZoneId) -> Optional[AgentSim]:
         lid = self.zones[zone].leader
@@ -330,7 +332,7 @@ class Simulation:
         for zone in sorted(self.zones):
             lr = rounds.get(zone)
             has_live = any(a.powered and a.status is not cons.Liveness.DEAD
-                           for a in self.agents.values() if a.home == zone)
+                           for a in map(self.agents.get, self._by_home[zone]))
             if has_live and (lr is None or not lr.broadcast):
                 self.metrics.ticks_halted += 1
             if lr is not None and not lr.broadcast and lr.probe_sent and not lr.confirm_ok:
@@ -522,13 +524,9 @@ class Simulation:
             # not published state this round, so gating on it would stall.
             self._emit("Resync", a.id, zone=list(zone), resync_tick=payload["tick"])
             return
-        if zone != a.home or a.is_leader:
-            return
-        if a.status is cons.Liveness.DEAD:
-            return
+        if zone != a.home or a.is_leader or a.status is not cons.Liveness.ALIVE:
+            return  # a recovering agent rejoins through the resync path
         new_tick = payload["new_tick"]
-        if a.status is cons.Liveness.RECOVERING:
-            return  # resync path handles rejoining
         if a.id not in payload["roster"] or cons.tick_gap_requires_resync(
                 a.local_tick, new_tick):
             a.status = cons.Liveness.RECOVERING
@@ -601,11 +599,9 @@ class Simulation:
 
     def _handle_mandate_msg(self, a: AgentSim, payload: dict) -> None:
         m: bal.MigrationMandate = payload["mandate"]
-        if m.agent != a.id:
-            return
-        if (not a.idle or a.status is not cons.Liveness.ALIVE
+        if (m.agent != a.id or not a.idle or a.status is not cons.Liveness.ALIVE
                 or a.home != m.from_zone):
-            return  # busy, dead, or already moved: mandate lapses
+            return  # not ours; or busy, dead, or already moved: mandate lapses
         target_zone = self.partition.zone(m.to_zone)
         goal = bal.nearest_free_cell(self.grid, zone_centroid(target_zone))
         if goal is None:
@@ -849,12 +845,14 @@ class Simulation:
                 priority=a.priority, stuck=a.stuck,
                 has_job=a.goal is not None and can_move)
         proposals: dict[str, Cell] = {aid: s.intent for aid, s in states.items()}
-        for zone in sorted(self.zones):
-            x0, y0, x1, y1 = self.partition.expanded_bounds(zone)
-            group = [states[aid] for aid in sorted(states)
-                     if x0 <= states[aid].current.x <= x1
-                     and y0 <= states[aid].current.y <= y1
-                     and self.agents[aid].powered]
+        # A zone's group: powered agents inside its expanded bounds, which
+        # are the zones each agent subscribes to (see _resubscribe).
+        groups: dict[ZoneId, list[plan.KinematicState]] = {}
+        for aid in sorted(states):
+            if self.agents[aid].powered:
+                for zone in self.agents[aid].subscribed:
+                    groups.setdefault(zone, []).append(states[aid])
+        for zone, group in sorted(groups.items()):
             members = {s.agent for s in group if self.agents[s.agent].home == zone}
             if not members or len(group) < 2:
                 continue
@@ -911,9 +909,7 @@ class Simulation:
                 a.goal = None
                 a.path = None
         positions = [a.position for a in self.agents.values() if a.powered]
-        clash = len(positions) - len(set(positions))
-        if clash:
-            self.metrics.collisions += clash
+        self.metrics.collisions += len(positions) - len(set(positions))
 
     def _after_move(self, a: AgentSim, old: Cell) -> None:
         new_home = home_zone(a.position, self.partition)
@@ -922,6 +918,8 @@ class Simulation:
                 self._demote(a)
                 self._publish(a.id, "super/election",
                               {"kind": "stepdown", "zone": a.home, "leader": a.id})
+            self._by_home[a.home].discard(a.id)
+            self._by_home[new_home].add(a.id)
             a.home = new_home
             if a.mandate is not None and new_home == a.mandate.to_zone:
                 self.metrics.migrations += 1
@@ -944,6 +942,7 @@ class Simulation:
             job.status = jobmod.JobStatus.COMPLETED
             job.completion_tick = self.round
             zone = home_zone(job.location, self.partition)
+            self.costs.release(job.location, self.zones[zone].pool.values())
             leader = self.zones[zone].leader or aid
             self._emit("Complete", leader, job=job.id, agent=aid, zone=list(zone))
             waits = self.metrics.job_waits[job.id]

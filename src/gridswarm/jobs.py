@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 from .world import Cell, GridMap, InvalidPositionError
 
@@ -48,53 +48,77 @@ def spawn_job(grid: GridMap, job_id: str, location: Cell, priority: float,
     return Job(id=job_id, location=location, priority=priority, spawn_tick=spawn_tick)
 
 
+class _Search:
+    """One resumable BFS from a job location: the distance of every cell
+    settled so far (None where not yet reached), the cells at distance
+    `level` whose neighbours are still unexplored, and that level."""
+
+    __slots__ = ("dist", "frontier", "level")
+
+    def __init__(self, size: int, start: int) -> None:
+        self.dist: list[Optional[int]] = [None] * size
+        self.dist[start] = 0
+        self.frontier = [start]
+        self.level = 0
+
+
 class CostField:
-    """BFS distance fields from job locations, cached per location.
+    """Resumable BFS distance fields from job locations, one per location.
 
     Values equal shortest obstacle-respecting path lengths, i.e. exactly what
-    an A* plan from the agent to the job would produce. A field is a flat
-    list indexed by ``y * width + x`` (see ``GridMap.neighbor_table``) holding
-    the distance, or None where the cell is unreachable: one 8-byte slot per
-    map cell, about 29 KB for a 60x60 map. Distances up to 256 are shared int
-    objects, so on such maps the slots are the whole cost.
+    an A* plan from the agent to the job would produce. A query grows its
+    location's search level by level only until the queried cell is settled,
+    and later queries resume where it stopped (the backward search of
+    Silver's Reverse Resumable A*); settled distances are exact, and a cell
+    the search has exhausted without reaching is unreachable. Distances live
+    in a flat list indexed by ``y * width + x`` (see
+    ``GridMap.neighbor_table``): one 8-byte slot per map cell, about 29 KB
+    for a 60x60 map, plus a frontier of at most one BFS level. The engine
+    drops a location's field once no open job sits there, so memory grows
+    with the open job locations, not with every location ever seen.
     """
 
     def __init__(self, grid: GridMap) -> None:
         self.grid = grid
-        self._fields: dict[Cell, list[Optional[int]]] = {}
-
-    def _field(self, origin: Cell) -> list[Optional[int]]:
-        cached = self._fields.get(origin)
-        if cached is not None:
-            return cached
-        grid = self.grid
-        if not grid.in_bounds(origin):
-            raise InvalidPositionError(f"cost field origin {origin} outside the map")
-        table = grid.neighbor_table
-        dist: list[Optional[int]] = [None] * (grid.width * grid.height)
-        start = origin.y * grid.width + origin.x
-        dist[start] = 0
-        frontier = [start]
-        d = 0
-        while frontier:
-            d += 1
-            reached = []
-            for i in frontier:
-                for j in table[i]:
-                    if dist[j] is None:
-                        dist[j] = d
-                        reached.append(j)
-            frontier = reached
-        self._fields[origin] = dist
-        return dist
+        self._fields: dict[Cell, _Search] = {}
 
     def cost(self, position: Cell, job_location: Cell) -> Optional[int]:
         """Path length from `position` to the job; None if unreachable or off the map."""
         x, y = position
-        w = self.grid.width
-        if not (0 <= x < w and 0 <= y < self.grid.height):
+        grid = self.grid
+        w = grid.width
+        if not (0 <= x < w and 0 <= y < grid.height):
             return None
-        return self._field(Cell(*job_location))[y * w + x]
+        origin = Cell(*job_location)
+        search = self._fields.get(origin)
+        if search is None:
+            if not grid.in_bounds(origin):
+                raise InvalidPositionError(f"cost field origin {origin} outside the map")
+            search = _Search(w * grid.height, origin.y * w + origin.x)
+            self._fields[origin] = search
+        dist = search.dist
+        target = y * w + x
+        if dist[target] is None and search.frontier:
+            table = grid.neighbor_table
+            frontier, d = search.frontier, search.level
+            while frontier and dist[target] is None:
+                d += 1
+                reached = []
+                for i in frontier:
+                    for j in table[i]:
+                        if dist[j] is None:
+                            dist[j] = d
+                            reached.append(j)
+                frontier = reached
+            search.frontier, search.level = frontier, d
+        return dist[target]
+
+    def release(self, job_location: Cell, jobs: Iterable[Job]) -> None:
+        """Drop the field of `job_location` unless an open job in `jobs`
+        (pending, or assigned) still sits there; jobs may share a cell."""
+        if not any(j.location == job_location and j.status is not JobStatus.COMPLETED
+                   for j in jobs):
+            self._fields.pop(Cell(*job_location), None)
 
 
 def choose_assignee(bids: list[Bid]) -> Optional[Bid]:

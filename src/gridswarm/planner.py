@@ -266,6 +266,26 @@ def _rank_key(s: KinematicState) -> tuple[float, str]:
     return (-s.priority, s.agent)
 
 
+class _Ranked:
+    """Sort wrapper that counts every comparison of the rank sort."""
+
+    __slots__ = ("s", "ops")
+
+    def __init__(self, s: KinematicState, ops: OpCounter) -> None:
+        self.s = s
+        self.ops = ops
+
+    def __lt__(self, other: "_Ranked") -> bool:
+        self.ops.tick()
+        return _rank_key(self.s) < _rank_key(other.s)
+
+
+# Cell offsets within Manhattan distance 2: the only pairs that can interact,
+# since intents move at most one cell.
+_NEAR = tuple((dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)
+              if abs(dx) + abs(dy) <= 2)
+
+
 def resolve_zone_step(states: list[KinematicState], grid: GridMap,
                       params: PlannerParams,
                       rng_for: Callable[[str], random.Random],
@@ -285,19 +305,29 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
     occ = {s.current: s.agent for s in states}
     if len(occ) != len(states):
         raise ValueError("agents must occupy distinct cells")
+    # Flat indices on the map padded by two cells on every side, so that no
+    # offset in _NEAR wraps from one row into the next.
+    w, h = grid.width, grid.height
+    pw = w + 4
+    at: dict[int, str] = {}
+    for s in states:
+        x, y = s.current
+        if not (0 <= x < w and 0 <= y < h):
+            raise ValueError(f"agent {s.agent} at {s.current} is off the map")
+        at[(y + 2) * pw + x + 2] = s.agent
 
     deadlocked = detect_deadlock(states, params.deadlock_threshold)
     ops.tick(len(states))
 
-    # Nearby pairs only: a pair can interact only if their current cells are
-    # within Manhattan distance 2 (intents move at most one cell).
+    # Nearby pairs only (see _NEAR).
+    steps = [dy * pw + dx for dx, dy in _NEAR]
+    ops.tick(len(steps) * len(states))
     pairs: list[tuple[str, str]] = []
-    offsets = [(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)
-               if abs(dx) + abs(dy) <= 2]
     for s in states:
-        for dx, dy in offsets:
-            ops.tick()
-            other = occ.get(Cell(s.current.x + dx, s.current.y + dy))
+        x, y = s.current
+        base = (y + 2) * pw + x + 2
+        for step in steps:
+            other = at.get(base + step)
             if other is not None and other > s.agent:
                 pairs.append((s.agent, other))
     pairs.sort()
@@ -340,18 +370,13 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
         if log is not None:
             log.append(("deadlock", j.agent, agent))
 
-    # Final reservation pass, in priority rank order.
-    class _Ranked:
-        __slots__ = ("s",)
-
-        def __init__(self, s: KinematicState) -> None:
-            self.s = s
-
-        def __lt__(self, other: "_Ranked") -> bool:
-            ops.tick()
-            return _rank_key(self.s) < _rank_key(other.s)
-
-    order = [(r.s.agent, r.s.current) for r in sorted(_Ranked(s) for s in states)]
+    # Final reservation pass, in priority rank order. _rank_key is unique per
+    # agent, so counting the comparisons leaves the order as it is.
+    if counter is None:
+        ranked = sorted(states, key=_rank_key)
+    else:
+        ranked = [r.s for r in sorted(_Ranked(s, counter) for s in states)]
+    order = [(s.agent, s.current) for s in ranked]
     ops.tick(len(order))
     final = reserve_moves(order, proposal, occ, grid)
 

@@ -55,11 +55,47 @@ def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+# Typed field readers. Each names the field by its JSON path in its error.
+
+def _int(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _number(value: Any, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _list(value: Any, where: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
 def _cell(value: Any, where: str) -> Cell:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, int) for v in value)):
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
         raise ConfigError(f"{where}: expected [x, y] integer pair, got {value!r}")
     return Cell(*value)
+
+
+def _groups(value: Any, where: str) -> tuple[frozenset[str], ...]:
+    groups = []
+    for i, g in enumerate(_list(value, where)):
+        members = _list(g, f"{where}[{i}]")
+        if not all(isinstance(m, str) for m in members):
+            raise ConfigError(f"{where}[{i}]: expected a list of agent ids, got {g!r}")
+        groups.append(frozenset(members))
+    return tuple(groups)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
@@ -73,31 +109,35 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(m, dict):
         raise ConfigError("map section is required")
     _require_keys(m, {"width", "height", "obstacles", "obstacle_rects"}, "map")
-    obstacles = {_cell(c, "map.obstacles") for c in m.get("obstacles", [])}
-    for rect in m.get("obstacle_rects", []):
+    obstacles = {_cell(c, "map.obstacles")
+                 for c in _list(m.get("obstacles", []), "map.obstacles")}
+    for idx, rect in enumerate(_list(m.get("obstacle_rects", []), "map.obstacle_rects")):
+        where = f"map.obstacle_rects[{idx}]"
         if not (isinstance(rect, (list, tuple)) and len(rect) == 4):
-            raise ConfigError(f"map.obstacle_rects: expected [x0,y0,x1,y1], got {rect!r}")
-        x0, y0, x1, y1 = rect
+            raise ConfigError(f"{where}: expected [x0,y0,x1,y1], got {rect!r}")
+        x0, y0, x1, y1 = (_int(v, where) for v in rect)
         obstacles.update(Cell(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1))
+    width = _int(m.get("width", 0), "map.width")
+    height = _int(m.get("height", 0), "map.height")
     try:
-        grid = GridMap(width=m.get("width", 0), height=m.get("height", 0),
-                       obstacles=frozenset(obstacles))
+        grid = GridMap(width=width, height=height, obstacles=frozenset(obstacles))
     except ValueError as exc:
         raise ConfigError(f"map: {exc}") from exc
 
-    part = data.get("partition", {})
+    part = _object(data.get("partition", {}), "partition")
     _require_keys(part, {"rows", "cols", "overlap"}, "partition")
-    rows, cols = part.get("rows", 1), part.get("cols", 1)
-    overlap = part.get("overlap", 1)
+    rows = _int(part.get("rows", 1), "partition.rows")
+    cols = _int(part.get("cols", 1), "partition.cols")
+    overlap = _int(part.get("overlap", 1), "partition.overlap")
     try:
-        partition = build_partition(grid, rows, cols, overlap)
+        build_partition(grid, rows, cols, overlap)
     except ValueError as exc:
         raise ConfigError(f"partition: {exc}") from exc
 
     agents: list[tuple[str, Cell]] = []
     seen_ids: set[str] = set()
     seen_cells: set[Cell] = set()
-    for idx, a in enumerate(data.get("agents", [])):
+    for idx, a in enumerate(_list(data.get("agents", []), "agents")):
         if not isinstance(a, dict):
             raise ConfigError(f"agents[{idx}]: expected object")
         _require_keys(a, {"id", "start"}, f"agents[{idx}]")
@@ -116,54 +156,62 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         agents.append((aid, start))
 
     jobs: list[JobSpec] = []
-    for idx, j in enumerate(data.get("jobs", [])):
+    for idx, j in enumerate(_list(data.get("jobs", []), "jobs")):
         if not isinstance(j, dict):
             raise ConfigError(f"jobs[{idx}]: expected object")
         _require_keys(j, {"spawn_tick", "location", "priority"}, f"jobs[{idx}]")
         loc = _cell(j.get("location"), f"jobs[{idx}].location")
         if not grid.in_bounds(loc):
             raise ConfigError(f"jobs[{idx}]: location {loc} out of bounds")
-        prio = j.get("priority", 1.0)
-        if not isinstance(prio, (int, float)) or prio <= 0:
+        prio = _number(j.get("priority", 1.0), f"jobs[{idx}].priority")
+        if prio <= 0:
             raise ConfigError(f"jobs[{idx}]: priority must be > 0")
-        jobs.append(JobSpec(spawn_tick=int(j.get("spawn_tick", 0)), location=loc,
-                            priority=float(prio)))
+        jobs.append(JobSpec(spawn_tick=_int(j.get("spawn_tick", 0), f"jobs[{idx}].spawn_tick"),
+                            location=loc, priority=prio))
 
-    net = data.get("network", {})
+    net = _object(data.get("network", {}), "network")
     _require_keys(net, {"drop_prob", "delay_steps", "partitions"}, "network")
     delay = net.get("delay_steps", 0)
-    if isinstance(delay, list):
-        delay = (delay[0], delay[1])
+    if isinstance(delay, (list, tuple)):
+        if len(delay) != 2:
+            raise ConfigError(
+                f"network.delay_steps: expected an integer or [min, max], got {delay!r}")
+        delay = (_int(delay[0], "network.delay_steps[0]"),
+                 _int(delay[1], "network.delay_steps[1]"))
+    else:
+        delay = _int(delay, "network.delay_steps")
+    drop_prob = _number(net.get("drop_prob", 0.0), "network.drop_prob")
     try:
-        network = BusConfig(drop_prob=float(net.get("drop_prob", 0.0)),
-                            delay_steps=delay)
+        network = BusConfig(drop_prob=drop_prob, delay_steps=delay)
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from exc
 
-    pl = data.get("planner", {})
+    pl = _object(data.get("planner", {}), "planner")
     _require_keys(pl, {"f", "deadlock_threshold", "ramp_cap"}, "planner")
+    force = _number(pl.get("f", 1.0), "planner.f")
+    threshold = _int(pl.get("deadlock_threshold", 2), "planner.deadlock_threshold")
+    ramp_cap = _int(pl.get("ramp_cap", 8), "planner.ramp_cap")
     try:
-        planner = PlannerParams(f=float(pl.get("f", 1.0)),
-                                deadlock_threshold=int(pl.get("deadlock_threshold", 2)),
-                                ramp_cap=int(pl.get("ramp_cap", 8)))
+        planner = PlannerParams(f=force, deadlock_threshold=threshold, ramp_cap=ramp_cap)
     except ValueError as exc:
         raise ConfigError(f"planner: {exc}") from exc
 
-    cons = data.get("consensus", {})
+    cons = _object(data.get("consensus", {}), "consensus")
     _require_keys(cons, {"timeout_steps"}, "consensus")
-    timeout_steps = int(cons.get("timeout_steps", 10))
+    timeout_steps = _int(cons.get("timeout_steps", 10), "consensus.timeout_steps")
     if timeout_steps < 1:
         raise ConfigError("consensus.timeout_steps must be >= 1")
 
-    bal = data.get("balance", {})
+    bal = _object(data.get("balance", {}), "balance")
     _require_keys(bal, {"period"}, "balance")
-    period = int(bal.get("period", 10))
+    period = _int(bal.get("period", 10), "balance.period")
     if period < 1:
         raise ConfigError("balance.period must be >= 1")
 
     faults: list[FaultEvent] = []
     known_ids = {aid for aid, _ in agents}
-    for idx, f in enumerate(data.get("faults", [])):
+    for idx, f in enumerate(_list(data.get("faults", []), "faults")):
+        f = _object(f, f"faults[{idx}]")
         _require_keys(f, {"tick", "kind", "agent", "groups"}, f"faults[{idx}]")
         kind = f.get("kind")
         if kind not in ("kill", "revive", "partition", "heal"):
@@ -172,27 +220,27 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if kind in ("kill", "revive"):
             if agent not in known_ids:
                 raise ConfigError(f"faults[{idx}]: unknown agent {agent!r}")
-        groups = tuple(frozenset(g) for g in f.get("groups", []))
-        faults.append(FaultEvent(tick=int(f.get("tick", 0)), kind=kind,
-                                 agent=agent, groups=groups))
+        faults.append(FaultEvent(tick=_int(f.get("tick", 0), f"faults[{idx}].tick"),
+                                 kind=kind, agent=agent,
+                                 groups=_groups(f.get("groups", []), f"faults[{idx}].groups")))
     # Partition schedule under network.partitions is sugar for partition faults.
-    for idx, entry in enumerate(net.get("partitions", [])):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ConfigError(f"network.partitions[{idx}]: expected [tick, groups]")
-        step, groups = entry
-        kind = "heal" if not groups else "partition"
-        faults.append(FaultEvent(tick=int(step), kind=kind,
-                                 groups=tuple(frozenset(g) for g in groups)))
+    for idx, entry in enumerate(_list(net.get("partitions", []), "network.partitions")):
+        where = f"network.partitions[{idx}]"
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise ConfigError(f"{where}: expected [tick, groups]")
+        groups = _groups(entry[1], f"{where}[1]")
+        faults.append(FaultEvent(tick=_int(entry[0], f"{where}[0]"),
+                                 kind="partition" if groups else "heal", groups=groups))
     faults.sort(key=lambda f: (f.tick, f.kind, f.agent or ""))
 
-    max_ticks = int(data.get("max_ticks", 1000))
+    max_ticks = _int(data.get("max_ticks", 1000), "max_ticks")
     if max_ticks < 1:
         raise ConfigError("max_ticks must be >= 1")
 
     return ScenarioConfig(grid=grid, rows=rows, cols=cols, overlap=overlap,
                           agents=tuple(agents), jobs=tuple(jobs), network=network,
                           planner=planner, timeout_steps=timeout_steps,
-                          balance_period=period, seed=int(data.get("seed", 0)),
+                          balance_period=period, seed=_int(data.get("seed", 0), "seed"),
                           max_ticks=max_ticks, faults=tuple(faults))
 
 

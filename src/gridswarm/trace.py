@@ -30,6 +30,11 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     "ConflictResolved": ("zone", "kind_detail", "keeper", "yielder", "tick_used"),
 }
 
+# Every key an event of each kind must carry, checked once per parsed line.
+_REQUIRED: dict[str, frozenset[str]] = {
+    kind: frozenset(("tick", "kind", "actor") + fields)
+    for kind, fields in EVENT_FIELDS.items()}
+
 
 class TraceFormatError(ValueError):
     def __init__(self, line_no: int, message: str) -> None:
@@ -80,8 +85,13 @@ def parse_trace(text: str) -> list[dict]:
             raise TraceFormatError(idx, f"invalid JSON: {exc}") from exc
         if not isinstance(event, dict) or "kind" not in event or "tick" not in event:
             raise TraceFormatError(idx, "event must be an object with tick and kind")
-        if event["kind"] not in EVENT_FIELDS:
-            raise TraceFormatError(idx, f"unknown event kind {event['kind']!r}")
+        kind = event["kind"]
+        required = _REQUIRED.get(kind) if isinstance(kind, str) else None
+        if required is None:
+            raise TraceFormatError(idx, f"unknown event kind {kind!r}")
+        if not required <= event.keys():
+            raise TraceFormatError(
+                idx, f"{kind} event lacks fields {sorted(required - event.keys())}")
         events.append(event)
     return events
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 ZoneId = tuple[int, int]  # (row, col)
 
@@ -59,7 +59,7 @@ class GridMap:
     # (x, y) has flat index y * width + x.
 
     @cached_property
-    def _free_flags(self) -> bytearray:
+    def free_flags(self) -> bytearray:
         """1 at the flat index of every free cell, 0 at every obstacle."""
         w = self.width
         flags = bytearray(b"\x01") * (w * self.height)
@@ -71,7 +71,7 @@ class GridMap:
     def neighbor_table(self) -> tuple[tuple[int, ...], ...]:
         """Row i holds the flat indices of `free_neighbors` of cell i, in order."""
         w, h = self.width, self.height
-        free = self._free_flags
+        free = self.free_flags
         steps = [(d.x, d.y, d.y * w + d.x) for d in DIRECTIONS]
         rows = []
         for y in range(h):
@@ -80,12 +80,6 @@ class GridMap:
                 rows.append(tuple(i + off for dx, dy, off in steps
                                   if 0 <= x + dx < w and 0 <= y + dy < h and free[i + off]))
         return tuple(rows)
-
-    @cached_property
-    def free_cells(self) -> tuple[Cell, ...]:
-        """Every free cell in (y, x) order."""
-        w = self.width
-        return tuple(Cell(i % w, i // w) for i, f in enumerate(self._free_flags) if f)
 
 
 @dataclass(frozen=True)
@@ -171,11 +165,17 @@ def home_zone(cell: Cell, partition: ZonePartition) -> ZoneId:
 
 
 def subscribed_zones(cell: Cell, partition: ZonePartition) -> set[ZoneId]:
-    """Home zone plus every zone whose overlap-expanded region contains `cell`."""
-    home = home_zone(cell, partition)  # also validates bounds
-    out = {home}
-    for z in partition.zones:
-        x0, y0, x1, y1 = partition.expanded_bounds(z.id)
-        if x0 <= cell.x <= x1 and y0 <= cell.y <= y1:
-            out.add(z.id)
-    return out
+    """Home zone plus every zone whose overlap-expanded region contains `cell`.
+
+    A zone's expanded region holds the cell exactly when the zone meets the
+    square of half-side `overlap` around it. Zones tile the map in rows and
+    columns, so those are the zones between the home zones of the square's
+    corners, clamped to the map, whatever the overlap.
+    """
+    home_zone(cell, partition)  # validates bounds
+    k = partition.overlap
+    x, y = cell
+    r0, c0 = home_zone(Cell(max(0, x - k), max(0, y - k)), partition)
+    r1, c1 = home_zone(Cell(min(partition.width - 1, x + k),
+                            min(partition.height - 1, y + k)), partition)
+    return {(r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)}

@@ -4,10 +4,12 @@ Each test prints one `criterion NN PASS/FAIL` line so the suite doubles as a
 scorecard. The corpus-based checks share one run of 200 seeded scenarios.
 """
 
+import importlib.util
 import math
 import random
 import time
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +266,40 @@ def test_criterion_09_resolution_scaling():
         (x - mx) ** 2 for x in xs)
     report(9, "conflict-resolution ops scale near G log G", slope <= 1.25,
            f"slope={slope:.3f} points={[(round(b), o) for b, o in points]}")
+
+
+# Bound on the k=8 / k=2 ratio of host microseconds per agent-round in the
+# weak-scaling scenarios (scripts/weak_scaling.py). On a shared 2-vCPU VM under
+# Python 3.11, seven runs of this test gave 1.19-1.50 with zone-local kernels,
+# and three gave 2.86-2.90 with the whole-map ones they replaced.
+WEAK_SCALING_BOUND = 2.0
+
+
+def test_criterion_12_weak_scaling():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "weak_scaling.py"
+    spec = importlib.util.spec_from_file_location("weak_scaling", path)
+    weak_scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(weak_scaling)
+    scenarios = {k: weak_scaling.scale_scenario(k) for k in (2, 8)}
+
+    def us_per_agent_round(k):
+        config = scenario_from_dict(scenarios[k])
+        start = time.perf_counter()
+        metrics, _ = run_scenario(config)
+        return 1e6 * (time.perf_counter() - start) / (metrics.rounds * len(config.agents))
+
+    # Best of each, with the short k=2 runs spread around the two long ones
+    # so that a slow spell of the machine hits both sizes.
+    small, large = [], []
+    for block in range(3):
+        small += [us_per_agent_round(2) for _ in range(4)]
+        if block < 2:
+            large.append(us_per_agent_round(8))
+    ratio = min(large) / min(small)
+    report(12, "cost per agent-round stays flat as zones, map and swarm grow",
+           ratio <= WEAK_SCALING_BOUND,
+           f"k=2 {min(small):.1f} us, k=8 {min(large):.1f} us, ratio {ratio:.2f} "
+           f"<= {WEAK_SCALING_BOUND}")
 
 
 def test_criterion_10_digest_determinism():

@@ -1,5 +1,8 @@
+import random
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridswarm.balance import (MigrationMandate, ZoneLoad, compute_zone_loads,
                                nearest_free_cell, plan_daisy_chain)
@@ -133,3 +136,49 @@ def test_nearest_free_cell_none_on_full_map():
     grid = GridMap(width=2, height=1,
                    obstacles=frozenset({Cell(0, 0), Cell(1, 0)}))
     assert nearest_free_cell(grid, (0.5, 0.0)) is None
+
+
+def scan_nearest(grid, point):
+    """Reference: the first minimum over every free cell in (y, x) order."""
+    px, py = point
+    return min((Cell(x, y) for y in range(grid.height) for x in range(grid.width)
+                if grid.is_free(Cell(x, y))),
+               key=lambda c: (c.x - px) ** 2 + (c.y - py) ** 2, default=None)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_ring_search_matches_full_scan(data):
+    """Random maps, some full; half-integer points (zone centroids) and
+    arbitrary points, inside and outside the map."""
+    w = data.draw(st.integers(1, 14))
+    h = data.draw(st.integers(1, 14))
+    cells = [(x, y) for y in range(h) for x in range(w)]
+    blocked = data.draw(st.sets(st.sampled_from(cells)) | st.just(set(cells)))
+    grid = GridMap(width=w, height=h, obstacles=frozenset(Cell(*c) for c in blocked))
+    halves = st.tuples(st.integers(-4, 2 * w + 4), st.integers(-4, 2 * h + 4)).map(
+        lambda p: (p[0] / 2, p[1] / 2))
+    reals = st.tuples(st.floats(-5, w + 5), st.floats(-5, h + 5))
+    for point in data.draw(st.lists(halves | reals, min_size=1, max_size=8)):
+        assert nearest_free_cell(grid, point) == scan_nearest(grid, point)
+
+
+def test_ring_search_breaks_distance_ties_by_y_then_x():
+    grid = GridMap(width=8, height=8, obstacles=frozenset({Cell(4, 4)}))
+    # (3, 4), (4, 3), (5, 4) and (4, 5) are all 1 away; (4, 3) has the lowest y.
+    assert nearest_free_cell(grid, (4.0, 4.0)) == Cell(4, 3)
+    # A zone centroid between four cells: the lowest y, then the lowest x.
+    assert nearest_free_cell(GridMap(width=8, height=8), (3.5, 3.5)) == Cell(3, 3)
+
+
+def test_ring_search_matches_full_scan_at_every_half_point():
+    # Seeded obstacle patterns, each point on a half-cell lattice over and
+    # around the map, so every ring side and corner gets to hold the answer.
+    rng = random.Random(7)
+    for density in (0.2, 0.5, 0.8, 0.95):
+        grid = GridMap(width=9, height=7, obstacles=frozenset(
+            Cell(x, y) for y in range(7) for x in range(9) if rng.random() < density))
+        for hx in range(-4, 2 * 9 + 4):
+            for hy in range(-4, 2 * 7 + 4):
+                point = (hx / 2, hy / 2)
+                assert nearest_free_cell(grid, point) == scan_nearest(grid, point)

@@ -76,3 +76,29 @@ def test_bench_reports_rows(tmp_path, capsys):
     rows = json.loads(out.read_text())
     assert len(rows) == 1
     assert rows[0]["completed"] is True
+
+
+@pytest.mark.parametrize("line", [
+    '{"tick":1,"kind":"Move","actor":"a","src":[0,0]}',
+    '{"tick":1,"kind":"TickAck","actor":"a","zone":[0,0],"committed_tick":1}',
+])
+def test_verify_exits_2_on_an_event_missing_a_field(tmp_path, capsys, line):
+    path = tmp_path / "short.jsonl"
+    path.write_text(line + "\n")
+    assert main(["verify", "--trace", str(path)]) == 2
+    assert "lacks fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,value", [
+    ("seed", "abc"),
+    ("agents", 5),
+    ("map", {"width": "30", "height": 8}),
+    ("network", {"delay_steps": [1]}),
+])
+def test_run_exits_2_on_a_field_of_the_wrong_type(tmp_path, capsys, section, value):
+    scenario = random_scenario(3)
+    scenario[section] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -2,8 +2,9 @@ import pytest
 
 from gridswarm.engine import SUPER, Simulation, run_scenario
 from gridswarm.netsim import zone_topic
-from gridswarm.scenario import random_scenario, scenario_from_dict
+from gridswarm.scenario import bench_scenario, random_scenario, scenario_from_dict
 from gridswarm.trace import parse_trace, verify_trace
+from gridswarm.world import subscribed_zones
 
 
 def two_zone(agents=None, jobs=None, faults=None, max_ticks=120, seed=9,
@@ -239,6 +240,42 @@ def test_grid_tables_are_not_built_at_setup():
     assert "neighbor_table" not in vars(sim.grid)
     sim.run()
     assert "neighbor_table" in vars(sim.grid)
+
+
+def test_cost_fields_are_dropped_once_their_jobs_complete():
+    # Two jobs share (1, 1): its field must outlive the first completion.
+    jobs = [{"spawn_tick": 0, "location": [1, 1], "priority": 2.0},
+            {"spawn_tick": 0, "location": [1, 1], "priority": 1.5},
+            {"spawn_tick": 2, "location": [10, 4], "priority": 1.5}]
+    sim = Simulation(two_zone(jobs=jobs))
+    sim._bootstrap()
+    kept_for_open_job = False
+    while not sim._all_jobs_done():
+        sim.round += 1
+        sim._run_round()
+        shared = [sim.jobs[j] for j in ("j000", "j001") if j in sim.jobs]
+        done = [j.status.value == "completed" for j in shared]
+        if any(done) and not all(done):
+            assert (1, 1) in sim.costs._fields
+            kept_for_open_job = True
+    assert kept_for_open_job
+    assert sim.costs._fields == {}
+
+
+def test_zone_lookups_follow_every_move():
+    """The home-zone sets and subscriptions the engine reads instead of
+    scanning agents stay equal to a fresh scan, through migrations."""
+    sim = Simulation(scenario_from_dict(bench_scenario(20, 30, seed=11)))
+    sim._bootstrap()
+    while sim.round < 80 and not sim._all_jobs_done():
+        sim.round += 1
+        sim._run_round()
+        for zone in sim.zones:
+            assert sim._by_home[zone] == {aid for aid, a in sim.agents.items()
+                                          if a.home == zone}
+        for a in sim.agents.values():
+            assert a.subscribed == subscribed_zones(a.position, sim.partition)
+    assert sim.metrics.migrations > 0
 
 
 # Step-down: each trigger must leave the agent not leader, off its zone's

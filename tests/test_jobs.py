@@ -2,9 +2,10 @@ from collections import deque
 
 import pytest
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from gridswarm.jobs import Bid, CostField, SpawnRejected, choose_assignee, spawn_job
+from gridswarm.jobs import (Bid, CostField, JobStatus, SpawnRejected, choose_assignee,
+                            spawn_job)
 from gridswarm.world import Cell, GridMap, InvalidPositionError
 
 
@@ -94,6 +95,58 @@ def test_cost_matches_bfs_oracle_on_random_maps(grid, data):
                                        if grid.is_free(c) else None)
     for c in (Cell(-1, 0), Cell(0, -1), Cell(grid.width, 0), Cell(0, grid.height)):
         assert field.cost(c, goal) is None
+
+
+@settings(deadline=None)
+@given(pocket_maps(), st.data())
+def test_resumable_fields_match_reference_in_any_order(grid, data):
+    """Several fields queried in a random interleaved order, some dropped and
+    rebuilt on the way, always answer the reference BFS distance."""
+    cells = [Cell(x, y) for y in range(grid.height) for x in range(grid.width)]
+    free = [c for c in cells if grid.is_free(c)]
+    if not free:
+        return
+    origins = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=4, unique=True))
+    off_map = [Cell(-1, 0), Cell(0, -1), Cell(grid.width, 0), Cell(0, grid.height)]
+    queries = data.draw(st.lists(
+        st.tuples(st.sampled_from(origins), st.sampled_from(cells + off_map), st.booleans()),
+        max_size=40))
+    field = CostField(grid)
+    for goal, position, drop_first in queries:
+        if drop_first:
+            field.release(goal, [])
+            assert goal not in field._fields
+        expected = bfs_distance(grid, position, goal) if grid.is_free(position) else None
+        assert field.cost(position, goal) == expected
+
+
+def test_field_search_stops_at_the_queried_cell():
+    grid = GridMap(width=30, height=30)
+    field = CostField(grid)
+    assert field.cost(Cell(16, 15), Cell(15, 15)) == 1
+    assert sum(d is not None for d in field._fields[Cell(15, 15)].dist) == 5
+    assert field.cost(Cell(0, 0), Cell(15, 15)) == 30
+    assert field.cost(Cell(15, 14), Cell(15, 15)) == 1
+
+
+def test_release_keeps_a_field_while_an_open_job_shares_its_cell():
+    grid = GridMap(width=6, height=6)
+    field = CostField(grid)
+    first = spawn_job(grid, "j0", Cell(2, 2), 1.0, 0)
+    second = spawn_job(grid, "j1", Cell(2, 2), 1.0, 0)
+    other = spawn_job(grid, "j2", Cell(4, 4), 1.0, 0)
+    field.cost(Cell(0, 0), first.location)
+    field.cost(Cell(0, 0), other.location)
+    first.status = JobStatus.COMPLETED
+    for status in (JobStatus.PENDING, JobStatus.ASSIGNED):
+        second.status = status
+        field.release(first.location, [first, second, other])
+        assert Cell(2, 2) in field._fields
+    second.status = JobStatus.COMPLETED
+    field.release(first.location, [first, second, other])
+    assert Cell(2, 2) not in field._fields
+    assert Cell(4, 4) in field._fields
+    assert field.cost(Cell(0, 0), Cell(2, 2)) == 4
 
 
 def test_cost_field_is_cached():

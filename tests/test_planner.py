@@ -343,6 +343,43 @@ def test_op_counter_accumulates():
     assert counter.n > 0
 
 
+def test_resolution_rejects_agents_off_the_map():
+    grid = GridMap(width=4, height=4)
+    for cell in ((-1, 0), (4, 2), (0, -3), (1, 6)):
+        with pytest.raises(ValueError, match="off the map"):
+            resolve_zone_step([ks("a", (1, 1)), ks("b", cell)], grid,
+                              PlannerParams(), rng_factory(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_resolution_same_with_and_without_op_counter(data):
+    """Counting the rank sort's comparisons changes neither the moves nor
+    the conflict log; agents stand anywhere, map edges included."""
+    w = data.draw(st.integers(2, 9))
+    h = data.draw(st.integers(2, 9))
+    grid = GridMap(width=w, height=h)
+    cells = [Cell(x, y) for x in range(w) for y in range(h)]
+    currents = data.draw(st.lists(st.sampled_from(cells), min_size=2,
+                                  max_size=min(12, len(cells)), unique=True))
+    states = [KinematicState(
+        agent=f"a{idx:02d}", current=cur,
+        intent=data.draw(st.sampled_from([cur] + grid.free_neighbors(cur))),
+        priority=data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+        stuck=data.draw(st.integers(0, 5)), has_job=data.draw(st.booleans()))
+        for idx, cur in enumerate(currents)]
+    seed = data.draw(st.integers(0, 99))
+    plain_log, counted_log = [], []
+    plain = resolve_zone_step(states, grid, PlannerParams(), rng_factory(seed),
+                              log=plain_log)
+    counter = OpCounter()
+    counted = resolve_zone_step(states, grid, PlannerParams(), rng_factory(seed),
+                                counter, log=counted_log)
+    assert plain == counted
+    assert plain_log == counted_log
+    assert counter.n > 0
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_resolution_safety_property(data):

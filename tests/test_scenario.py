@@ -135,3 +135,41 @@ def test_bench_scenario_shape():
     assert len(cfg.agents) == 30
     assert len(cfg.jobs) == 50
     assert cfg.max_ticks == 5000
+
+
+# Inputs that used to escape the parser as ValueError, TypeError or
+# IndexError; each must be a ConfigError that names the field.
+BAD_FIELDS = {
+    "seed": minimal(seed="abc"),
+    "agents": minimal(agents=5),
+    "map.width": minimal(map={"width": "30", "height": 8}),
+    "network.delay_steps": minimal(network={"delay_steps": [1]}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_FIELDS))
+def test_wrong_type_is_a_config_error_naming_the_field(field):
+    with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+        scenario_from_dict(BAD_FIELDS[field])
+
+
+def test_typed_fields_reject_other_types():
+    for bad in (minimal(max_ticks=True),
+                minimal(partition={"rows": 2.0, "cols": 2}),
+                minimal(jobs=[{"spawn_tick": "0", "location": [4, 4]}]),
+                minimal(jobs=[{"location": [4, 4], "priority": "high"}]),
+                minimal(network={"delay_steps": [0, "2"]}),
+                minimal(network={"drop_prob": None}),
+                minimal(planner={"ramp_cap": 2.5}),
+                minimal(consensus={"timeout_steps": "10"}),
+                minimal(balance=[]),
+                minimal(faults=[["kill"]]),
+                minimal(faults=[{"tick": 1, "kind": "partition", "groups": ["a0"]}]),
+                minimal(map={"width": 8, "height": 8, "obstacle_rects": [[0, 0, "1", 1]]})):
+        with pytest.raises(ConfigError):
+            scenario_from_dict(bad)
+
+
+def test_overlap_wider_than_a_zone_parses():
+    cfg = scenario_from_dict(minimal(partition={"rows": 2, "cols": 2, "overlap": 50}))
+    assert cfg.overlap == 50

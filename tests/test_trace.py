@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gridswarm.trace import (TraceFormatError, TraceWriter, parse_trace,
+from gridswarm.trace import (EVENT_FIELDS, TraceFormatError, TraceWriter, parse_trace,
                              trace_digest, verify_trace)
 
 
@@ -45,10 +45,41 @@ def test_parse_round_trip():
 
 def test_parse_reports_line_numbers():
     with pytest.raises(TraceFormatError) as err:
-        parse_trace('{"tick":0,"kind":"Move","actor":"a"}\nnot json\n')
+        parse_trace('{"tick":0,"kind":"Move","actor":"a","src":[0,0],"dst":[1,0]}\n'
+                    'not json\n')
     assert err.value.line_no == 2
     with pytest.raises(TraceFormatError):
         parse_trace('{"tick":0,"kind":"Unknown","actor":"a"}\n')
+
+
+# A Move without dst and a TickAck without digest used to reach the verifier
+# and raise KeyError there.
+MISSING_FIELD = {
+    "dst": '{"tick":1,"kind":"Move","actor":"a","src":[0,0]}\n',
+    "digest": '{"tick":1,"kind":"TickAck","actor":"a","zone":[0,0],"committed_tick":1}\n',
+}
+
+
+@pytest.mark.parametrize("missing", sorted(MISSING_FIELD))
+def test_event_missing_a_field_is_a_format_error(missing):
+    text = ('{"tick":0,"kind":"Resync","actor":"a","zone":[0,0],"resync_tick":0}\n'
+            + MISSING_FIELD[missing])
+    with pytest.raises(TraceFormatError, match=missing) as err:
+        parse_trace(text)
+    assert err.value.line_no == 2
+    with pytest.raises(TraceFormatError):
+        verify_trace(text)
+
+
+def test_every_emitted_kind_parses_back():
+    w = TraceWriter()
+    for kind, fields in EVENT_FIELDS.items():
+        w.emit(0, kind, "a", **{name: None for name in fields})
+    assert [e["kind"] for e in parse_trace(w.dump())] == list(EVENT_FIELDS)
+    with pytest.raises(TraceFormatError, match="actor"):
+        parse_trace('{"tick":0,"kind":"Resync","zone":[0,0],"resync_tick":0}\n')
+    with pytest.raises(TraceFormatError, match="unknown event kind"):
+        parse_trace('{"tick":0,"kind":["Move"],"actor":"a"}\n')
 
 
 def test_clean_trace_verifies_empty():

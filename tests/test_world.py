@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gridswarm.world import (Cell, GridMap, InvalidPositionError, build_partition,
                              home_zone, subscribed_zones, zone_centroid)
@@ -118,8 +118,8 @@ def test_neighbor_table_matches_free_neighbors(w, h, obstacle_xy):
         for x in range(w):
             expected = tuple(n.y * w + n.x for n in grid.free_neighbors(Cell(x, y)))
             assert table[y * w + x] == expected
-    assert grid.free_cells == tuple(Cell(x, y) for y in range(h) for x in range(w)
-                                    if grid.is_free(Cell(x, y)))
+    assert list(grid.free_flags) == [int(grid.is_free(Cell(x, y)))
+                                     for y in range(h) for x in range(w)]
 
 
 def test_flat_views_built_on_first_use():
@@ -128,3 +128,39 @@ def test_flat_views_built_on_first_use():
     assert grid.neighbor_table[0] == (4, 1)  # (0,0): N is (0,1), E is (1,0)
     assert "neighbor_table" in vars(grid)
     assert grid == GridMap(width=4, height=3, obstacles=frozenset({Cell(1, 1)}))
+
+
+def scan_subscribed(cell, part):
+    """Reference: every zone whose expanded bounds contain the cell."""
+    out = set()
+    for z in part.zones:
+        x0, y0, x1, y1 = part.expanded_bounds(z.id)
+        if x0 <= cell.x <= x1 and y0 <= cell.y <= y1:
+            out.add(z.id)
+    return out
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_subscribed_zones_match_scan_over_all_zones(data):
+    """Random partitions, remainder rows and columns included, at overlap 0,
+    1 and wider than a zone (the parser accepts overlaps such as 50)."""
+    w = data.draw(st.integers(1, 40))
+    h = data.draw(st.integers(1, 40))
+    rows = data.draw(st.integers(1, min(h, 7)))
+    cols = data.draw(st.integers(1, min(w, 7)))
+    overlap = data.draw(st.sampled_from([0, 1]) | st.integers(2, 50))
+    part = build_partition(GridMap(width=w, height=h), rows, cols, overlap)
+    for _ in range(10):
+        cell = Cell(data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1)))
+        assert subscribed_zones(cell, part) == scan_subscribed(cell, part)
+
+
+def test_subscribed_zones_overlap_wider_than_a_zone():
+    # 4x4 zones of 5x5 cells (the last row and column take 6), overlap 7.
+    part = build_partition(GridMap(width=21, height=21), 4, 4, overlap=7)
+    assert subscribed_zones(Cell(0, 0), part) == {(r, c) for r in range(2) for c in range(2)}
+    assert subscribed_zones(Cell(10, 10), part) == {(r, c) for r in range(4) for c in range(4)}
+    assert subscribed_zones(Cell(12, 3), part) == scan_subscribed(Cell(12, 3), part)
+    with pytest.raises(InvalidPositionError):
+        subscribed_zones(Cell(21, 0), part)
