@@ -36,11 +36,6 @@ class StateRecord:
         return [self.agent, list(self.position), list(self.intent),
                 self.job, self.priority, self.tick]
 
-    @staticmethod
-    def from_payload(p: list) -> "StateRecord":
-        return StateRecord(agent=p[0], position=Cell(*p[1]), intent=Cell(*p[2]),
-                           job=p[3], priority=p[4], tick=p[5])
-
 
 @dataclass(frozen=True)
 class ZoneSnapshot:
@@ -63,7 +58,7 @@ def make_snapshot(tick: int, records: dict[str, StateRecord]) -> ZoneSnapshot:
 
 @dataclass(frozen=True)
 class Advance:
-    new_tick: int
+    pass
 
 
 @dataclass(frozen=True)
@@ -74,18 +69,17 @@ class Wait:
 @dataclass(frozen=True)
 class MarkDeadAndAdvance:
     missing: frozenset[str]
-    new_tick: int
 
 
 def leader_tick_decision(ack_set: set[str], expected: set[str], waited_steps: int,
-                         timeout_steps: int, tick: int = 0) -> Advance | Wait | MarkDeadAndAdvance:
+                         timeout_steps: int) -> Advance | Wait | MarkDeadAndAdvance:
     """Advance when coverage is full, wait below the timeout, then mark the
     missing agents dead and advance over the reduced set."""
     if ack_set >= expected:
-        return Advance(new_tick=tick + 1)
+        return Advance()
     if waited_steps < timeout_steps:
         return Wait()
-    return MarkDeadAndAdvance(missing=frozenset(expected - ack_set), new_tick=tick + 1)
+    return MarkDeadAndAdvance(missing=frozenset(expected - ack_set))
 
 
 def tick_gap_requires_resync(local_tick: int, new_tick: int) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from . import balance as bal
 from . import consensus as cons
@@ -21,8 +21,8 @@ from . import planner as plan
 from .netsim import Bus, Envelope, derive_seed, zone_topic
 from .scenario import ScenarioConfig, scenario_from_dict
 from .trace import TraceWriter
-from .world import (Cell, GridMap, ZoneId, build_partition, home_zone,
-                    subscribed_zones, zone_centroid)
+from .world import (Cell, ZoneId, build_partition, home_zone, subscribed_zones,
+                    zone_centroid)
 
 SUPER = "super"
 CONTROLLER = "controller"
@@ -95,8 +95,8 @@ class LeaderRound:
     expected: set[str]
     states: dict[str, cons.StateRecord] = field(default_factory=dict)
     tick_acks: set[str] = field(default_factory=set)
-    waited_states: int = 0
-    waited_acks: int = 0
+    bids: dict[str, list[jobmod.Bid]] = field(default_factory=dict)
+    waited: int = 0  # bus steps waited for states, then (after broadcast) for acks
     probe_sent: bool = False
     confirm_ok: bool = False
     broadcast: bool = False
@@ -106,12 +106,10 @@ class LeaderRound:
 
 @dataclass
 class ZoneState:
-    id: ZoneId
     leader: Optional[str] = None
     tick: int = 0
     snapshot: Optional[cons.ZoneSnapshot] = None
     pool: dict[str, jobmod.Job] = field(default_factory=dict)
-    bids: dict[str, list[jobmod.Bid]] = field(default_factory=dict)
 
 
 @dataclass
@@ -123,13 +121,12 @@ class ElectionState:
 
 
 class SuperState:
-    def __init__(self) -> None:
-        self.roles: dict[ZoneId, Optional[str]] = {}
+    def __init__(self, zones: Iterable[ZoneId]) -> None:
+        self.roles: dict[ZoneId, Optional[str]] = dict.fromkeys(zones)
         self.elections: dict[ZoneId, ElectionState] = {}
         self.next_election = 0
         self.loads: dict[ZoneId, bal.ZoneLoad] = {}
-        self.period_loads: dict[ZoneId, bal.ZoneLoad] = {}
-        self.idle_ids: dict[ZoneId, list[str]] = {}
+        self.idle_ids: dict[ZoneId, list[str]] = {}  # zones reporting this period
         self.controller_pending: dict[ZoneId, int] = {}
         self.mandate_counter = 0
 
@@ -142,27 +139,25 @@ class Simulation:
         self.grid = config.grid
         self.partition = build_partition(self.grid, config.rows, config.cols,
                                          config.overlap)
-        self.seed = config.seed
         self.timeout = config.timeout_steps
         self.trace = TraceWriter()
         self.metrics = Metrics()
         self.bus = Bus(config.network, config.seed)
-        self._topics: dict[str, tuple[Optional[ZoneId], str]] = {}
-        # Planning map for the current set of powered-off agents' cells.
-        self._plan_grid_key: frozenset[Cell] = frozenset()
-        self._plan_grid_cache: GridMap = self.grid
         self.round = 0
         self.costs = jobmod.CostField(self.grid)
         self.jobs: dict[str, jobmod.Job] = {}
         # Stable on spawn_tick, so jobs keep their file order within a tick.
         self._spawn_order = sorted(config.jobs, key=lambda s: s.spawn_tick)
         self._spawn_idx = 0
-        self._first_spawn_round: Optional[int] = None
-        self._last_complete_round: Optional[int] = None
 
-        self.zones = {z: ZoneState(id=z) for z in self.partition.zone_ids()}
-        self.sup = SuperState()
-        self.sup.roles = dict.fromkeys(self.zones)
+        self.zones = {z: ZoneState() for z in self.partition.zone_ids()}
+        # (zone, kind) of every topic; the kind is also its message-count class.
+        self._topics: dict[str, tuple[Optional[ZoneId], str]] = {
+            zone_topic(z, kind): (z, kind) for z in self.zones
+            for kind in ("db_update", "global_tick", "tick_ack")}
+        for topic in ("super/loads", "super/election", "super/mandates"):
+            self._topics[topic] = (None, topic.replace("/", "_"))
+        self.sup = SuperState(self.zones)
 
         self.agents: dict[str, AgentSim] = {}
         # Agent ids by home zone; _after_move is the only place homes change.
@@ -188,12 +183,10 @@ class Simulation:
     def _emit(self, kind: str, actor: str, **payload: Any) -> None:
         self.trace.emit(self.round, kind, actor, **payload)
 
-    def _publish(self, sender: str, topic: str, payload: dict) -> bool:
-        cls = self._topic(topic)[1]
-        accepted = self.bus.publish(sender, topic, payload, tick=self.round)
-        if accepted:
+    def _publish(self, sender: str, topic: str, payload: dict) -> None:
+        cls = self._topics[topic][1]
+        if self.bus.publish(sender, topic, payload):
             self.metrics.messages[cls] = self.metrics.messages.get(cls, 0) + 1
-        return accepted
 
     def _resubscribe(self, a: AgentSim) -> None:
         new = frozenset(subscribed_zones(a.position, self.partition))
@@ -246,7 +239,7 @@ class Simulation:
                                 priority=a.priority, tick=a.local_tick)
 
     def _force_rng(self, agent: str) -> random.Random:
-        return random.Random(derive_seed(self.seed, "force", self.round, agent))
+        return random.Random(derive_seed(self.cfg.seed, "force", self.round, agent))
 
     # ------------------------------------------------------------ run control
 
@@ -257,9 +250,14 @@ class Simulation:
             self._run_round()
         self.metrics.rounds = self.round
         self.metrics.completed = self._all_jobs_done()
-        if (self.metrics.completed and self._first_spawn_round is not None
-                and self._last_complete_round is not None):
-            self.metrics.makespan = self._last_complete_round - self._first_spawn_round
+        self.metrics.job_waits = {
+            j.id: tuple(None if t is None else t - j.spawn_tick
+                        for t in (j.assign_tick, j.completion_tick))
+            for j in self.jobs.values()}
+        if self.metrics.completed and self.jobs:
+            self.metrics.makespan = (
+                max(j.completion_tick for j in self.jobs.values())
+                - min(j.spawn_tick for j in self.jobs.values()))
         if not self.metrics.completed and not any(
                 a.powered for a in self.agents.values()):
             self.metrics.starvation = True
@@ -304,14 +302,12 @@ class Simulation:
     def _phase_consensus(self) -> dict[ZoneId, LeaderRound]:
         rounds: dict[ZoneId, LeaderRound] = {}
         for zone in sorted(self.zones):
-            zs = self.zones[zone]
-            zs.bids = {}
             leader = self._active_leader(zone)
             if leader is None:
                 continue
             expected = {m.id for m in self._members(zone)}
-            rounds[zone] = LeaderRound(zone=zone, leader=leader.id, tick=zs.tick,
-                                       expected=expected)
+            rounds[zone] = LeaderRound(zone=zone, leader=leader.id,
+                                       tick=self.zones[zone].tick, expected=expected)
         for aid in sorted(self.agents):
             a = self.agents[aid]
             if not a.powered:
@@ -373,8 +369,8 @@ class Simulation:
             if not missing:
                 self._leader_broadcast(lr)
                 return
-            lr.waited_states += 1
-            if lr.waited_states < self.timeout:
+            lr.waited += 1
+            if lr.waited < self.timeout:
                 return
             if not lr.states and others:
                 # Zero contact: suspect own isolation before declaring a
@@ -392,12 +388,11 @@ class Simulation:
             self._leader_broadcast(lr)
         else:
             decision = cons.leader_tick_decision(
-                lr.tick_acks | {lr.leader}, lr.expected, lr.waited_acks,
-                self.timeout, tick=lr.tick)
+                lr.tick_acks | {lr.leader}, lr.expected, lr.waited, self.timeout)
             if isinstance(decision, cons.Advance):
                 lr.complete = True
             elif isinstance(decision, cons.Wait):
-                lr.waited_acks += 1
+                lr.waited += 1
             else:
                 self._mark_dead(lr, decision.missing)
                 lr.complete = True
@@ -410,7 +405,6 @@ class Simulation:
             if released is not None:
                 job = self.jobs[released]
                 job.status = jobmod.JobStatus.PENDING
-                job.assignee = None
                 job.assign_tick = None
                 self._drop_job(a)
             self._emit("MarkDead", lr.leader, zone=list(lr.zone), agent=aid,
@@ -436,42 +430,30 @@ class Simulation:
                        "solicit": solicit})
         if leader.idle:
             for job_id in pending:
-                cost = self.costs.cost(leader.position, zs.pool[job_id].location)
-                zs.bids.setdefault(job_id, []).append(
-                    jobmod.Bid(agent=lr.leader, job=job_id, cost=cost))
-                self._emit("Bid", lr.leader, job=job_id, cost=cost,
-                           zone=list(lr.zone))
+                self._bid(lr, lr.leader, job_id,
+                          self.costs.cost(leader.position, zs.pool[job_id].location))
         zs.tick = new_tick
         zs.snapshot = snapshot
         leader.local_tick = new_tick
         leader.committed_round = self.round
         leader.stale_rounds = 0
         lr.broadcast = True
+        lr.waited = 0
         self._emit("TickBroadcast", lr.leader, zone=list(lr.zone),
                    new_tick=new_tick, roster=sorted(lr.expected),
                    digest=snapshot.digest())
 
-    # ---------------------------------------------------------- bus handlers
+    def _bid(self, lr: LeaderRound, agent: str, job_id: str,
+             cost: Optional[int]) -> None:
+        lr.bids.setdefault(job_id, []).append(jobmod.Bid(agent=agent, job=job_id, cost=cost))
+        self._emit("Bid", agent, job=job_id, cost=cost, zone=list(lr.zone))
 
-    def _topic(self, topic: str) -> tuple[Optional[ZoneId], str]:
-        """(zone, kind) of a topic. The kind, also the topic's message-count
-        class, is the suffix of a zone/<row>,<col>/<suffix> topic and the
-        topic with "/" replaced by "_" otherwise (zone None)."""
-        parsed = self._topics.get(topic)
-        if parsed is None:
-            if topic.startswith("zone/"):
-                _, part, suffix = topic.split("/")
-                row, col = part.split(",")
-                parsed = ((int(row), int(col)), suffix)
-            else:
-                parsed = (None, topic.replace("/", "_"))
-            self._topics[topic] = parsed
-        return parsed
+    # ---------------------------------------------------------- bus handlers
 
     def _deliver(self, env: Envelope, recipients: tuple[str, ...],
                  rounds: dict[ZoneId, LeaderRound]) -> None:
         """Hand one envelope to its recipients in order."""
-        zone, kind = self._topic(env.topic)
+        zone, kind = self._topics[env.topic]
         payload = env.payload
         if kind == "db_update" and payload["kind"] == "state":
             # Only the zone leader stores records, and only from its roster.
@@ -555,12 +537,9 @@ class Simulation:
         if lr is None or lr.leader != a.id:
             return
         lr.tick_acks.add(env.sender)
-        zs = self.zones[zone]
         for job_id, cost in env.payload.get("bids", []):
             if job_id in lr.solicited:
-                zs.bids.setdefault(job_id, []).append(
-                    jobmod.Bid(agent=env.sender, job=job_id, cost=cost))
-                self._emit("Bid", env.sender, job=job_id, cost=cost, zone=list(zone))
+                self._bid(lr, env.sender, job_id, cost)
 
     def _handle_election_msg(self, a: AgentSim, payload: dict,
                              rounds: dict[ZoneId, LeaderRound]) -> None:
@@ -612,41 +591,36 @@ class Simulation:
 
     def _handle_super(self, env) -> None:
         payload = env.payload
-        kind = payload.get("kind")
+        kind, zone = payload["kind"], payload["zone"]
         if kind == "job_notice":
             # Counts as unserved demand until a leader's load report covers
             # the zone again; a fresh report pops the counter.
-            zone = payload["zone"]
             self.sup.controller_pending[zone] = (
                 self.sup.controller_pending.get(zone, 0) + 1)
         elif kind == "load":
-            zone = payload["zone"]
             load = bal.ZoneLoad(zone=zone, pending_jobs=payload["pending"],
                                 idle_agents=payload["idle"],
                                 total_agents=payload["total"])
-            self.sup.period_loads[zone] = load
+            self.sup.loads[zone] = load
             self.sup.idle_ids[zone] = payload["idle_ids"]
             self.sup.controller_pending.pop(zone, None)
             self._emit("LoadReport", SUPER, zone=list(zone),
                        pending=payload["pending"], idle=payload["idle"],
                        total=payload["total"])
         elif kind == "leader_loss":
-            zone = payload["zone"]
             if zone not in self.sup.elections:
                 self._start_election(zone, elec.ElectionReason.LEADER_DEAD)
         elif kind == "stepdown":
-            zone = payload["zone"]
             if self.sup.roles.get(zone) == payload["leader"]:
                 self.sup.roles[zone] = None
             if zone not in self.sup.elections:
                 self._start_election(zone, elec.ElectionReason.LEADER_MIGRATED)
         elif kind == "candidacy":
-            st = self.sup.elections.get(payload["zone"])
+            st = self.sup.elections.get(zone)
             if st is not None and st.election_id == payload["election"]:
                 st.candidacies[payload["agent"]] = (payload["distance"],
                                                    payload["tick"])
         elif kind == "suspect":
-            zone = payload["zone"]
             if self.sup.roles.get(zone) == payload["leader"]:
                 self._publish(SUPER, "super/election",
                               {"kind": "suspect_ok", "zone": zone,
@@ -721,9 +695,6 @@ class Simulation:
             zone = home_zone(job.location, self.partition)
             self.jobs[job_id] = job
             self.zones[zone].pool[job_id] = job
-            self.metrics.job_waits[job_id] = (None, None)
-            if self._first_spawn_round is None:
-                self._first_spawn_round = self.round
             self._emit("JobSpawn", CONTROLLER, job=job_id,
                        location=list(job.location), priority=job.priority,
                        zone=list(zone), rejected=False)
@@ -745,7 +716,7 @@ class Simulation:
                 job = zs.pool.get(job_id)
                 if job is None or job.status is not jobmod.JobStatus.PENDING:
                     continue
-                bids = [b for b in zs.bids.get(job_id, [])
+                bids = [b for b in lr.bids.get(job_id, [])
                         if b.agent not in taken and self.agents[b.agent].idle
                         and self.agents[b.agent].status is cons.Liveness.ALIVE]
                 best = jobmod.choose_assignee(bids)
@@ -753,7 +724,6 @@ class Simulation:
                     continue
                 a = self.agents[best.agent]
                 job.status = jobmod.JobStatus.ASSIGNED
-                job.assignee = best.agent
                 job.assign_tick = self.round
                 a.job = job_id
                 a.goal = job.location
@@ -761,9 +731,6 @@ class Simulation:
                 a.path = None
                 a.mandate = None  # assignment takes precedence over migration
                 taken.add(best.agent)
-                waits = self.metrics.job_waits[job_id]
-                self.metrics.job_waits[job_id] = (self.round - job.spawn_tick,
-                                                  waits[1])
                 self._emit("Assign", leader.id, job=job_id, agent=best.agent,
                            cost=best.cost, zone=list(zone))
 
@@ -785,15 +752,12 @@ class Simulation:
                            "idle": len(idle_ids), "total": len(members),
                            "idle_ids": idle_ids})
         # The super-leader plans on the loads delivered so far (previous
-        # period's reports); this period's reports arrive next round.
-        reports = dict(self.sup.period_loads)
-        # Chains are staffed only from zones heard from this period; stale
-        # rosters would mandate agents that have long since moved on.
-        idle_by_zone = {z: list(self.sup.idle_ids.get(z, [])) for z in reports}
-        self.sup.loads.update(reports)
-        self.sup.period_loads = {}
+        # period's reports); this period's reports arrive next round. Chains
+        # are staffed only from zones heard from this period; stale rosters
+        # would mandate agents that have long since moved on.
+        idle_by_zone = self.sup.idle_ids
         self.sup.idle_ids = {}
-        deficits = bal.compute_zone_loads(reports, self.sup.loads)
+        deficits = bal.compute_zone_loads(self.sup.loads)
         for zone, count in sorted(self.sup.controller_pending.items()):
             deficits[zone] = max(deficits.get(zone, 0), count)
         self.metrics.deficit_history.append(
@@ -810,18 +774,9 @@ class Simulation:
             self._publish(SUPER, "super/mandates", {"kind": "mandate", "mandate": m})
 
     # Phases 6-7: per-zone conflict resolution, then simultaneous movement.
-    def _plan_grid(self) -> GridMap:
-        """Base map plus powered-off agents, which sit still indefinitely."""
-        dead = frozenset(a.position for a in self.agents.values() if not a.powered)
-        if dead != self._plan_grid_key:
-            self._plan_grid_key = dead
-            self._plan_grid_cache = GridMap(
-                width=self.grid.width, height=self.grid.height,
-                obstacles=self.grid.obstacles | dead) if dead else self.grid
-        return self._plan_grid_cache
-
     def _phase_plan(self) -> tuple[dict[str, Cell], set[str]]:
-        grid = self._plan_grid()
+        # Powered-off agents sit still indefinitely: plan around them.
+        off = {a.position for a in self.agents.values() if not a.powered}
         states: dict[str, plan.KinematicState] = {}
         movable: set[str] = set()
         for aid in sorted(self.agents):
@@ -831,11 +786,9 @@ class Simulation:
             intent = a.position
             if can_move and a.goal is not None and a.position != a.goal:
                 if not a.path or a.path_i >= len(a.path) or a.path[a.path_i] != a.position:
-                    a.path = (plan.plan_path(grid, a.position, a.goal)
-                              if grid.is_free(a.position) and grid.is_free(a.goal)
-                              else None)
-                    if a.path is None:  # boxed in for now; keep the plain route
-                        a.path = plan.plan_path(self.grid, a.position, a.goal)
+                    # Around powered-off agents, or the plain route if they box it in.
+                    a.path = (plan.plan_path(self.grid, a.position, a.goal, off)
+                              or plan.plan_path(self.grid, a.position, a.goal))
                     a.path_i = 0
                 intent = self._next_cell(a)
             if can_move:
@@ -857,8 +810,8 @@ class Simulation:
             if not members or len(group) < 2:
                 continue
             log: list = []
-            result = plan.resolve_zone_step(group, grid, self.cfg.planner,
-                                            self._force_rng, log=log)
+            result = plan.resolve_zone_step(group, self.grid, self.cfg.planner,
+                                            self._force_rng, log=log, blocked=off)
             for aid in sorted(members):
                 proposals[aid] = result[aid]
             for kind, keeper, yielder in log:
@@ -891,7 +844,6 @@ class Simulation:
             target = final[aid]
             if target != a.position:
                 self._emit("Move", aid, src=list(a.position), dst=list(target))
-                old = a.position
                 step = self._next_cell(a)
                 a.position = target
                 a.stuck = 0
@@ -899,7 +851,7 @@ class Simulation:
                     a.path_i += 1
                 else:
                     a.path = None
-                self._after_move(a, old)
+                self._after_move(a)
             else:
                 if aid in movable and a.goal is not None and a.position != a.goal:
                     a.stuck += 1
@@ -911,7 +863,7 @@ class Simulation:
         positions = [a.position for a in self.agents.values() if a.powered]
         self.metrics.collisions += len(positions) - len(set(positions))
 
-    def _after_move(self, a: AgentSim, old: Cell) -> None:
+    def _after_move(self, a: AgentSim) -> None:
         new_home = home_zone(a.position, self.partition)
         if new_home != a.home:
             if a.is_leader:
@@ -945,9 +897,6 @@ class Simulation:
             self.costs.release(job.location, self.zones[zone].pool.values())
             leader = self.zones[zone].leader or aid
             self._emit("Complete", leader, job=job.id, agent=aid, zone=list(zone))
-            waits = self.metrics.job_waits[job.id]
-            self.metrics.job_waits[job.id] = (waits[0], self.round - job.spawn_tick)
-            self._last_complete_round = self.round
             self._drop_job(a)
 
 

@@ -26,7 +26,6 @@ class Job:
     priority: float
     spawn_tick: int
     status: JobStatus = JobStatus.PENDING
-    assignee: Optional[str] = None
     assign_tick: Optional[int] = None
     completion_tick: Optional[int] = None
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, Iterable
 
 
 def derive_seed(*parts: Any) -> int:
@@ -40,7 +40,6 @@ class Envelope:
     seq: int
     sender: str
     topic: str
-    sent_tick: int
     deliver_at: int
     payload: Any
 
@@ -49,7 +48,6 @@ class Envelope:
 class BusConfig:
     drop_prob: float = 0.0
     delay_steps: int | tuple[int, int] = 0
-    partitions: tuple[frozenset[str], ...] = ()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_prob <= 1.0:
@@ -78,9 +76,6 @@ class Bus:
         self._seq: dict[tuple[str, str], int] = {}
         self._last_deliver_at: dict[tuple[str, str], int] = {}
         self._group: dict[str, int] = {}
-        self.published = 0
-        self.dropped = 0
-        self.set_partition(config.partitions)
 
     def register(self, agent: str) -> None:
         self._registered.add(agent)
@@ -122,13 +117,12 @@ class Bus:
             return d
         return self._rng.randint(d[0], d[1])
 
-    def publish(self, sender: str, topic: str, payload: Any, tick: int = 0) -> bool:
+    def publish(self, sender: str, topic: str, payload: Any) -> bool:
         """Queue `payload` for every current subscriber other than the sender
         and those a partition cuts off; False if dropped."""
         if sender not in self._registered:
             raise UnknownSenderError(sender)
         if self.config.drop_prob > 0 and self._rng.random() < self.config.drop_prob:
-            self.dropped += 1
             return False
         key = (sender, topic)
         seq = self._seq.get(key, 0) + 1
@@ -136,8 +130,8 @@ class Bus:
         # Clamp so per-(sender, topic) delivery stays FIFO under random delay.
         deliver_at = max(self.now + self._delay(), self._last_deliver_at.get(key, 0))
         self._last_deliver_at[key] = deliver_at
-        env = Envelope(seq=seq, sender=sender, topic=topic, sent_tick=tick,
-                       deliver_at=deliver_at, payload=payload)
+        env = Envelope(seq=seq, sender=sender, topic=topic, deliver_at=deliver_at,
+                       payload=payload)
         recipients = self.subscribers(topic)
         if self._group:
             recipients = tuple(sub for sub in recipients
@@ -149,7 +143,6 @@ class Bus:
             # (deliver_at, sender, topic, seq) is unique per publish, so the
             # heap never compares envelopes.
             heapq.heappush(self._queue, (deliver_at, sender, topic, seq, env, recipients))
-        self.published += 1
         return True
 
     def pending(self) -> int:

@@ -1,6 +1,7 @@
 """Path planning and force-based cooperative conflict resolution.
 
-Base paths come from A* with the Manhattan heuristic. Per-tick movement
+Base paths come from A* with the Manhattan heuristic over the map's
+neighbour table; `blocked` cells count as obstacles. Per-tick movement
 conflicts between agents (vertex, edge, static) are resolved by a piecewise
 force law: the lower-priority agent of a conflicting pair recomputes its
 intent from a force vector, and agents stuck in a blocking cycle ramp their
@@ -14,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Container, Optional
+from typing import Callable, Collection, Container, Optional
 
 from .world import Cell, DIRECTIONS, GridMap
 
@@ -66,42 +67,50 @@ def manhattan(a: Cell, b: Cell) -> int:
     return abs(a.x - b.x) + abs(a.y - b.y)
 
 
-def plan_path(grid: GridMap, start: Cell, goal: Cell) -> Optional[list[Cell]]:
-    """Shortest 4-connected obstacle-respecting path, or None if unreachable.
+def plan_path(grid: GridMap, start: Cell, goal: Cell,
+              blocked: Collection[Cell] = ()) -> Optional[list[Cell]]:
+    """Shortest 4-connected path around obstacles and `blocked` cells, or
+    None if there is none (so also if `blocked` holds the start or goal).
 
-    Open-list ties break on (f, h, y, x) so plans are deterministic.
+    Open-list ties break on (f, h, y, x), the flat index y * width + x
+    ordering cells as (y, x) does, so plans are deterministic.
     """
     start, goal = Cell(*start), Cell(*goal)
     if not grid.is_free(start) or not grid.is_free(goal):
         raise ValueError("start and goal must be free cells")
+    if start in blocked or goal in blocked:
+        return None
     if start == goal:
         return [start]
+    w = grid.width
+    table = grid.neighbor_table
+    skip = {c.y * w + c.x for c in blocked}
+    gx, gy = goal
+    s, t = start.y * w + start.x, gy * w + gx
     h0 = manhattan(start, goal)
-    open_heap: list[tuple[int, int, int, int]] = [(h0, h0, start.y, start.x)]
-    g_score = {start: 0}
-    parent: dict[Cell, Cell] = {}
-    closed: set[Cell] = set()
+    open_heap: list[tuple[int, int, int]] = [(h0, h0, s)]
+    g_score = {s: 0}
+    parent: dict[int, int] = {}
+    closed: set[int] = set()
     while open_heap:
-        f, h, y, x = heapq.heappop(open_heap)
-        cur = Cell(x, y)
-        if cur in closed:
+        _f, _h, i = heapq.heappop(open_heap)
+        if i in closed:
             continue
-        if cur == goal:
-            path = [cur]
-            while cur in parent:
-                cur = parent[cur]
-                path.append(cur)
+        if i == t:
+            path = [goal]
+            while i in parent:
+                i = parent[i]
+                path.append(Cell(i % w, i // w))
             path.reverse()
             return path
-        closed.add(cur)
-        g = g_score[cur]
-        for n in grid.free_neighbors(cur):
-            ng = g + 1
-            if ng < g_score.get(n, math.inf):
-                g_score[n] = ng
-                parent[n] = cur
-                nh = manhattan(n, goal)
-                heapq.heappush(open_heap, (ng + nh, nh, n.y, n.x))
+        closed.add(i)
+        ng = g_score[i] + 1
+        for j in table[i]:
+            if ng < g_score.get(j, ng + 1) and j not in skip:
+                g_score[j] = ng
+                parent[j] = i
+                nh = abs(j % w - gx) + abs(j // w - gy)
+                heapq.heappush(open_heap, (ng + nh, nh, j))
     return None
 
 
@@ -136,14 +145,17 @@ def _unit_dir(state: KinematicState) -> tuple[float, float]:
 
 
 def random_safe_vector(state: KinematicState, grid: GridMap, rng: random.Random,
-                       contested: Optional[Cell] = None) -> tuple[float, float]:
-    """Unit vector toward a seeded-uniform free 4-neighbor, avoiding the contested cell.
+                       contested: Optional[Cell] = None,
+                       blocked: Container[Cell] = ()) -> tuple[float, float]:
+    """Unit vector toward a seeded-uniform free 4-neighbor, avoiding the
+    contested cell and the cells in `blocked`.
 
     Zero vector when no safe neighbor exists.
     """
     if contested is None:
         contested = state.intent
-    options = [n for n in grid.free_neighbors(state.current) if n != contested]
+    options = [n for n in grid.free_neighbors(state.current)
+               if n != contested and n not in blocked]
     if not options:
         return (0.0, 0.0)
     pick = options[rng.randrange(len(options))]
@@ -152,7 +164,8 @@ def random_safe_vector(state: KinematicState, grid: GridMap, rng: random.Random,
 
 def compute_force(i: KinematicState, j: Optional[KinematicState],
                   conflict: ConflictKind, params: PlannerParams, grid: GridMap,
-                  rng: random.Random, deadlock: bool = False) -> tuple[float, float]:
+                  rng: random.Random, deadlock: bool = False,
+                  blocked: Container[Cell] = ()) -> tuple[float, float]:
     """Piecewise force on agent `i`.
 
     No conflict: follow own intent direction. Conflict with `j`: align with
@@ -166,7 +179,7 @@ def compute_force(i: KinematicState, j: Optional[KinematicState],
         return (f * dx, f * dy)
     p_i = i.priority ** min(i.stuck, params.ramp_cap) if deadlock else i.priority
     jdx, jdy = _unit_dir(j)
-    rx, ry = random_safe_vector(i, grid, rng)
+    rx, ry = random_safe_vector(i, grid, rng, blocked=blocked)
     return (f * p_i * jdx + f * j.priority * rx,
             f * p_i * jdy + f * j.priority * ry)
 
@@ -236,17 +249,18 @@ def detect_deadlock(states: list[KinematicState], threshold: int) -> set[str]:
 
 
 def reserve_moves(order: list[tuple[str, Cell]], proposal: dict[str, Cell],
-                  occ: dict[Cell, str], grid: GridMap) -> dict[str, Cell]:
+                  occ: dict[Cell, str], grid: GridMap,
+                  blocked: Collection[Cell] = ()) -> dict[str, Cell]:
     """Commit each (agent, current cell) in `order` to its proposed cell or
     to its current one.
 
-    An agent may enter a cell only if it is free on the map, not yet
-    reserved, and either empty or left by an occupant that has already
-    committed elsewhere. Earlier agents in `order` win; waiting is always
-    safe, and swaps are excluded outright.
+    An agent may enter a cell only if it is free on the map, not in
+    `blocked`, not yet reserved, and either empty or left by an occupant
+    that has already committed elsewhere. Earlier agents in `order` win;
+    waiting is always safe, and swaps are excluded outright.
     """
     final: dict[str, Cell] = {}
-    reserved: set[Cell] = set()
+    reserved: set[Cell] = set(blocked)
     for agent, current in order:
         target = proposal[agent]
         ok = target == current or (
@@ -290,13 +304,15 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
                       params: PlannerParams,
                       rng_for: Callable[[str], random.Random],
                       counter: Optional[OpCounter] = None,
-                      log: Optional[list] = None) -> dict[str, Cell]:
+                      log: Optional[list] = None,
+                      blocked: Collection[Cell] = ()) -> dict[str, Cell]:
     """Resolve one tick of movement for a set of co-located agents.
 
-    Returns a collision-free intent per agent: no two intents share a cell
-    and no pair swaps cells. Lower-priority members of conflicting pairs
-    recompute their intent from the force law; agents in matured blocking
-    cycles use the deadlock branch; anything still unsafe waits.
+    Returns a collision-free intent per agent: no two intents share a cell,
+    none enters a cell in `blocked`, and no pair swaps cells. Lower-priority
+    members of conflicting pairs recompute their intent from the force law;
+    agents in matured blocking cycles use the deadlock branch; anything
+    still unsafe waits.
     """
     ops = counter or OpCounter()
     info = {s.agent: s for s in states}
@@ -305,6 +321,7 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
     occ = {s.current: s.agent for s in states}
     if len(occ) != len(states):
         raise ValueError("agents must occupy distinct cells")
+    taken = occ.keys() | blocked if blocked else occ  # no yielder steps onto these
     # Flat indices on the map padded by two cells on every side, so that no
     # offset in _NEAR wraps from one row into the next.
     w, h = grid.width, grid.height
@@ -347,9 +364,9 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
         keeper, yielder = yield_order(si, sj)
         force = compute_force(yielder, keeper, kind, params, grid,
                               rng_for(yielder.agent),
-                              deadlock=yielder.agent in deadlocked)
-        # occ still holds the yielder's own cell; quantize_move never tests it.
-        proposal[yielder.agent] = quantize_move(force, yielder.current, grid, occ)
+                              deadlock=yielder.agent in deadlocked, blocked=blocked)
+        # taken still holds the yielder's own cell; quantize_move never tests it.
+        proposal[yielder.agent] = quantize_move(force, yielder.current, grid, taken)
         ops.tick(4)
         if log is not None:
             log.append((kind, keeper.agent, yielder.agent))
@@ -363,9 +380,9 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
         if j is None:
             continue
         force = compute_force(s, j, ConflictKind.STATIC, params, grid,
-                              rng_for(agent), deadlock=True)
-        # As above: occ holds s.current, which quantize_move never tests.
-        proposal[agent] = quantize_move(force, s.current, grid, occ)
+                              rng_for(agent), deadlock=True, blocked=blocked)
+        # As above: taken holds s.current, which quantize_move never tests.
+        proposal[agent] = quantize_move(force, s.current, grid, taken)
         ops.tick(4)
         if log is not None:
             log.append(("deadlock", j.agent, agent))
@@ -378,7 +395,7 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
         ranked = [r.s for r in sorted(_Ranked(s, counter) for s in states)]
     order = [(s.agent, s.current) for s in ranked]
     ops.tick(len(order))
-    final = reserve_moves(order, proposal, occ, grid)
+    final = reserve_moves(order, proposal, occ, grid, blocked)
 
     # Safety: distinct targets and no swaps.
     assert len(set(final.values())) == len(final)

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
+from .jobs import CostField
 from .netsim import BusConfig, derive_seed
 from .planner import PlannerParams
-from .world import Cell, GridMap, build_partition, home_zone
+from .world import Cell, GridMap, build_partition
 
 
 class ConfigError(ValueError):
@@ -47,6 +47,12 @@ class ScenarioConfig:
     seed: int
     max_ticks: int
     faults: tuple[FaultEvent, ...]
+
+
+def _rect_cells(rects: list[list[int]]) -> set[Cell]:
+    """The cells of the inclusive rectangles [x0, y0, x1, y1]."""
+    return {Cell(x, y) for x0, y0, x1, y1 in rects
+            for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)}
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -88,26 +94,32 @@ def _cell(value: Any, where: str) -> Cell:
     return Cell(*value)
 
 
-def _groups(value: Any, where: str) -> tuple[frozenset[str], ...]:
-    groups = []
+def _groups(value: Any, where: str, known: set[str]) -> tuple[frozenset[str], ...]:
+    """Disjoint groups of known agent ids."""
+    groups: list[frozenset[str]] = []
+    seen: set[str] = set()
     for i, g in enumerate(_list(value, where)):
         members = _list(g, f"{where}[{i}]")
         if not all(isinstance(m, str) for m in members):
             raise ConfigError(f"{where}[{i}]: expected a list of agent ids, got {g!r}")
-        groups.append(frozenset(members))
+        group = frozenset(members)
+        if group - known:
+            raise ConfigError(f"{where}[{i}]: unknown agents {sorted(group - known)}")
+        if group & seen:
+            raise ConfigError(f"{where}[{i}]: agents {sorted(group & seen)} are already "
+                              f"in an earlier group; groups must be disjoint")
+        seen |= group
+        groups.append(group)
     return tuple(groups)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Strict parse; unknown keys anywhere are rejected."""
-    if not isinstance(data, dict):
-        raise ConfigError("scenario must be an object")
+    _object(data, "scenario")
     _require_keys(data, {"map", "partition", "agents", "jobs", "network", "planner",
                          "consensus", "balance", "seed", "max_ticks", "faults"},
                   "scenario")
-    m = data.get("map")
-    if not isinstance(m, dict):
-        raise ConfigError("map section is required")
+    m = _object(data.get("map"), "map")
     _require_keys(m, {"width", "height", "obstacles", "obstacle_rects"}, "map")
     obstacles = {_cell(c, "map.obstacles")
                  for c in _list(m.get("obstacles", []), "map.obstacles")}
@@ -115,8 +127,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         where = f"map.obstacle_rects[{idx}]"
         if not (isinstance(rect, (list, tuple)) and len(rect) == 4):
             raise ConfigError(f"{where}: expected [x0,y0,x1,y1], got {rect!r}")
-        x0, y0, x1, y1 = (_int(v, where) for v in rect)
-        obstacles.update(Cell(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1))
+        obstacles |= _rect_cells([[_int(v, where) for v in rect]])
     width = _int(m.get("width", 0), "map.width")
     height = _int(m.get("height", 0), "map.height")
     try:
@@ -138,8 +149,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     seen_ids: set[str] = set()
     seen_cells: set[Cell] = set()
     for idx, a in enumerate(_list(data.get("agents", []), "agents")):
-        if not isinstance(a, dict):
-            raise ConfigError(f"agents[{idx}]: expected object")
+        a = _object(a, f"agents[{idx}]")
         _require_keys(a, {"id", "start"}, f"agents[{idx}]")
         aid = a.get("id")
         start = _cell(a.get("start"), f"agents[{idx}].start")
@@ -157,8 +167,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     jobs: list[JobSpec] = []
     for idx, j in enumerate(_list(data.get("jobs", []), "jobs")):
-        if not isinstance(j, dict):
-            raise ConfigError(f"jobs[{idx}]: expected object")
+        j = _object(j, f"jobs[{idx}]")
         _require_keys(j, {"spawn_tick", "location", "priority"}, f"jobs[{idx}]")
         loc = _cell(j.get("location"), f"jobs[{idx}].location")
         if not grid.in_bounds(loc):
@@ -170,7 +179,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                             location=loc, priority=prio))
 
     net = _object(data.get("network", {}), "network")
-    _require_keys(net, {"drop_prob", "delay_steps", "partitions"}, "network")
+    _require_keys(net, {"drop_prob", "delay_steps"}, "network")
     delay = net.get("delay_steps", 0)
     if isinstance(delay, (list, tuple)):
         if len(delay) != 2:
@@ -217,20 +226,12 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if kind not in ("kill", "revive", "partition", "heal"):
             raise ConfigError(f"faults[{idx}]: unknown kind {kind!r}")
         agent = f.get("agent")
-        if kind in ("kill", "revive"):
-            if agent not in known_ids:
-                raise ConfigError(f"faults[{idx}]: unknown agent {agent!r}")
+        if kind in ("kill", "revive") and agent not in known_ids:
+            raise ConfigError(f"faults[{idx}]: unknown agent {agent!r}")
         faults.append(FaultEvent(tick=_int(f.get("tick", 0), f"faults[{idx}].tick"),
                                  kind=kind, agent=agent,
-                                 groups=_groups(f.get("groups", []), f"faults[{idx}].groups")))
-    # Partition schedule under network.partitions is sugar for partition faults.
-    for idx, entry in enumerate(_list(net.get("partitions", []), "network.partitions")):
-        where = f"network.partitions[{idx}]"
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise ConfigError(f"{where}: expected [tick, groups]")
-        groups = _groups(entry[1], f"{where}[1]")
-        faults.append(FaultEvent(tick=_int(entry[0], f"{where}[0]"),
-                                 kind="partition" if groups else "heal", groups=groups))
+                                 groups=_groups(f.get("groups", []), f"faults[{idx}].groups",
+                                                known_ids)))
     faults.sort(key=lambda f: (f.tick, f.kind, f.agent or ""))
 
     max_ticks = _int(data.get("max_ticks", 1000), "max_ticks")
@@ -253,20 +254,44 @@ def load_scenario(path: str) -> ScenarioConfig:
     return scenario_from_dict(data)
 
 
-def _free_connected(grid: GridMap) -> bool:
-    free = [Cell(x, y) for y in range(grid.height) for x in range(grid.width)
+# Shared by the scenario generators below.
+
+def _free_cells(grid: GridMap) -> list[Cell]:
+    """Every free cell, in (y, x) order."""
+    return [Cell(x, y) for y in range(grid.height) for x in range(grid.width)
             if grid.is_free(Cell(x, y))]
-    if not free:
-        return False
-    seen = {free[0]}
-    queue = deque([free[0]])
-    while queue:
-        cur = queue.popleft()
-        for n in grid.free_neighbors(cur):
-            if n not in seen:
-                seen.add(n)
-                queue.append(n)
-    return len(seen) == len(free)
+
+
+def _free_connected(grid: GridMap) -> bool:
+    free = _free_cells(grid)
+    costs = CostField(grid)
+    return bool(free) and all(costs.cost(c, free[0]) is not None for c in free)
+
+
+def _draw_jobs(rng: random.Random, free: list[Cell], count: int,
+               spawn_max: int) -> list[dict]:
+    return [{"spawn_tick": rng.randint(0, spawn_max),
+             "location": list(rng.choice(free)),
+             "priority": round(rng.uniform(1.2, 3.0), 2)}
+            for _ in range(count)]
+
+
+def _scenario_dict(width: int, height: int, rects: list[list[int]], rows: int,
+                   cols: int, starts: list[Cell], jobs: list[dict], network: dict,
+                   seed: int, max_ticks: int) -> dict:
+    return {
+        "map": {"width": width, "height": height, "obstacle_rects": rects},
+        "partition": {"rows": rows, "cols": cols, "overlap": 1},
+        "agents": [{"id": f"a{i:02d}", "start": list(c)} for i, c in enumerate(starts)],
+        "jobs": jobs,
+        "network": network,
+        "planner": {},
+        "consensus": {"timeout_steps": 10},
+        "balance": {"period": 10},
+        "seed": seed,
+        "max_ticks": max_ticks,
+        "faults": [],
+    }
 
 
 def bench_scenario(n_agents: int, n_jobs: int, seed: int,
@@ -278,33 +303,11 @@ def bench_scenario(n_agents: int, n_jobs: int, seed: int,
     """
     rects = [[4, 4, 6, 6], [22, 4, 24, 6], [4, 22, 6, 24],
              [22, 22, 24, 24], [13, 13, 16, 16]]
-    obstacles = set()
-    for x0, y0, x1, y1 in rects:
-        obstacles.update(Cell(x, y) for x in range(x0, x1 + 1)
-                         for y in range(y0, y1 + 1))
-    grid = GridMap(width=30, height=30, obstacles=frozenset(obstacles))
-    free = [Cell(x, y) for y in range(30) for x in range(30)
-            if grid.is_free(Cell(x, y))]
+    free = _free_cells(GridMap(30, 30, _rect_cells(rects)))
     rng = random.Random(derive_seed(seed, "bench", n_agents, n_jobs))
     starts = rng.sample(free, n_agents)
-    agents = [{"id": f"a{i:02d}", "start": list(c)} for i, c in enumerate(starts)]
-    jobs = [{"spawn_tick": rng.randint(0, 20),
-             "location": list(rng.choice(free)),
-             "priority": round(rng.uniform(1.2, 3.0), 2)}
-            for _ in range(n_jobs)]
-    return {
-        "map": {"width": 30, "height": 30, "obstacle_rects": rects},
-        "partition": {"rows": 3, "cols": 3, "overlap": 1},
-        "agents": agents,
-        "jobs": jobs,
-        "network": {"drop_prob": 0.0, "delay_steps": 0},
-        "planner": {},
-        "consensus": {"timeout_steps": 10},
-        "balance": {"period": 10},
-        "seed": seed,
-        "max_ticks": max_ticks,
-        "faults": [],
-    }
+    return _scenario_dict(30, 30, rects, 3, 3, starts, _draw_jobs(rng, free, n_jobs, 20),
+                          {"drop_prob": 0.0, "delay_steps": 0}, seed, max_ticks)
 
 
 def random_scenario(seed: int, *, max_agents: int = 12, max_jobs: int = 15,
@@ -330,37 +333,16 @@ def random_scenario(seed: int, *, max_agents: int = 12, max_jobs: int = 15,
             x0 = rng.randint(0, width - w)
             y0 = rng.randint(0, height - h)
             rects.append([x0, y0, x0 + w - 1, y0 + h - 1])
-        obstacles = set()
-        for x0, y0, x1, y1 in rects:
-            obstacles.update(Cell(x, y) for x in range(x0, x1 + 1)
-                             for y in range(y0, y1 + 1))
-        grid = GridMap(width=width, height=height, obstacles=frozenset(obstacles))
-        if _free_connected(grid) and (width * height - len(obstacles)) >= 2 * max_agents:
+        grid = GridMap(width, height, _rect_cells(rects))
+        if (_free_connected(grid)
+                and width * height - len(grid.obstacles) >= 2 * max_agents):
             break
     else:
         rects = []
         grid = GridMap(width=width, height=height)
 
-    free = [Cell(x, y) for y in range(height) for x in range(width)
-            if grid.is_free(Cell(x, y))]
-    n_agents = rng.randint(2, max_agents)
-    starts = rng.sample(free, n_agents)
-    agents = [{"id": f"a{i:02d}", "start": list(c)} for i, c in enumerate(starts)]
-    n_jobs = rng.randint(1, max_jobs)
-    jobs = [{"spawn_tick": rng.randint(0, 10),
-             "location": list(rng.choice(free)),
-             "priority": round(rng.uniform(1.2, 3.0), 2)}
-            for _ in range(n_jobs)]
-    return {
-        "map": {"width": width, "height": height, "obstacle_rects": rects},
-        "partition": {"rows": rows, "cols": cols, "overlap": 1},
-        "agents": agents,
-        "jobs": jobs,
-        "network": {"drop_prob": drop_prob, "delay_steps": delay},
-        "planner": {},
-        "consensus": {"timeout_steps": 10},
-        "balance": {"period": 10},
-        "seed": seed,
-        "max_ticks": max_ticks,
-        "faults": [],
-    }
+    free = _free_cells(grid)
+    starts = rng.sample(free, rng.randint(2, max_agents))
+    jobs = _draw_jobs(rng, free, rng.randint(1, max_jobs), 10)
+    return _scenario_dict(width, height, rects, rows, cols, starts, jobs,
+                          {"drop_prob": drop_prob, "delay_steps": delay}, seed, max_ticks)

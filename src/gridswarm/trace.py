@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 # Payload field order per event kind; canonicalization rejects unknown kinds.
 EVENT_FIELDS: dict[str, tuple[str, ...]] = {
@@ -85,6 +84,8 @@ def parse_trace(text: str) -> list[dict]:
             raise TraceFormatError(idx, f"invalid JSON: {exc}") from exc
         if not isinstance(event, dict) or "kind" not in event or "tick" not in event:
             raise TraceFormatError(idx, "event must be an object with tick and kind")
+        if type(event["tick"]) is not int:
+            raise TraceFormatError(idx, f"tick must be an integer, got {event['tick']!r}")
         kind = event["kind"]
         required = _REQUIRED.get(kind) if isinstance(kind, str) else None
         if required is None:
@@ -114,76 +115,83 @@ def verify_trace(trace: str | list[dict]) -> list[str]:
     agent_job: dict[str, Optional[str]] = {}
     leaders: dict[str, str] = {}  # zone-key -> leader
 
-    def zkey(z: Any) -> str:
-        return json.dumps(z)
+    zkey = json.dumps  # zones as hashable keys
 
     by_tick: dict[int, list[dict]] = {}
     for e in events:
         by_tick.setdefault(e["tick"], []).append(e)
 
     for tick in sorted(by_tick):
-        moves: list[dict] = []
-        for e in by_tick[tick]:
-            kind, actor = e["kind"], e.get("actor")
-            if kind == "StatePublish":
-                positions[actor] = tuple(e["position"])
-            elif kind == "Move":
-                positions[actor] = tuple(e["dst"])
-                moves.append(e)
-            elif kind in ("TickAck", "TickBroadcast"):
-                t = e["committed_tick"] if kind == "TickAck" else e["new_tick"]
-                key = (zkey(e["zone"]), t)
-                seen = snapshots.get(key)
-                if seen is None:
-                    snapshots[key] = e["digest"]
-                elif seen != e["digest"]:
-                    violations.append(
-                        f"tick {tick}: snapshot disagreement in zone {e['zone']} at zone-tick {t}")
-                last = committed.get(actor)
-                if last is not None:
-                    if t <= last:
+        moves: set[tuple] = set()
+        try:
+            for e in by_tick[tick]:
+                kind, actor = e["kind"], e.get("actor")
+                if kind == "StatePublish":
+                    positions[actor] = tuple(e["position"])
+                elif kind == "Move":
+                    src, dst = tuple(e["src"]), tuple(e["dst"])
+                    positions[actor] = dst
+                    moves.add((actor, src, dst))
+                elif kind in ("TickAck", "TickBroadcast"):
+                    t = e["committed_tick"] if kind == "TickAck" else e["new_tick"]
+                    key = (zkey(e["zone"]), t)
+                    seen = snapshots.get(key)
+                    if seen is None:
+                        snapshots[key] = e["digest"]
+                    elif seen != e["digest"]:
                         violations.append(
-                            f"tick {tick}: {actor} committed zone-tick {t} after {last}")
-                    elif t != last + 1 and not resynced_since.get(actor):
+                            f"tick {tick}: snapshot disagreement in zone {e['zone']} at zone-tick {t}")
+                    last = committed.get(actor)
+                    if last is not None:
+                        if t <= last:
+                            violations.append(
+                                f"tick {tick}: {actor} committed zone-tick {t} after {last}")
+                        elif t != last + 1 and not resynced_since.get(actor):
+                            violations.append(
+                                f"tick {tick}: {actor} jumped from zone-tick {last} to {t} without resync")
+                    committed[actor] = t
+                    resynced_since[actor] = False
+                elif kind == "Resync":
+                    resynced_since[actor] = True
+                    committed[actor] = e["resync_tick"]
+                elif kind == "MarkDead":
+                    released = e.get("released_job")
+                    if released is not None:
+                        job_assignee[released] = None
+                    agent_job[e["agent"]] = None
+                    resynced_since[e["agent"]] = True  # rejoin may jump
+                elif kind == "Election":
+                    zone = zkey(e["zone"])
+                    new_leader = e["leader"]
+                    for other_zone, lead in list(leaders.items()):
+                        if lead == new_leader and other_zone != zone:
+                            del leaders[other_zone]
+                    leaders[zone] = new_leader
+                elif kind == "Assign":
+                    zone = zkey(e["zone"])
+                    if leaders.get(zone) != actor:
                         violations.append(
-                            f"tick {tick}: {actor} jumped from zone-tick {last} to {t} without resync")
-                committed[actor] = t
-                resynced_since[actor] = False
-            elif kind == "Resync":
-                resynced_since[actor] = True
-                committed[actor] = e["resync_tick"]
-            elif kind == "MarkDead":
-                released = e.get("released_job")
-                if released is not None:
-                    job_assignee[released] = None
-                agent_job[e["agent"]] = None
-                resynced_since[e["agent"]] = True  # rejoin may jump
-            elif kind == "Election":
-                zone = zkey(e["zone"])
-                new_leader = e["leader"]
-                for other_zone, lead in list(leaders.items()):
-                    if lead == new_leader and other_zone != zone:
-                        del leaders[other_zone]
-                leaders[zone] = new_leader
-            elif kind == "Assign":
-                zone = zkey(e["zone"])
-                if leaders.get(zone) != actor:
-                    violations.append(
-                        f"tick {tick}: assignment of {e['job']} by non-leader {actor}")
-                if job_assignee.get(e["job"]) is not None:
-                    violations.append(f"tick {tick}: job {e['job']} double-assigned")
-                if agent_job.get(e["agent"]) is not None:
-                    violations.append(
-                        f"tick {tick}: agent {e['agent']} holds two assignments")
-                job_assignee[e["job"]] = e["agent"]
-                agent_job[e["agent"]] = e["job"]
-            elif kind == "Complete":
-                job_assignee[e["job"]] = None
-                agent_job[e["agent"]] = None
-            elif kind == "Mandate":
-                if actor != "super":
-                    violations.append(
-                        f"tick {tick}: mandate {e['mandate']} issued by {actor}, not the super-leader")
+                            f"tick {tick}: assignment of {e['job']} by non-leader {actor}")
+                    if job_assignee.get(e["job"]) is not None:
+                        violations.append(f"tick {tick}: job {e['job']} double-assigned")
+                    if agent_job.get(e["agent"]) is not None:
+                        violations.append(
+                            f"tick {tick}: agent {e['agent']} holds two assignments")
+                    job_assignee[e["job"]] = e["agent"]
+                    agent_job[e["agent"]] = e["job"]
+                elif kind == "Complete":
+                    job_assignee[e["job"]] = None
+                    agent_job[e["agent"]] = None
+                elif kind == "Mandate":
+                    if actor != "super":
+                        violations.append(
+                            f"tick {tick}: mandate {e['mandate']} issued by {actor}, not the super-leader")
+        except (TypeError, ValueError) as exc:
+            # The event's position is its line in a trace written by TraceWriter.
+            position = next(i for i, x in enumerate(events, start=1) if x is e)
+            raise TraceFormatError(
+                position, f"{e['kind']} event at tick {tick} by {e.get('actor')!r} "
+                f"holds a value of the wrong type: {exc}") from exc
         # Safety over realized positions.
         occupied: dict[tuple, str] = {}
         for agent, pos in sorted(positions.items()):
@@ -191,9 +199,8 @@ def verify_trace(trace: str | list[dict]) -> list[str]:
                 violations.append(
                     f"tick {tick}: vertex violation at {list(pos)} between {occupied[pos]} and {agent}")
             occupied[pos] = agent
-        seen_moves = {(m["actor"], tuple(m["src"]), tuple(m["dst"])) for m in moves}
-        for actor, src, dst in sorted(seen_moves):
-            for other, osrc, odst in seen_moves:
+        for actor, src, dst in sorted(moves):
+            for other, osrc, odst in moves:
                 if other > actor and osrc == dst and odst == src:
                     violations.append(
                         f"tick {tick}: edge swap between {actor} and {other} across {list(src)}-{list(dst)}")

@@ -102,3 +102,29 @@ def test_run_exits_2_on_a_field_of_the_wrong_type(tmp_path, capsys, section, val
     path.write_text(json.dumps(scenario))
     assert main(["run", "--scenario", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("groups", [
+    [["a00", "a01"], ["a02", "a00"]],  # overlapping
+    [["a00", "ghost"]],  # an agent random_scenario(0) lacks
+])
+def test_run_exits_2_on_bad_partition_groups(tmp_path, capsys, groups):
+    scenario = random_scenario(0)
+    scenario["faults"] = [{"tick": 2, "kind": "heal"},
+                          {"tick": 3, "kind": "partition", "groups": groups}]
+    path = tmp_path / "groups.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "faults[1].groups" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,fragment", [
+    ('{"tick":1,"kind":"Move","actor":"a","src":[0,0],"dst":5}', "line 2: Move event"),
+    ('{"tick":"1","kind":"Move","actor":"a","src":[0,0],"dst":[1,0]}', "line 2: tick"),
+])
+def test_verify_exits_2_on_a_value_of_the_wrong_type(tmp_path, capsys, line, fragment):
+    path = tmp_path / "typed.jsonl"
+    path.write_text('{"tick":0,"kind":"Move","actor":"b","src":[3,3],"dst":[3,4]}\n'
+                    + line + "\n")
+    assert main(["verify", "--trace", str(path)]) == 2
+    assert fragment in capsys.readouterr().err

@@ -39,15 +39,10 @@ def test_snapshot_records_sorted_by_agent():
     assert [r.agent for r in snap.records] == ["a", "b"]
 
 
-def test_record_payload_round_trip():
-    r = record("a", 3, 4, tick=9, job="j1", priority=2.5)
-    assert StateRecord.from_payload(r.as_payload()) == r
-
-
 def test_leader_decision_full_coverage_advances():
     d = leader_tick_decision({"a", "b"}, {"a", "b"}, waited_steps=0,
-                             timeout_steps=10, tick=7)
-    assert d == Advance(new_tick=8)
+                             timeout_steps=10)
+    assert d == Advance()
 
 
 def test_leader_decision_waits_below_timeout():
@@ -57,8 +52,8 @@ def test_leader_decision_waits_below_timeout():
 
 def test_leader_decision_marks_missing_dead_at_timeout():
     d = leader_tick_decision({"a"}, {"a", "b", "c"}, waited_steps=10,
-                             timeout_steps=10, tick=2)
-    assert d == MarkDeadAndAdvance(missing=frozenset({"b", "c"}), new_tick=3)
+                             timeout_steps=10)
+    assert d == MarkDeadAndAdvance(missing=frozenset({"b", "c"}))
 
 
 def test_tick_gap_detection():

@@ -1,6 +1,7 @@
 import pytest
 
 from gridswarm.engine import SUPER, Simulation, run_scenario
+from gridswarm.jobs import JobStatus
 from gridswarm.netsim import zone_topic
 from gridswarm.scenario import bench_scenario, random_scenario, scenario_from_dict
 from gridswarm.trace import parse_trace, verify_trace
@@ -70,6 +71,34 @@ def test_jobs_assigned_by_zone_leader_to_cheapest_bidder():
         assert bids
         best = min(b["cost"] for b in bids if b["cost"] is not None)
         assert e["cost"] == best
+
+
+def test_released_job_still_pending_at_the_end_has_no_waits():
+    # a04 is marked dead at tick 14, the last round, and releases j002.
+    sim = Simulation(scenario_from_dict(
+        random_scenario(7, drop_prob=0.05, delay=1, max_ticks=14)))
+    metrics, trace = sim.run()
+    assert not metrics.completed
+    assert [e["agent"] for e in events_of(trace, "MarkDead")
+            if e["released_job"] == "j002"] == ["a04"]
+    assert sim.jobs["j002"].status is JobStatus.PENDING
+    assert metrics.job_waits["j002"] == (None, None)
+
+
+def test_job_waits_and_makespan_match_the_trace():
+    # A lossy run that completes after a MarkDead released j002 for reassignment.
+    metrics, trace = run_scenario(scenario_from_dict(
+        random_scenario(7, drop_prob=0.05, delay=1)))
+    assert metrics.completed
+    assert [e["released_job"] for e in events_of(trace, "MarkDead")
+            if e["released_job"]] == ["j002"]
+    spawned = {e["job"]: e["tick"] for e in events_of(trace, "JobSpawn")
+               if not e["rejected"]}
+    assigned = {e["job"]: e["tick"] for e in events_of(trace, "Assign")}  # the last
+    completed = {e["job"]: e["tick"] for e in events_of(trace, "Complete")}
+    assert metrics.job_waits == {job: (assigned[job] - tick, completed[job] - tick)
+                                 for job, tick in spawned.items()}
+    assert metrics.makespan == max(completed.values()) - min(spawned.values())
 
 
 def test_completion_events_close_out_jobs():

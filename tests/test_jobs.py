@@ -40,7 +40,7 @@ def test_spawn_creates_pending_job():
     grid = GridMap(width=4, height=4)
     job = spawn_job(grid, "j0", Cell(2, 3), 1.5, 7)
     assert job.status.value == "pending"
-    assert job.assignee is None
+    assert job.assign_tick is None and job.completion_tick is None
     assert job.spawn_tick == 7
 
 

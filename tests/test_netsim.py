@@ -197,7 +197,7 @@ class ReferenceBus:
     def set_partition(self, groups):
         self._group = {a: idx for idx, g in enumerate(groups) for a in g}
 
-    def publish(self, sender, topic, payload, tick=0):
+    def publish(self, sender, topic, payload):
         if self.config.drop_prob > 0 and self._rng.random() < self.config.drop_prob:
             return False
         key = (sender, topic)
@@ -207,8 +207,8 @@ class ReferenceBus:
         delay = d if isinstance(d, int) else self._rng.randint(d[0], d[1])
         deliver_at = max(self.now + delay, self._last_deliver_at.get(key, 0))
         self._last_deliver_at[key] = deliver_at
-        env = Envelope(seq=seq, sender=sender, topic=topic, sent_tick=tick,
-                       deliver_at=deliver_at, payload=payload)
+        env = Envelope(seq=seq, sender=sender, topic=topic, deliver_at=deliver_at,
+                       payload=payload)
         for sub in sorted(self._subs.get(topic, ())):
             if sub != sender and self._group.get(sub, -1) == self._group.get(sender, -1):
                 heapq.heappush(self._queue, (deliver_at, sender, topic, seq, sub, env))
@@ -261,7 +261,7 @@ def test_bus_matches_per_recipient_reference(seed, drop_prob, delay, ops):
             bus.unsubscribe(op[1], op[2])
             ref.unsubscribe(op[1], op[2])
         elif op[0] == "pub":
-            assert bus.publish(op[1], op[2], i, tick=i) == ref.publish(op[1], op[2], i, tick=i)
+            assert bus.publish(op[1], op[2], i) == ref.publish(op[1], op[2], i)
         elif op[0] == "part":
             groups = [[a for a, g in zip(ACTORS, op[1]) if g == idx] for idx in (0, 1)]
             bus.set_partition(groups)

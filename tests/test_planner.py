@@ -99,6 +99,53 @@ def test_astar_length_equals_bfs(data):
         assert path is not None and len(path) - 1 == dist
 
 
+def pocket_map(data):
+    """A small map walled into pockets, some of them sealed, and a seeded rng."""
+    w = data.draw(st.integers(3, 12))
+    h = data.draw(st.integers(3, 12))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    walls = set()
+    for _ in range(rng.randint(0, 3)):
+        x0, y0 = rng.randrange(w - 2), rng.randrange(h - 2)
+        x1, y1 = rng.randint(x0 + 2, w - 1), rng.randint(y0 + 2, h - 1)
+        ring = [Cell(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)
+                if x in (x0, x1) or y in (y0, y1)]
+        if rng.random() < 0.6:  # a door into the pocket
+            ring.remove(rng.choice(ring))
+        walls.update(ring)
+    return GridMap(width=w, height=h, obstacles=frozenset(walls)), rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_plan_path_with_blocked_cells_matches_a_map_with_them_as_obstacles(data):
+    grid, rng = pocket_map(data)
+    free = [Cell(x, y) for y in range(grid.height) for x in range(grid.width)
+            if grid.is_free(Cell(x, y))]
+    if not free:
+        return
+    start, goal = rng.choice(free), rng.choice(free)
+    density = data.draw(st.sampled_from([0.0, 0.1, 0.3]))
+    blocked = {c for c in free if c not in (start, goal) and rng.random() < density}
+    if data.draw(st.booleans()):
+        blocked.add(goal)
+    path = plan_path(grid, start, goal, blocked)
+    if goal in blocked:
+        assert path is None
+    else:
+        walled = GridMap(width=grid.width, height=grid.height,
+                         obstacles=grid.obstacles | blocked)
+        assert path == plan_path(walled, start, goal)
+
+
+def test_plan_path_is_none_when_blocked_holds_the_start_or_cuts_the_way():
+    grid = GridMap(width=4, height=1)
+    assert plan_path(grid, Cell(0, 0), Cell(3, 0), {Cell(0, 0)}) is None
+    assert plan_path(grid, Cell(0, 0), Cell(0, 0), {Cell(0, 0)}) is None
+    assert plan_path(grid, Cell(0, 0), Cell(3, 0), {Cell(2, 0)}) is None
+    assert plan_path(grid, Cell(0, 0), Cell(1, 0), {Cell(2, 0)}) == [Cell(0, 0), Cell(1, 0)]
+
+
 # ------------------------------------------------------- conflict classification
 
 def test_classify_edge_swap():
@@ -378,6 +425,54 @@ def test_resolution_same_with_and_without_op_counter(data):
     assert plain == counted
     assert plain_log == counted_log
     assert counter.n > 0
+
+
+def test_deadlocked_agent_steps_aside_from_a_blocked_cell():
+    """a and b try to swap in a matured deadlock. b's ramped force points
+    north at a blocked cell, so b steps east, as it would beside a wall."""
+    states = [ks("a", (0, 1), (0, 2), 1.0, stuck=4, has_job=True),
+              ks("b", (0, 2), (0, 1), 2.0, stuck=2, has_job=True)]
+    blocked = {Cell(0, 3)}
+    walled = GridMap(width=4, height=4, obstacles=frozenset(blocked))
+    for seed in range(3):
+        moves = resolve_zone_step(states, GridMap(width=4, height=4), PlannerParams(),
+                                  rng_factory(seed), blocked=blocked)
+        assert moves["b"] == Cell(1, 2)
+        assert moves == resolve_zone_step(states, walled, PlannerParams(), rng_factory(seed))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_resolution_with_blocked_cells_matches_a_map_with_them_as_obstacles(data):
+    """Blocked cells act exactly like obstacles on the moves and the log."""
+    grid, rng = pocket_map(data)
+    free = [Cell(x, y) for y in range(grid.height) for x in range(grid.width)
+            if grid.is_free(Cell(x, y))]
+    if len(free) < 2:
+        return
+    # A cluster of agents around a random cell, with blocked cells among them.
+    centre = rng.choice(free)
+    near = sorted(free, key=lambda c: (manhattan(c, centre), rng.random()))[:16]
+    rng.shuffle(near)
+    n = data.draw(st.integers(2, 10))
+    currents = near[:n]
+    blocked = {c for c in near[n:] if rng.random() < 0.6}
+    states = [KinematicState(
+        agent=f"a{idx:02d}", current=cur,
+        intent=data.draw(st.sampled_from([cur] + grid.free_neighbors(cur))),
+        priority=data.draw(st.sampled_from([1.0, 1.5, 2.0])),
+        stuck=data.draw(st.integers(0, 4)), has_job=data.draw(st.booleans()))
+        for idx, cur in enumerate(currents)]
+    seed = data.draw(st.integers(0, 99))
+    walled = GridMap(width=grid.width, height=grid.height,
+                     obstacles=grid.obstacles | blocked)
+    log, walled_log = [], []
+    moves = resolve_zone_step(states, grid, PlannerParams(), rng_factory(seed),
+                              log=log, blocked=blocked)
+    assert moves == resolve_zone_step(states, walled, PlannerParams(),
+                                      rng_factory(seed), log=walled_log)
+    assert log == walled_log
+    assert not set(moves.values()) & blocked
 
 
 @settings(max_examples=120, deadline=None)

@@ -88,12 +88,37 @@ def test_fault_validation():
             faults=[{"tick": 1, "kind": "kill", "agent": "ghost"}]))
 
 
-def test_partition_schedule_desugars_to_faults():
-    cfg = scenario_from_dict(minimal(
-        network={"partitions": [[5, [["a0"]]], [9, []]]}))
-    kinds = [(f.tick, f.kind) for f in cfg.faults]
-    assert (5, "partition") in kinds
-    assert (9, "heal") in kinds
+# Partition groups over the agents of random_scenario(0), a00 to a10: two
+# groups that share a00, and a group naming an agent the scenario lacks.
+BAD_GROUPS = {
+    "overlapping": ([["a00", "a01"], ["a02", "a00"]],
+                    r"faults\[1\]\.groups\[1\]: agents \['a00'\] are already"),
+    "unknown agent": ([["a00", "ghost"]],
+                      r"faults\[1\]\.groups\[0\]: unknown agents \['ghost'\]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GROUPS))
+def test_partition_groups_checked_at_parse_time(case):
+    groups, message = BAD_GROUPS[case]
+    scenario = random_scenario(0)
+    scenario["faults"] = [{"tick": 2, "kind": "heal"},
+                          {"tick": 3, "kind": "partition", "groups": groups}]
+    with pytest.raises(ConfigError, match=message):
+        scenario_from_dict(scenario)
+
+
+def test_disjoint_partition_groups_of_known_agents_parse():
+    scenario = random_scenario(0)
+    scenario["faults"] = [{"tick": 3, "kind": "partition",
+                           "groups": [["a00", "a01"], ["a02"]]}]
+    (fault,) = scenario_from_dict(scenario).faults
+    assert fault.groups == (frozenset({"a00", "a01"}), frozenset({"a02"}))
+
+
+def test_network_partitions_key_is_unknown():
+    with pytest.raises(ConfigError, match="partitions"):
+        scenario_from_dict(minimal(network={"partitions": [[5, [["a0"]]]]}))
 
 
 def test_load_scenario_file(tmp_path):

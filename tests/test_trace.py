@@ -71,6 +71,37 @@ def test_event_missing_a_field_is_a_format_error(missing):
         verify_trace(text)
 
 
+def test_tick_must_be_an_integer():
+    for tick in ('"3"', "true", "1.5", "null"):
+        with pytest.raises(TraceFormatError, match="tick must be an integer") as err:
+            parse_trace('{"tick":0,"kind":"Resync","actor":"a","zone":[0,0],"resync_tick":0}\n'
+                        f'{{"tick":{tick},"kind":"Resync","actor":"a","zone":[0,0],'
+                        '"resync_tick":0}\n')
+        assert err.value.line_no == 2
+
+
+# Values of the wrong type that the verifier used to crash on with a TypeError.
+WRONG_TYPE = [
+    '{"tick":4,"kind":"Move","actor":"a7","src":[0,0],"dst":5}',
+    '{"tick":4,"kind":"Move","actor":"a7","src":null,"dst":[1,0]}',
+    '{"tick":4,"kind":"Move","actor":"a7","src":[0,0],"dst":[[1],0]}',
+    '{"tick":4,"kind":"StatePublish","actor":"a7","zone":[0,0],"position":3,'
+    '"intent":[0,0],"job":null,"agent_tick":0}',
+    '{"tick":4,"kind":"TickAck","actor":"a7","zone":[0,0],"committed_tick":"2","digest":"d"}',
+]
+
+
+@pytest.mark.parametrize("line", WRONG_TYPE)
+def test_value_of_the_wrong_type_is_a_format_error(line):
+    text = ('{"tick":1,"kind":"TickAck","actor":"a7","zone":[0,0],"committed_tick":1,'
+            '"digest":"d"}\n' + line + "\n")
+    kind = json.loads(line)["kind"]
+    with pytest.raises(TraceFormatError, match=f"line 2: {kind} event at tick 4 by 'a7'") as err:
+        verify_trace(text)
+    assert err.value.line_no == 2
+    assert isinstance(err.value.__cause__, (TypeError, ValueError))
+
+
 def test_every_emitted_kind_parses_back():
     w = TraceWriter()
     for kind, fields in EVENT_FIELDS.items():
