@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Compare trace digests and run metrics between this checkout and another.
+
+    python3 scripts/compare_runs.py --against ../parent-checkout
+
+The run set has 143 scenarios:
+- the 20 golden entries of ``tests/test_golden.py``
+- the benchmark's workloads (``perfbench/workloads.py``) at seeds 1 and 2,
+  13 scenarios each
+- ``random_scenario`` seeds 12-59, each with a kill of ``a00`` at tick 3 and
+  its revive at tick 13
+- ``lossy_scenario`` seeds 11-59 from ``perfbench/workloads.py``
+
+The scenarios are built once, by this checkout, so the other checkout's
+generators cannot change the input. Each checkout then runs the whole set in a
+fresh interpreter with its own ``src/`` first on ``PYTHONPATH``. The script
+prints every run whose trace digest or ``metrics.flat()`` differs, with the
+keys that differ and each side's verifier violations, and exits 1 if any run
+differs (0 if none, 2 if a checkout fails to run the set).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def build_runs() -> dict[str, dict]:
+    """Scenario dicts by run name, in a fixed order."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+    import test_golden
+    import workloads
+    from gridswarm.scenario import random_scenario
+
+    runs = {f"golden/{name}": sc for name, sc in test_golden.corpus().items()}
+    for seed in (1, 2):
+        for name, make in workloads.WORKLOADS.items():
+            for i, sc in enumerate(make(seed)):
+                runs[f"{name}@{seed}/{i}"] = sc
+    for seed in range(12, 60):
+        sc = random_scenario(seed)
+        sc["faults"] = [{"tick": 3, "kind": "kill", "agent": "a00"},
+                        {"tick": 13, "kind": "revive", "agent": "a00"}]
+        runs[f"random_kill/{seed}"] = sc
+    for seed in range(11, 60):
+        runs[f"lossy/{seed}"] = workloads.lossy_scenario(seed)
+    return runs
+
+
+def emit(path: str) -> None:
+    """Run every scenario in the JSON file `path`; print the results as JSON."""
+    from gridswarm.engine import run_scenario
+    from gridswarm.scenario import scenario_from_dict
+    from gridswarm.trace import verify_trace
+
+    out = {}
+    with open(path) as fh:
+        runs = json.load(fh)
+    for name, sc in runs.items():
+        metrics, trace = run_scenario(scenario_from_dict(sc))
+        out[name] = {"digest": trace.digest(), "flat": metrics.flat(),
+                     "violations": len(verify_trace(trace.dump()))}
+    json.dump(out, sys.stdout)
+
+
+def run_checkout(checkout: Path, scenarios: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(checkout / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, __file__, "--emit", scenarios],
+                          env=env, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        print(f"error: the run set failed on {checkout}", file=sys.stderr)
+        sys.exit(2)
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--against", type=Path, help="the other checkout")
+    group.add_argument("--emit", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.emit:
+        emit(args.emit)
+        return 0
+
+    runs = build_runs()
+    with tempfile.TemporaryDirectory() as tmp:
+        scenarios = os.path.join(tmp, "runs.json")
+        with open(scenarios, "w") as fh:
+            json.dump(runs, fh)
+        base = run_checkout(args.against.resolve(), scenarios)
+        this = run_checkout(ROOT, scenarios)
+
+    differing = 0
+    for name in runs:
+        a, b = base[name], this[name]
+        keys = sorted(k for k in a["flat"].keys() | b["flat"].keys()
+                      if a["flat"].get(k) != b["flat"].get(k))
+        if a["digest"] == b["digest"] and not keys:
+            continue
+        differing += 1
+        print(f"{name}: digest {'differs' if a['digest'] != b['digest'] else 'same'}, "
+              f"violations {a['violations']} -> {b['violations']}")
+        for k in keys:
+            print(f"    {k}: {a['flat'].get(k)!r} -> {b['flat'].get(k)!r}")
+    print(f"{differing} of {len(runs)} runs differ from {args.against}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

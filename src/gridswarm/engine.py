@@ -73,6 +73,8 @@ class AgentSim:
     is_leader: bool = False  # leads its home zone
     solo_rounds: int = 0
     home: ZoneId = (0, 0)
+    # Zones whose expanded bounds hold the agent: its planning groups and
+    # the zones its state publishes go to.
     subscribed: frozenset[ZoneId] = frozenset()
     job: Optional[str] = None
     mandate: Optional[bal.MigrationMandate] = None
@@ -152,31 +154,29 @@ class Simulation:
 
         self.zones = {z: ZoneState() for z in self.partition.zone_ids()}
         # (zone, kind) of every topic; the kind is also its message-count class.
+        # A topic reaches only its readers: zone global_tick the home agents,
+        # db_update and tick_ack the leader, super/inbox the super-leader.
         self._topics: dict[str, tuple[Optional[ZoneId], str]] = {
             zone_topic(z, kind): (z, kind) for z in self.zones
             for kind in ("db_update", "global_tick", "tick_ack")}
         for topic in ("super/loads", "super/election", "super/mandates"):
             self._topics[topic] = (None, topic.replace("/", "_"))
+        self._topics["super/inbox"] = (None, "super_election")
         self.sup = SuperState(self.zones)
-
-        self.agents: dict[str, AgentSim] = {}
-        # Agent ids by home zone; _after_move is the only place homes change.
-        self._by_home: dict[ZoneId, set[str]] = {z: set() for z in self.zones}
-        for aid, start in config.agents:
-            a = AgentSim(id=aid, position=start)
-            a.home = home_zone(start, self.partition)
-            self.agents[aid] = a
-            self._by_home[a.home].add(aid)
 
         self.bus.register(SUPER)
         self.bus.register(CONTROLLER)
         self.bus.subscribe(SUPER, "super/loads")
-        self.bus.subscribe(SUPER, "super/election")
-        for aid in sorted(self.agents):
+        self.bus.subscribe(SUPER, "super/inbox")
+        self.agents: dict[str, AgentSim] = {}
+        for aid, start in config.agents:
+            a = self.agents[aid] = AgentSim(id=aid, position=start)
+            a.home = home_zone(start, self.partition)
+            a.subscribed = frozenset(subscribed_zones(start, self.partition))
             self.bus.register(aid)
             self.bus.subscribe(aid, "super/election")
             self.bus.subscribe(aid, "super/mandates")
-            self._resubscribe(self.agents[aid])
+            self.bus.subscribe(aid, zone_topic(a.home, "global_tick"))
 
     # ------------------------------------------------------------------ utils
 
@@ -188,27 +188,22 @@ class Simulation:
         if self.bus.publish(sender, topic, payload):
             self.metrics.messages[cls] = self.metrics.messages.get(cls, 0) + 1
 
-    def _resubscribe(self, a: AgentSim) -> None:
-        new = frozenset(subscribed_zones(a.position, self.partition))
-        for z in sorted(a.subscribed - new):
-            self.bus.unsubscribe(a.id, zone_topic(z, "db_update"))
-            self.bus.unsubscribe(a.id, zone_topic(z, "global_tick"))
-        for z in sorted(new - a.subscribed):
-            self.bus.subscribe(a.id, zone_topic(z, "db_update"))
-            self.bus.subscribe(a.id, zone_topic(z, "global_tick"))
-        a.subscribed = new
-
     def _demote(self, a: AgentSim) -> None:
         """Step `a` down from leading its home zone."""
         a.is_leader = False
+        self.bus.unsubscribe(a.id, zone_topic(a.home, "db_update"))
         self.bus.unsubscribe(a.id, zone_topic(a.home, "tick_ack"))
         zs = self.zones[a.home]
         if zs.leader == a.id:
             zs.leader = None
 
+    def _homed(self, zone: ZoneId) -> Iterable[AgentSim]:
+        """The agents whose home is `zone`, by id: its global_tick subscribers."""
+        return map(self.agents.__getitem__,
+                   self.bus.subscribers(zone_topic(zone, "global_tick")))
+
     def _members(self, zone: ZoneId) -> list[AgentSim]:
-        agents = (self.agents[aid] for aid in sorted(self._by_home[zone]))
-        return [a for a in agents if a.status is cons.Liveness.ALIVE]
+        return [a for a in self._homed(zone) if a.status is cons.Liveness.ALIVE]
 
     def _active_leader(self, zone: ZoneId) -> Optional[AgentSim]:
         lid = self.zones[zone].leader
@@ -328,7 +323,7 @@ class Simulation:
         for zone in sorted(self.zones):
             lr = rounds.get(zone)
             has_live = any(a.powered and a.status is not cons.Liveness.DEAD
-                           for a in map(self.agents.get, self._by_home[zone]))
+                           for a in self._homed(zone))
             if has_live and (lr is None or not lr.broadcast):
                 self.metrics.ticks_halted += 1
             if lr is not None and not lr.broadcast and lr.probe_sent and not lr.confirm_ok:
@@ -338,7 +333,7 @@ class Simulation:
                 leader.solo_rounds += 1
                 if leader.solo_rounds >= 2 and leader.is_leader:
                     self._demote(leader)
-                    self._publish(lr.leader, "super/election",
+                    self._publish(lr.leader, "super/inbox",
                                   {"kind": "stepdown", "zone": zone,
                                    "leader": lr.leader})
         # Cross-round staleness drives leader-loss reporting.
@@ -351,7 +346,7 @@ class Simulation:
             else:
                 a.stale_rounds += 1
                 if a.stale_rounds >= 2 and a.stale_rounds % 2 == 0:
-                    self._publish(aid, "super/election",
+                    self._publish(aid, "super/inbox",
                                   {"kind": "leader_loss", "zone": a.home,
                                    "agent": aid, "tick": a.local_tick})
         return rounds
@@ -377,7 +372,7 @@ class Simulation:
                 # whole zone dead; the super-leader acts as the arbiter.
                 if not lr.probe_sent:
                     lr.probe_sent = True
-                    self._publish(lr.leader, "super/election",
+                    self._publish(lr.leader, "super/inbox",
                                   {"kind": "suspect", "zone": lr.zone,
                                    "leader": lr.leader})
                 if lr.confirm_ok:
@@ -455,43 +450,41 @@ class Simulation:
         """Hand one envelope to its recipients in order."""
         zone, kind = self._topics[env.topic]
         payload = env.payload
-        if kind == "db_update" and payload["kind"] == "state":
-            # Only the zone leader stores records, and only from its roster.
+        if kind in ("db_update", "tick_ack"):
+            # Read by the round's leader alone; it stores records only from
+            # its roster.
             lr = rounds.get(zone)
-            if (lr is not None and env.sender in lr.expected
-                    and lr.leader in recipients):
-                lr.states[env.sender] = payload["record"]
+            if lr is None or lr.leader not in recipients:
+                return
+            if payload["kind"] == "state":
+                if env.sender in lr.expected:
+                    lr.states[env.sender] = payload["record"]
+            elif payload["kind"] == "resync_req":
+                zs = self.zones[zone]
+                if zs.snapshot is not None:
+                    self._publish(lr.leader, zone_topic(zone, "global_tick"),
+                                  {"kind": "resync_resp", "target": payload["agent"],
+                                   "tick": zs.tick, "snapshot": zs.snapshot,
+                                   "roster": sorted(lr.expected | {payload["agent"]})})
+            else:
+                lr.tick_acks.add(env.sender)
+                for job_id, cost in payload["bids"]:
+                    if job_id in lr.solicited:
+                        self._bid(lr, env.sender, job_id, cost)
             return
         for recipient in recipients:
             if recipient == SUPER:
                 self._handle_super(env)
                 continue
-            a = self.agents.get(recipient)
-            if a is None or not a.powered:
+            a = self.agents[recipient]
+            if not a.powered:
                 continue
-            if kind == "db_update":
-                self._handle_resync_req(a, zone, payload, rounds)
-            elif kind == "global_tick":
+            if kind == "global_tick":
                 self._handle_global_tick(a, zone, payload, rounds)
-            elif kind == "tick_ack":
-                self._handle_tick_ack(a, zone, env, rounds)
             elif kind == "super_election":
                 self._handle_election_msg(a, payload, rounds)
             elif kind == "super_mandates":
                 self._handle_mandate_msg(a, payload)
-
-    def _handle_resync_req(self, a: AgentSim, zone: ZoneId, payload: dict,
-                           rounds: dict[ZoneId, LeaderRound]) -> None:
-        lr = rounds.get(zone)
-        if lr is None or lr.leader != a.id:
-            return
-        zs = self.zones[zone]
-        if zs.snapshot is None:
-            return
-        self._publish(a.id, zone_topic(zone, "global_tick"),
-                      {"kind": "resync_resp", "target": payload["agent"],
-                       "tick": zs.tick, "snapshot": zs.snapshot,
-                       "roster": sorted(lr.expected | {payload["agent"]})})
 
     def _handle_global_tick(self, a: AgentSim, zone: ZoneId, payload: dict,
                             rounds: dict[ZoneId, LeaderRound]) -> None:
@@ -531,16 +524,6 @@ class Simulation:
         self._publish(a.id, zone_topic(zone, "tick_ack"),
                       {"kind": "tick_ack", "tick": new_tick, "bids": bids})
 
-    def _handle_tick_ack(self, a: AgentSim, zone: ZoneId, env,
-                         rounds: dict[ZoneId, LeaderRound]) -> None:
-        lr = rounds.get(zone)
-        if lr is None or lr.leader != a.id:
-            return
-        lr.tick_acks.add(env.sender)
-        for job_id, cost in env.payload.get("bids", []):
-            if job_id in lr.solicited:
-                self._bid(lr, env.sender, job_id, cost)
-
     def _handle_election_msg(self, a: AgentSim, payload: dict,
                              rounds: dict[ZoneId, LeaderRound]) -> None:
         kind = payload["kind"]
@@ -549,7 +532,7 @@ class Simulation:
             if a.home != zone or a.status is not cons.Liveness.ALIVE:
                 return
             dist = elec.centroid_distance(a.position, self.partition.zone(zone))
-            self._publish(a.id, "super/election",
+            self._publish(a.id, "super/inbox",
                           {"kind": "candidacy", "zone": zone,
                            "election": payload["election"], "agent": a.id,
                            "distance": dist, "tick": a.local_tick})
@@ -568,6 +551,7 @@ class Simulation:
                     self._emit("Resync", a.id, zone=list(zone),
                                resync_tick=zs.tick)
                 a.local_tick = max(a.local_tick, zs.tick)
+                self.bus.subscribe(a.id, zone_topic(zone, "db_update"))
                 self.bus.subscribe(a.id, zone_topic(zone, "tick_ack"))
             elif a.is_leader and a.home == zone:
                 self._demote(a)
@@ -798,8 +782,7 @@ class Simulation:
                 priority=a.priority, stuck=a.stuck,
                 has_job=a.goal is not None and can_move)
         proposals: dict[str, Cell] = {aid: s.intent for aid, s in states.items()}
-        # A zone's group: powered agents inside its expanded bounds, which
-        # are the zones each agent subscribes to (see _resubscribe).
+        # A zone's group: powered agents inside its expanded bounds.
         groups: dict[ZoneId, list[plan.KinematicState]] = {}
         for aid in sorted(states):
             if self.agents[aid].powered:
@@ -868,17 +851,17 @@ class Simulation:
         if new_home != a.home:
             if a.is_leader:
                 self._demote(a)
-                self._publish(a.id, "super/election",
+                self._publish(a.id, "super/inbox",
                               {"kind": "stepdown", "zone": a.home, "leader": a.id})
-            self._by_home[a.home].discard(a.id)
-            self._by_home[new_home].add(a.id)
+            self.bus.unsubscribe(a.id, zone_topic(a.home, "global_tick"))
+            self.bus.subscribe(a.id, zone_topic(new_home, "global_tick"))
             a.home = new_home
             if a.mandate is not None and new_home == a.mandate.to_zone:
                 self.metrics.migrations += 1
                 a.mandate = None
                 a.goal = None
                 a.path = None
-        self._resubscribe(a)
+        a.subscribed = frozenset(subscribed_zones(a.position, self.partition))
 
     # Phase 8: completion checks at committed positions.
     def _phase_complete(self) -> None:

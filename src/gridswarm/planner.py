@@ -40,13 +40,10 @@ class KinematicState:
 
 @dataclass(frozen=True)
 class PlannerParams:
-    f: float = 1.0
     deadlock_threshold: int = 2
     ramp_cap: int = 8
 
     def __post_init__(self) -> None:
-        if self.f <= 0:
-            raise ValueError("base force magnitude must be > 0")
         if self.deadlock_threshold < 1 or self.ramp_cap < 1:
             raise ValueError("thresholds must be >= 1")
 
@@ -171,17 +168,15 @@ def compute_force(i: KinematicState, j: Optional[KinematicState],
     No conflict: follow own intent direction. Conflict with `j`: align with
     j's direction scaled by own priority plus a random safe escape scaled by
     j's priority. Under deadlock the own-priority factor is ramped to
-    priority**stuck (exponent capped).
+    priority**stuck (exponent capped). The scale is arbitrary: quantize_move
+    reads only the sign and order of dot products.
     """
-    f = params.f
     if j is None or conflict in (ConflictKind.NONE, ConflictKind.WAIT):
-        dx, dy = _unit_dir(i)
-        return (f * dx, f * dy)
+        return _unit_dir(i)
     p_i = i.priority ** min(i.stuck, params.ramp_cap) if deadlock else i.priority
     jdx, jdy = _unit_dir(j)
     rx, ry = random_safe_vector(i, grid, rng, blocked=blocked)
-    return (f * p_i * jdx + f * j.priority * rx,
-            f * p_i * jdy + f * j.priority * ry)
+    return (p_i * jdx + j.priority * rx, p_i * jdy + j.priority * ry)
 
 
 def quantize_move(force: tuple[float, float], current: Cell, grid: GridMap,

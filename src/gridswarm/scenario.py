@@ -196,12 +196,11 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"network: {exc}") from exc
 
     pl = _object(data.get("planner", {}), "planner")
-    _require_keys(pl, {"f", "deadlock_threshold", "ramp_cap"}, "planner")
-    force = _number(pl.get("f", 1.0), "planner.f")
+    _require_keys(pl, {"deadlock_threshold", "ramp_cap"}, "planner")
     threshold = _int(pl.get("deadlock_threshold", 2), "planner.deadlock_threshold")
     ramp_cap = _int(pl.get("ramp_cap", 8), "planner.ramp_cap")
     try:
-        planner = PlannerParams(f=force, deadlock_threshold=threshold, ramp_cap=ramp_cap)
+        planner = PlannerParams(deadlock_threshold=threshold, ramp_cap=ramp_cap)
     except ValueError as exc:
         raise ConfigError(f"planner: {exc}") from exc
 

@@ -93,8 +93,17 @@ def parse_trace(text: str) -> list[dict]:
         if not required <= event.keys():
             raise TraceFormatError(
                 idx, f"{kind} event lacks fields {sorted(required - event.keys())}")
+        if not isinstance(event["actor"], str):
+            raise TraceFormatError(idx, f"actor must be a string, got {event['actor']!r}")
         events.append(event)
     return events
+
+
+def _cell(value: Any) -> tuple[int, int]:
+    """`value` as a hashable cell; TypeError unless it is two integers."""
+    if type(value) is not list or len(value) != 2 or any(type(v) is not int for v in value):
+        raise TypeError(f"a cell must be two integers, got {value!r}")
+    return (value[0], value[1])
 
 
 def verify_trace(trace: str | list[dict]) -> list[str]:
@@ -127,9 +136,9 @@ def verify_trace(trace: str | list[dict]) -> list[str]:
             for e in by_tick[tick]:
                 kind, actor = e["kind"], e.get("actor")
                 if kind == "StatePublish":
-                    positions[actor] = tuple(e["position"])
+                    positions[actor] = _cell(e["position"])
                 elif kind == "Move":
-                    src, dst = tuple(e["src"]), tuple(e["dst"])
+                    src, dst = _cell(e["src"]), _cell(e["dst"])
                     positions[actor] = dst
                     moves.add((actor, src, dst))
                 elif kind in ("TickAck", "TickBroadcast"):

@@ -121,6 +121,9 @@ def test_run_exits_2_on_bad_partition_groups(tmp_path, capsys, groups):
 @pytest.mark.parametrize("line,fragment", [
     ('{"tick":1,"kind":"Move","actor":"a","src":[0,0],"dst":5}', "line 2: Move event"),
     ('{"tick":"1","kind":"Move","actor":"a","src":[0,0],"dst":[1,0]}', "line 2: tick"),
+    ('{"tick":0,"kind":"StatePublish","actor":"a","zone":[0,0],"position":[[1],0],'
+     '"intent":[0,0],"job":null,"agent_tick":0}', "line 2: StatePublish event"),
+    ('{"tick":0,"kind":"Move","actor":5,"src":[0,0],"dst":[1,0]}', "line 2: actor"),
 ])
 def test_verify_exits_2_on_a_value_of_the_wrong_type(tmp_path, capsys, line, fragment):
     path = tmp_path / "typed.jsonl"

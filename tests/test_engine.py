@@ -1,6 +1,6 @@
 import pytest
 
-from gridswarm.engine import SUPER, Simulation, run_scenario
+from gridswarm.engine import SUPER, LeaderRound, Simulation, run_scenario
 from gridswarm.jobs import JobStatus
 from gridswarm.netsim import zone_topic
 from gridswarm.scenario import bench_scenario, random_scenario, scenario_from_dict
@@ -292,23 +292,33 @@ def test_cost_fields_are_dropped_once_their_jobs_complete():
 
 
 def test_zone_lookups_follow_every_move():
-    """The home-zone sets and subscriptions the engine reads instead of
-    scanning agents stay equal to a fresh scan, through migrations."""
-    sim = Simulation(scenario_from_dict(bench_scenario(20, 30, seed=11)))
+    """Each zone topic's subscribers are the agents whose role reads it, and
+    each agent's zones equal a fresh scan, through migrations, kills and
+    elections."""
+    sc = bench_scenario(20, 30, seed=11)
+    sc["faults"] = [{"tick": t, "kind": kind, "agent": f"a{i:02d}"}
+                    for i in range(0, 20, 3) for t, kind in ((4, "kill"), (14, "revive"))]
+    sim = Simulation(scenario_from_dict(sc))
     sim._bootstrap()
     while sim.round < 80 and not sim._all_jobs_done():
         sim.round += 1
         sim._run_round()
         for zone in sim.zones:
-            assert sim._by_home[zone] == {aid for aid, a in sim.agents.items()
-                                          if a.home == zone}
+            homed = tuple(sorted(aid for aid, a in sim.agents.items() if a.home == zone))
+            leaders = tuple(sorted(aid for aid, a in sim.agents.items()
+                                   if a.is_leader and a.home == zone))
+            assert sim.bus.subscribers(zone_topic(zone, "global_tick")) == homed
+            assert sim.bus.subscribers(zone_topic(zone, "db_update")) == leaders
+            assert sim.bus.subscribers(zone_topic(zone, "tick_ack")) == leaders
+        assert sim.bus.subscribers("super/inbox") == (SUPER,)
         for a in sim.agents.values():
             assert a.subscribed == subscribed_zones(a.position, sim.partition)
     assert sim.metrics.migrations > 0
+    assert any(e["tick"] > 0 for e in events_of(sim.trace, "Election"))
 
 
 # Step-down: each trigger must leave the agent not leader, off its zone's
-# tick_ack topic, and no longer named as the zone's leader.
+# db_update and tick_ack topics, and no longer named as the zone's leader.
 
 def run_until(sim, leader, trigger, max_rounds=100):
     """Bootstrap, then run whole rounds while `leader` leads its home zone,
@@ -325,6 +335,7 @@ def run_until(sim, leader, trigger, max_rounds=100):
 
 def assert_stepped_down(sim, aid, zone):
     assert not sim.agents[aid].is_leader
+    assert aid not in sim.bus.subscribers(zone_topic(zone, "db_update"))
     assert aid not in sim.bus.subscribers(zone_topic(zone, "tick_ack"))
     assert sim.zones[zone].leader != aid
 
@@ -359,6 +370,30 @@ def test_role_naming_another_agent_demotes_the_leader():
     sim._pump({}, 1)
     assert_stepped_down(sim, "a00", zone)
     assert sim.agents["a01"].is_leader and sim.zones[zone].leader == "a01"
+
+
+def test_leader_demoted_mid_round_reads_no_member_messages():
+    sim = Simulation(two_zone(agents=[{"id": "a00", "start": [2, 3]},
+                                      {"id": "a01", "start": [4, 1]},
+                                      {"id": "a03", "start": [1, 4]},
+                                      {"id": "a02", "start": [9, 3]}]))
+    zone = run_until(sim, "a00", lambda s: s.zones[(0, 0)].snapshot is not None)
+    lr = LeaderRound(zone=zone, leader="a00", tick=sim.zones[zone].tick,
+                     expected={"a00", "a01", "a03"})
+    sim._publish(SUPER, "super/election",
+                 {"kind": "role", "zone": zone, "leader": "a01", "since_tick": 0})
+    sim._pump({zone: lr}, 1)
+    assert_stepped_down(sim, "a00", zone)
+    ticks_published = sim.metrics.messages.get("global_tick", 0)
+    member = sim.agents["a03"]
+    sim._publish("a03", zone_topic(zone, "db_update"),
+                 {"kind": "state", "record": sim._record_for(member)})
+    sim._publish("a03", zone_topic(zone, "db_update"),
+                 {"kind": "resync_req", "agent": "a03", "tick": member.local_tick})
+    sim._pump({zone: lr}, 3)
+    # The demoted leader neither answers with a resync_resp nor stores state.
+    assert sim.metrics.messages.get("global_tick", 0) == ticks_published
+    assert lr.states == {}
 
 
 @pytest.mark.xfail(strict=True, reason="the super-leader publishes each role "

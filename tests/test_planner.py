@@ -198,11 +198,11 @@ def test_classify_symmetric_for_blocking_kinds(ci, ii, cj, ij):
 # ---------------------------------------------------------------- force algebra
 
 def test_force_follows_intent_without_conflict():
-    params = PlannerParams(f=2.0)
+    params = PlannerParams()
     grid = GridMap(width=5, height=5)
     s = ks("a", (1, 1), (1, 2))
     assert compute_force(s, None, ConflictKind.NONE, params, grid,
-                         random.Random(0)) == (0.0, 2.0)
+                         random.Random(0)) == (0.0, 1.0)
 
 
 def test_force_zero_when_waiting_without_conflict():

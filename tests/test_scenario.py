@@ -43,6 +43,11 @@ def test_unknown_keys_rejected_everywhere():
         scenario_from_dict(minimal(network={"jitter": 0.1}))
 
 
+def test_planner_force_scale_key_is_unknown():
+    with pytest.raises(ConfigError, match=r"planner: unknown keys \['f'\]"):
+        scenario_from_dict(minimal(planner={"f": 1.0}))
+
+
 def test_reserved_agent_ids_rejected():
     for bad in ("super", "controller"):
         with pytest.raises(ConfigError):

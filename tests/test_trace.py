@@ -87,6 +87,10 @@ WRONG_TYPE = [
     '{"tick":4,"kind":"Move","actor":"a7","src":[0,0],"dst":[[1],0]}',
     '{"tick":4,"kind":"StatePublish","actor":"a7","zone":[0,0],"position":3,'
     '"intent":[0,0],"job":null,"agent_tick":0}',
+    # The two below used to pass the reading loop and crash in the safety pass.
+    '{"tick":4,"kind":"StatePublish","actor":"a7","zone":[0,0],"position":[[1],0],'
+    '"intent":[0,0],"job":null,"agent_tick":0}',
+    '{"tick":4,"kind":"Move","actor":"a7","src":[0,0],"dst":[1,"0"]}',
     '{"tick":4,"kind":"TickAck","actor":"a7","zone":[0,0],"committed_tick":"2","digest":"d"}',
 ]
 
@@ -100,6 +104,14 @@ def test_value_of_the_wrong_type_is_a_format_error(line):
         verify_trace(text)
     assert err.value.line_no == 2
     assert isinstance(err.value.__cause__, (TypeError, ValueError))
+
+
+def test_actors_of_mixed_types_are_a_format_error():
+    # Sorting the actors' positions compared 5 with "b" and raised TypeError.
+    text = ('{"tick":1,"kind":"Move","actor":"b","src":[0,0],"dst":[1,0]}\n'
+            '{"tick":1,"kind":"Move","actor":5,"src":[2,0],"dst":[3,0]}\n')
+    with pytest.raises(TraceFormatError, match="line 2: actor must be a string"):
+        verify_trace(text)
 
 
 def test_every_emitted_kind_parses_back():
