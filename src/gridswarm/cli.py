@@ -13,7 +13,7 @@ import time
 
 from .engine import run_scenario
 from .scenario import ConfigError, bench_scenario, load_scenario, scenario_from_dict
-from .trace import TraceFormatError, verify_trace
+from .trace import TraceFormatError, trace_digest, verify_trace
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -44,7 +44,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"violation: {v}", file=sys.stderr)
     flat = metrics.flat()
     print(json.dumps({"completed": flat["completed"], "rounds": flat["rounds"],
-                      "makespan": flat["makespan"], "digest": trace.digest()}))
+                      "makespan": flat["makespan"], "digest": trace_digest(text)}))
     if violations:
         return EXIT_VIOLATION
     if not metrics.completed:

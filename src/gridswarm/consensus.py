@@ -9,11 +9,11 @@ under message loss.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from .trace import compact_json
 from .world import Cell
 
 
@@ -46,8 +46,7 @@ class ZoneSnapshot:
     def digest(self) -> str:
         # Every roster member acknowledges the same snapshot, so compute once.
         if self._digest is None:
-            blob = json.dumps([self.tick] + [r.as_payload() for r in self.records],
-                              separators=(",", ":"))
+            blob = compact_json([self.tick] + [r.as_payload() for r in self.records])
             object.__setattr__(self, "_digest", hashlib.sha256(blob.encode()).hexdigest()[:16])
         return self._digest
 

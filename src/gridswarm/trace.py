@@ -1,15 +1,15 @@
 """Canonical trace emission, digesting, and invariant verification.
 
 A trace is line-delimited JSON, one event per line, fields in a fixed order
-per kind. The digest is SHA-256 over the exact byte stream, so determinism
-checks reduce to digest equality.
+per kind, ticks in non-decreasing order. The digest is SHA-256 over the
+exact byte stream, so determinism checks reduce to digest equality.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 # Payload field order per event kind; canonicalization rejects unknown kinds.
 EVENT_FIELDS: dict[str, tuple[str, ...]] = {
@@ -33,6 +33,12 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
 _REQUIRED: dict[str, frozenset[str]] = {
     kind: frozenset(("tick", "kind", "actor") + fields)
     for kind, fields in EVENT_FIELDS.items()}
+
+
+# The canonical compact form of a trace line and of a snapshot digest's input;
+# byte-identical to json.dumps(value, separators=(",", ":")).
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+_scan = json.JSONDecoder().scan_once
 
 
 class TraceFormatError(ValueError):
@@ -60,28 +66,37 @@ class TraceWriter:
         self.events.append(event)
 
     def lines(self) -> list[str]:
-        return [json.dumps(e, separators=(",", ":")) for e in self.events]
+        return list(map(compact_json, self.events))
 
     def dump(self) -> str:
-        return "".join(line + "\n" for line in self.lines())
+        return "".join([compact_json(e) + "\n" for e in self.events])
 
     def digest(self) -> str:
-        return hashlib.sha256(self.dump().encode()).hexdigest()
+        return trace_digest(self.dump())
 
 
 def trace_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def parse_trace(text: str) -> list[dict]:
-    events = []
+def _read(text: str) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, event) for each non-blank line, checking that the
+    line is a JSON object with an integer tick, a known kind, all of that
+    kind's fields and a string actor. A line goes to ``json.loads`` whenever
+    the scanner fails or stops short of its end, so exactly what per-line
+    ``json.loads`` accepts is accepted, with its messages."""
     for idx, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(idx, f"invalid JSON: {exc}") from exc
+            event, end = _scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            try:
+                event = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise TraceFormatError(idx, f"invalid JSON: {exc}") from exc
         if not isinstance(event, dict) or "kind" not in event or "tick" not in event:
             raise TraceFormatError(idx, "event must be an object with tick and kind")
         if type(event["tick"]) is not int:
@@ -95,15 +110,40 @@ def parse_trace(text: str) -> list[dict]:
                 idx, f"{kind} event lacks fields {sorted(required - event.keys())}")
         if not isinstance(event["actor"], str):
             raise TraceFormatError(idx, f"actor must be a string, got {event['actor']!r}")
-        events.append(event)
-    return events
+        yield idx, event
+
+
+def parse_trace(text: str) -> list[dict]:
+    return [event for _, event in _read(text)]
 
 
 def _cell(value: Any) -> tuple[int, int]:
     """`value` as a hashable cell; TypeError unless it is two integers."""
-    if type(value) is not list or len(value) != 2 or any(type(v) is not int for v in value):
-        raise TypeError(f"a cell must be two integers, got {value!r}")
-    return (value[0], value[1])
+    if type(value) is list and len(value) == 2:
+        x, y = value
+        if type(x) is int and type(y) is int:
+            return (x, y)
+    raise TypeError(f"a cell must be two integers, got {value!r}")
+
+
+def _check_safety(tick: int, positions: dict[str, tuple], moves: set[tuple],
+                  violations: list[str]) -> None:
+    """Vertex and edge-swap violations at the end of `tick`. The sorted scans
+    that word the messages run only when a cheap test finds a violation."""
+    if len(set(positions.values())) != len(positions):
+        occupied: dict[tuple, str] = {}
+        for agent, pos in sorted(positions.items()):
+            if pos in occupied:
+                violations.append(
+                    f"tick {tick}: vertex violation at {list(pos)} between {occupied[pos]} and {agent}")
+            occupied[pos] = agent
+    edges = {(src, dst) for _, src, dst in moves}
+    if any((dst, src) in edges for src, dst in edges):
+        for actor, src, dst in sorted(moves):
+            for other, osrc, odst in moves:
+                if other > actor and osrc == dst and odst == src:
+                    violations.append(
+                        f"tick {tick}: edge swap between {actor} and {other} across {list(src)}-{list(dst)}")
 
 
 def verify_trace(trace: str | list[dict]) -> list[str]:
@@ -113,8 +153,10 @@ def verify_trace(trace: str | list[dict]) -> list[str]:
     snapshot agreement per committed tick, per-agent tick monotonicity
     (jumps only across a resync), job/agent assignment exclusivity, leader
     uniqueness, and that assignments and mandates come from the right actors.
+    A text is read one line at a time and checked one tick at a time, so its
+    ticks must not decrease.
     """
-    events = parse_trace(trace) if isinstance(trace, str) else trace
+    events = _read(trace) if isinstance(trace, str) else enumerate(trace, start=1)
     violations: list[str] = []
     positions: dict[str, tuple] = {}
     committed: dict[str, int] = {}
@@ -122,95 +164,84 @@ def verify_trace(trace: str | list[dict]) -> list[str]:
     snapshots: dict[tuple, str] = {}  # (zone, committed_tick) -> digest
     job_assignee: dict[str, Optional[str]] = {}
     agent_job: dict[str, Optional[str]] = {}
-    leaders: dict[str, str] = {}  # zone-key -> leader
+    leaders: dict[tuple, str] = {}  # zone -> leader
 
-    zkey = json.dumps  # zones as hashable keys
-
-    by_tick: dict[int, list[dict]] = {}
-    for e in events:
-        by_tick.setdefault(e["tick"], []).append(e)
-
-    for tick in sorted(by_tick):
-        moves: set[tuple] = set()
+    tick: Optional[int] = None
+    moves: set[tuple] = set()
+    for line_no, e in events:
+        if e["tick"] != tick:
+            if tick is not None:
+                if e["tick"] < tick:
+                    raise TraceFormatError(
+                        line_no, f"tick {e['tick']} is lower than tick {tick} before it")
+                _check_safety(tick, positions, moves, violations)
+                moves = set()
+            tick = e["tick"]
         try:
-            for e in by_tick[tick]:
-                kind, actor = e["kind"], e.get("actor")
-                if kind == "StatePublish":
-                    positions[actor] = _cell(e["position"])
-                elif kind == "Move":
-                    src, dst = _cell(e["src"]), _cell(e["dst"])
-                    positions[actor] = dst
-                    moves.add((actor, src, dst))
-                elif kind in ("TickAck", "TickBroadcast"):
-                    t = e["committed_tick"] if kind == "TickAck" else e["new_tick"]
-                    key = (zkey(e["zone"]), t)
-                    seen = snapshots.get(key)
-                    if seen is None:
-                        snapshots[key] = e["digest"]
-                    elif seen != e["digest"]:
-                        violations.append(
-                            f"tick {tick}: snapshot disagreement in zone {e['zone']} at zone-tick {t}")
-                    last = committed.get(actor)
-                    if last is not None:
-                        if t <= last:
-                            violations.append(
-                                f"tick {tick}: {actor} committed zone-tick {t} after {last}")
-                        elif t != last + 1 and not resynced_since.get(actor):
-                            violations.append(
-                                f"tick {tick}: {actor} jumped from zone-tick {last} to {t} without resync")
-                    committed[actor] = t
-                    resynced_since[actor] = False
-                elif kind == "Resync":
-                    resynced_since[actor] = True
-                    committed[actor] = e["resync_tick"]
-                elif kind == "MarkDead":
-                    released = e.get("released_job")
-                    if released is not None:
-                        job_assignee[released] = None
-                    agent_job[e["agent"]] = None
-                    resynced_since[e["agent"]] = True  # rejoin may jump
-                elif kind == "Election":
-                    zone = zkey(e["zone"])
-                    new_leader = e["leader"]
-                    for other_zone, lead in list(leaders.items()):
-                        if lead == new_leader and other_zone != zone:
-                            del leaders[other_zone]
-                    leaders[zone] = new_leader
-                elif kind == "Assign":
-                    zone = zkey(e["zone"])
-                    if leaders.get(zone) != actor:
-                        violations.append(
-                            f"tick {tick}: assignment of {e['job']} by non-leader {actor}")
-                    if job_assignee.get(e["job"]) is not None:
-                        violations.append(f"tick {tick}: job {e['job']} double-assigned")
-                    if agent_job.get(e["agent"]) is not None:
-                        violations.append(
-                            f"tick {tick}: agent {e['agent']} holds two assignments")
-                    job_assignee[e["job"]] = e["agent"]
-                    agent_job[e["agent"]] = e["job"]
-                elif kind == "Complete":
-                    job_assignee[e["job"]] = None
-                    agent_job[e["agent"]] = None
-                elif kind == "Mandate":
-                    if actor != "super":
-                        violations.append(
-                            f"tick {tick}: mandate {e['mandate']} issued by {actor}, not the super-leader")
-        except (TypeError, ValueError) as exc:
-            # The event's position is its line in a trace written by TraceWriter.
-            position = next(i for i, x in enumerate(events, start=1) if x is e)
-            raise TraceFormatError(
-                position, f"{e['kind']} event at tick {tick} by {e.get('actor')!r} "
-                f"holds a value of the wrong type: {exc}") from exc
-        # Safety over realized positions.
-        occupied: dict[tuple, str] = {}
-        for agent, pos in sorted(positions.items()):
-            if pos in occupied:
-                violations.append(
-                    f"tick {tick}: vertex violation at {list(pos)} between {occupied[pos]} and {agent}")
-            occupied[pos] = agent
-        for actor, src, dst in sorted(moves):
-            for other, osrc, odst in moves:
-                if other > actor and osrc == dst and odst == src:
+            kind, actor = e["kind"], e.get("actor")
+            if kind == "StatePublish":
+                positions[actor] = _cell(e["position"])
+            elif kind == "Move":
+                src, dst = _cell(e["src"]), _cell(e["dst"])
+                positions[actor] = dst
+                moves.add((actor, src, dst))
+            elif kind in ("TickAck", "TickBroadcast"):
+                t = e["committed_tick"] if kind == "TickAck" else e["new_tick"]
+                key = (_cell(e["zone"]), t)
+                seen = snapshots.get(key)
+                if seen is None:
+                    snapshots[key] = e["digest"]
+                elif seen != e["digest"]:
                     violations.append(
-                        f"tick {tick}: edge swap between {actor} and {other} across {list(src)}-{list(dst)}")
+                        f"tick {tick}: snapshot disagreement in zone {e['zone']} at zone-tick {t}")
+                last = committed.get(actor)
+                if last is not None:
+                    if t <= last:
+                        violations.append(
+                            f"tick {tick}: {actor} committed zone-tick {t} after {last}")
+                    elif t != last + 1 and not resynced_since.get(actor):
+                        violations.append(
+                            f"tick {tick}: {actor} jumped from zone-tick {last} to {t} without resync")
+                committed[actor] = t
+                resynced_since[actor] = False
+            elif kind == "Resync":
+                resynced_since[actor] = True
+                committed[actor] = e["resync_tick"]
+            elif kind == "MarkDead":
+                released = e.get("released_job")
+                if released is not None:
+                    job_assignee[released] = None
+                agent_job[e["agent"]] = None
+                resynced_since[e["agent"]] = True  # rejoin may jump
+            elif kind == "Election":
+                zone = _cell(e["zone"])
+                new_leader = e["leader"]
+                for other_zone, lead in list(leaders.items()):
+                    if lead == new_leader and other_zone != zone:
+                        del leaders[other_zone]
+                leaders[zone] = new_leader
+            elif kind == "Assign":
+                if leaders.get(_cell(e["zone"])) != actor:
+                    violations.append(
+                        f"tick {tick}: assignment of {e['job']} by non-leader {actor}")
+                if job_assignee.get(e["job"]) is not None:
+                    violations.append(f"tick {tick}: job {e['job']} double-assigned")
+                if agent_job.get(e["agent"]) is not None:
+                    violations.append(
+                        f"tick {tick}: agent {e['agent']} holds two assignments")
+                job_assignee[e["job"]] = e["agent"]
+                agent_job[e["agent"]] = e["job"]
+            elif kind == "Complete":
+                job_assignee[e["job"]] = None
+                agent_job[e["agent"]] = None
+            elif kind == "Mandate":
+                if actor != "super":
+                    violations.append(
+                        f"tick {tick}: mandate {e['mandate']} issued by {actor}, not the super-leader")
+        except (TypeError, ValueError) as exc:
+            raise TraceFormatError(
+                line_no, f"{e['kind']} event at tick {tick} by {e.get('actor')!r} "
+                f"holds a value of the wrong type: {exc}") from exc
+    if tick is not None:
+        _check_safety(tick, positions, moves, violations)
     return violations

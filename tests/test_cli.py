@@ -4,6 +4,7 @@ import pytest
 
 from gridswarm.cli import main
 from gridswarm.scenario import random_scenario
+from gridswarm.trace import TraceWriter, trace_digest
 
 
 @pytest.fixture
@@ -25,6 +26,23 @@ def test_run_writes_trace_and_metrics(tmp_path, scenario_file, capsys):
     assert trace_path.read_text().startswith('{"tick"')
     metrics = json.loads(metrics_path.read_text())
     assert metrics["collisions"] == 0
+
+
+def test_run_dumps_the_trace_once_and_prints_its_digest(tmp_path, scenario_file, capsys,
+                                                        monkeypatch):
+    texts = []
+    dump = TraceWriter.dump
+
+    def counting_dump(self):
+        texts.append(dump(self))
+        return texts[-1]
+
+    monkeypatch.setattr(TraceWriter, "dump", counting_dump)
+    trace_path = tmp_path / "trace.jsonl"
+    assert main(["run", "--scenario", scenario_file, "--trace-out", str(trace_path)]) == 0
+    assert len(texts) == 1
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["digest"] == trace_digest(texts[0]) == trace_digest(trace_path.read_text())
 
 
 def test_run_incomplete_exits_3(tmp_path, capsys):
@@ -124,6 +142,13 @@ def test_run_exits_2_on_bad_partition_groups(tmp_path, capsys, groups):
     ('{"tick":0,"kind":"StatePublish","actor":"a","zone":[0,0],"position":[[1],0],'
      '"intent":[0,0],"job":null,"agent_tick":0}', "line 2: StatePublish event"),
     ('{"tick":0,"kind":"Move","actor":5,"src":[0,0],"dst":[1,0]}', "line 2: actor"),
+    ('{"tick":0,"kind":"TickAck","actor":"a","zone":[[1],0],"committed_tick":1,"digest":"d"}',
+     "line 2: TickAck event"),
+    ('{"tick":0,"kind":"Election","actor":"super","zone":"z","leader":"a","since_tick":0,'
+     '"reason":"bootstrap"}', "line 2: Election event"),
+    ('{"tick":0,"kind":"Assign","actor":"a","job":"j0","agent":"b","cost":1,"zone":null}',
+     "line 2: Assign event"),
+    ('{"tick":-1,"kind":"Move","actor":"a","src":[0,0],"dst":[1,0]}', "line 2: tick -1"),
 ])
 def test_verify_exits_2_on_a_value_of_the_wrong_type(tmp_path, capsys, line, fragment):
     path = tmp_path / "typed.jsonl"

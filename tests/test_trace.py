@@ -1,9 +1,13 @@
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gridswarm.trace import (EVENT_FIELDS, TraceFormatError, TraceWriter, parse_trace,
-                             trace_digest, verify_trace)
+from gridswarm.engine import run_scenario
+from gridswarm.scenario import random_scenario, scenario_from_dict
+from gridswarm.trace import (EVENT_FIELDS, TraceFormatError, TraceWriter, compact_json,
+                             parse_trace, trace_digest, verify_trace)
 
 
 def writer_with(*events):
@@ -92,6 +96,13 @@ WRONG_TYPE = [
     '"intent":[0,0],"job":null,"agent_tick":0}',
     '{"tick":4,"kind":"Move","actor":"a7","src":[0,0],"dst":[1,"0"]}',
     '{"tick":4,"kind":"TickAck","actor":"a7","zone":[0,0],"committed_tick":"2","digest":"d"}',
+    # Zones used to be keyed by their JSON text, so any value passed.
+    '{"tick":4,"kind":"TickAck","actor":"a7","zone":[[1],0],"committed_tick":2,"digest":"d"}',
+    '{"tick":4,"kind":"TickBroadcast","actor":"a7","zone":"z","new_tick":2,"roster":[],'
+    '"digest":"d"}',
+    '{"tick":4,"kind":"Election","actor":"a7","zone":null,"leader":"a7","since_tick":0,'
+    '"reason":"bootstrap"}',
+    '{"tick":4,"kind":"Assign","actor":"a7","job":"j0","agent":"a7","cost":1,"zone":[0]}',
 ]
 
 
@@ -104,6 +115,24 @@ def test_value_of_the_wrong_type_is_a_format_error(line):
         verify_trace(text)
     assert err.value.line_no == 2
     assert isinstance(err.value.__cause__, (TypeError, ValueError))
+
+
+def test_tick_lower_than_the_one_before_is_a_format_error():
+    text = ('{"tick":2,"kind":"Move","actor":"a","src":[0,0],"dst":[1,0]}\n'
+            '\n'
+            '{"tick":3,"kind":"Move","actor":"a","src":[1,0],"dst":[2,0]}\n'
+            '{"tick":1,"kind":"Move","actor":"b","src":[5,0],"dst":[4,0]}\n')
+    with pytest.raises(TraceFormatError, match="line 4: tick 1 is lower than tick 3") as err:
+        verify_trace(text)
+    assert err.value.line_no == 4
+    assert len(parse_trace(text)) == 3  # the parser alone does not order ticks
+
+
+def test_deeply_nested_json_is_a_format_error():
+    line = "[" * 100_000 + "]" * 100_000
+    for text in (line + "\n", "  " + line + "\n"):
+        with pytest.raises(TraceFormatError, match="line 1: invalid JSON"):
+            parse_trace(text)
 
 
 def test_actors_of_mixed_types_are_a_format_error():
@@ -233,3 +262,176 @@ def test_verifier_flags_mandate_from_wrong_actor():
                                "from_zone": [0, 0], "to_zone": [0, 1]}),
     )
     assert any("super-leader" in v for v in verify_trace(w.dump()))
+
+
+def move(tick, actor, src, dst):
+    return (tick, "Move", actor, {"src": src, "dst": dst})
+
+
+def publish(tick, actor, position):
+    return (tick, "StatePublish", actor, {"zone": [0, 0], "position": position,
+                                           "intent": position, "job": None,
+                                           "agent_tick": tick})
+
+
+def ack(tick, actor, zone, committed, digest):
+    return (tick, "TickAck", actor, {"zone": zone, "committed_tick": committed,
+                                     "digest": digest})
+
+
+# Violation lists recorded from the verifier that sorted every tick's
+# positions and compared every pair of moves; the single-pass verifier must
+# give the same messages in the same order.
+PINNED = {
+    "three_agents_on_one_cell": (
+        writer_with(publish(0, "c", [2, 1]), publish(0, "a", [0, 1]), publish(0, "b", [1, 0]),
+                    publish(0, "d", [5, 5]), move(1, "c", [2, 1], [1, 1]),
+                    move(1, "a", [0, 1], [1, 1]), move(1, "b", [1, 0], [1, 1])),
+        ["tick 1: vertex violation at [1, 1] between a and b",
+         "tick 1: vertex violation at [1, 1] between b and c"]),
+    "two_swaps": (
+        writer_with(move(1, "d", [4, 0], [3, 0]), move(1, "a", [0, 0], [1, 0]),
+                    move(1, "c", [3, 0], [4, 0]), move(1, "b", [1, 0], [0, 0])),
+        ["tick 1: edge swap between a and b across [0, 0]-[1, 0]",
+         "tick 1: edge swap between c and d across [3, 0]-[4, 0]"]),
+    "duplicated_move": (
+        writer_with(move(1, "b", [1, 0], [0, 0]), move(1, "a", [0, 0], [1, 0]),
+                    move(1, "a", [0, 0], [1, 0]), move(1, "c", [5, 0], [1, 0])),
+        ["tick 1: vertex violation at [1, 0] between a and c",
+         "tick 1: edge swap between a and b across [0, 0]-[1, 0]"]),
+    "snapshot_disagreement": (
+        writer_with((1, "TickBroadcast", "lead", {"zone": [0, 0], "new_tick": 1,
+                                                  "roster": ["a", "b"], "digest": "aaaa"}),
+                    ack(1, "b", [0, 0], 1, "bbbb"), ack(1, "a", [0, 0], 1, "aaaa"),
+                    ack(1, "c", [0, 1], 1, "cccc"), ack(2, "c", [0, 1], 1, "dddd"),
+                    ack(2, "a", [0, 0], 2, "eeee"), ack(2, "b", [0, 0], 2, "ffff")),
+        ["tick 1: snapshot disagreement in zone [0, 0] at zone-tick 1",
+         "tick 2: snapshot disagreement in zone [0, 1] at zone-tick 1",
+         "tick 2: c committed zone-tick 1 after 1",
+         "tick 2: snapshot disagreement in zone [0, 0] at zone-tick 2"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_verifier_messages_are_pinned(name):
+    writer, expected = PINNED[name]
+    assert verify_trace(writer.dump()) == expected
+
+
+def test_compact_form_matches_json_dumps():
+    w = writer_with((0, "JobSpawn", "controller",
+                     {"job": "j\u2028\u00e9", "location": [2, 2], "priority": 1.5,
+                      "zone": [0, 0], "rejected": False}),
+                    (1, "Move", "a", {"src": [0, 0], "dst": [1, 0]}))
+    lines = [json.dumps(e, separators=(",", ":")) for e in w.events]
+    assert w.lines() == lines
+    assert w.dump() == "".join(line + "\n" for line in lines)
+    assert TraceWriter().dump() == ""
+
+
+# --- the trace boundary under generated input --------------------------------
+
+_VALID_EVENTS = [
+    {"tick": 0, "kind": "Move", "actor": "a", "src": [0, 0], "dst": [1, 0]},
+    {"tick": 1, "kind": "Bid", "actor": "b\u00e9", "job": "j\"0", "cost": -1.5e300,
+     "zone": [0, 1]},
+    {"tick": 2, "kind": "Resync", "actor": "a", "zone": [0, 0], "resync_tick": 3,
+     "extra": {"nested": [True, None, {}]}},
+    {"tick": 3, "kind": "Mandate", "actor": "super", "mandate": "m0", "agent": "a",
+     "from_zone": [0, 0], "to_zone": [0, 1]},
+]
+VALID_LINES = ([compact_json(e) for e in _VALID_EVENTS]
+               + [json.dumps(e) for e in _VALID_EVENTS]  # with spaces after separators
+               # A raw U+2028 inside a string: splitlines() breaks the line there.
+               + [json.dumps(_VALID_EVENTS[1] | {"job": "x\u2028y"}, ensure_ascii=False),
+                  '{"tick":4,"kind":"Bid","actor":"a","job":"j","cost":Infinity,"zone":[0,0]}'])
+NON_OBJECTS = ["[1,2]", "3", '"text"', "null", "true", "[]", "-0.5e3"]
+
+_padding = st.sampled_from(["", " ", "\t", "  "])
+_trace_lines = st.one_of(
+    st.sampled_from(VALID_LINES),
+    st.tuples(_padding, st.sampled_from(VALID_LINES), _padding).map("".join),
+    st.sampled_from(["", " ", "\t \t"]),
+    st.sampled_from(VALID_LINES).flatmap(
+        lambda line: st.integers(1, len(line) - 1).map(lambda k: line[:k])),
+    st.sampled_from(VALID_LINES).map(lambda line: line + line),
+    st.sampled_from(NON_OBJECTS),
+)
+_trace_texts = st.lists(st.tuples(_trace_lines, st.sampled_from(["\n", "\r\n", "\r"])),
+                        max_size=8).map(lambda pairs: "".join(a + b for a, b in pairs))
+
+
+def _per_line_json(text):
+    """What parsing each line with json.loads gives: the events, or the line
+    number and message of the first line that is not a JSON object."""
+    events = []
+    for idx, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return idx, f"line {idx}: invalid JSON: {exc}"
+        if not isinstance(value, dict):
+            return idx, f"line {idx}: event must be an object with tick and kind"
+        events.append(value)
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_texts)
+def test_parse_trace_matches_per_line_json_loads(text):
+    expected = _per_line_json(text)
+    if isinstance(expected, list):
+        assert parse_trace(text) == expected
+    else:
+        with pytest.raises(TraceFormatError) as err:
+            parse_trace(text)
+        assert (err.value.line_no, str(err.value)) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _real_trace_lines() -> tuple[str, ...]:
+    """A lossy run with a kill and a revive: 13 of the 14 event kinds."""
+    scenario = random_scenario(3, max_agents=8, max_jobs=8, drop_prob=0.1, delay=1,
+                               max_ticks=120)
+    scenario["faults"] = [{"tick": 3, "kind": "kill", "agent": "a00"},
+                          {"tick": 10, "kind": "revive", "agent": "a00"}]
+    return tuple(run_scenario(scenario_from_dict(scenario))[1].lines())
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**64) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_trace_gives_violations_or_a_format_error(data):
+    lines = list(_real_trace_lines())
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(["drop_key", "retype", "swap", "duplicate", "delete"]))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if op in ("drop_key", "retype"):
+            event = json.loads(lines[i])
+            key = data.draw(st.sampled_from(sorted(event)))
+            if op == "drop_key":
+                del event[key]
+            else:
+                event[key] = data.draw(_json_values)
+            lines[i] = json.dumps(event)
+        elif op == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif len(lines) > 1:
+            del lines[i]
+    try:
+        violations = verify_trace("".join(line + "\n" for line in lines))
+    except TraceFormatError:
+        return
+    assert isinstance(violations, list)
+    assert all(isinstance(v, str) for v in violations)
