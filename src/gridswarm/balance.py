@@ -43,13 +43,9 @@ class MigrationMandate:
             raise ValueError("mandates move across exactly one zone boundary")
 
 
-def compute_zone_loads(reports: dict[ZoneId, ZoneLoad],
-                       previous: Optional[dict[ZoneId, ZoneLoad]] = None,
-                       ) -> dict[ZoneId, int]:
-    """Per-zone deficit; zones missing from `reports` carry their previous load."""
-    merged = dict(previous or {})
-    merged.update(reports)
-    return {z: load.pending_jobs - load.idle_agents for z, load in merged.items()}
+def compute_zone_loads(loads: dict[ZoneId, ZoneLoad]) -> dict[ZoneId, int]:
+    """Per-zone deficit from each zone's latest load report."""
+    return {z: load.pending_jobs - load.idle_agents for z, load in loads.items()}
 
 
 def _zone_path(src: ZoneId, dst: ZoneId, rows: int, cols: int) -> list[ZoneId]:

@@ -76,17 +76,20 @@ class AgentSim:
     # Zones whose expanded bounds hold the agent: its planning groups and
     # the zones its state publishes go to.
     subscribed: frozenset[ZoneId] = frozenset()
-    job: Optional[str] = None
+    job: Optional[jobmod.Job] = None
     mandate: Optional[bal.MigrationMandate] = None
     goal: Optional[Cell] = None
     path: Optional[list[Cell]] = None
     path_i: int = 0
-    priority: float = 1.0
     stuck: int = 0
 
     @property
     def idle(self) -> bool:
         return self.job is None
+
+    @property
+    def priority(self) -> float:
+        return 1.0 if self.job is None else self.job.priority
 
 
 @dataclass
@@ -98,7 +101,9 @@ class LeaderRound:
     states: dict[str, cons.StateRecord] = field(default_factory=dict)
     tick_acks: set[str] = field(default_factory=set)
     bids: dict[str, list[jobmod.Bid]] = field(default_factory=dict)
-    waited: int = 0  # bus steps waited for states, then (after broadcast) for acks
+    # Bus steps waited: from 1 for the states, from 0 for the acks after the
+    # broadcast, so the states half times out one step sooner.
+    waited: int = 1
     probe_sent: bool = False
     confirm_ok: bool = False
     broadcast: bool = False
@@ -146,6 +151,7 @@ class Simulation:
         self.metrics = Metrics()
         self.bus = Bus(config.network, config.seed)
         self.round = 0
+        self.leader_rounds: dict[ZoneId, LeaderRound] = {}  # this round's, by zone
         self.costs = jobmod.CostField(self.grid)
         self.jobs: dict[str, jobmod.Job] = {}
         # Stable on spawn_tick, so jobs keep their file order within a tick.
@@ -206,13 +212,13 @@ class Simulation:
         return [a for a in self._homed(zone) if a.status is cons.Liveness.ALIVE]
 
     def _active_leader(self, zone: ZoneId) -> Optional[AgentSim]:
+        # A `role` message sets the zone's leader only on an agent that takes
+        # office there, and _demote clears it: it leads from inside the zone.
         lid = self.zones[zone].leader
         if lid is None:
             return None
         a = self.agents[lid]
-        if a.powered and a.is_leader and a.status is cons.Liveness.ALIVE and a.home == zone:
-            return a
-        return None
+        return a if a.powered and a.status is cons.Liveness.ALIVE else None
 
     @staticmethod
     def _next_cell(a: AgentSim) -> Cell:
@@ -226,11 +232,17 @@ class Simulation:
         a.job = None
         a.goal = None
         a.path = None
-        a.priority = 1.0
+
+    def _commit(self, a: AgentSim, tick: int) -> None:
+        """`a` commits zone-tick `tick` in this round."""
+        a.local_tick = tick
+        a.committed_round = self.round
+        a.stale_rounds = 0
 
     def _record_for(self, a: AgentSim) -> cons.StateRecord:
         return cons.StateRecord(agent=a.id, position=a.position,
-                                intent=self._next_cell(a), job=a.job,
+                                intent=self._next_cell(a),
+                                job=None if a.job is None else a.job.id,
                                 priority=a.priority, tick=a.local_tick)
 
     def _force_rng(self, agent: str) -> random.Random:
@@ -266,14 +278,15 @@ class Simulation:
     def _bootstrap(self) -> None:
         for zone in sorted(self.zones):
             self._start_election(zone, elec.ElectionReason.BOOTSTRAP)
-        self._pump({}, 2 * self.timeout + 6)
+        self._pump(2 * self.timeout + 6)
 
-    def _pump(self, rounds: dict[ZoneId, LeaderRound], max_steps: int) -> None:
+    def _pump(self, max_steps: int) -> None:
         """Step the bus, the leaders' rounds and the super-leader until every
         round is complete and the bus is quiet, or `max_steps` run out."""
+        rounds = self.leader_rounds
         for _ in range(max_steps):
             for env, recipients in self.bus.step_deliver():
-                self._deliver(env, recipients, rounds)
+                self._deliver(env, recipients)
             for zone in sorted(rounds):
                 self._leader_eval(rounds[zone])
             self._super_eval()
@@ -284,18 +297,18 @@ class Simulation:
     # ------------------------------------------------------------- the phases
 
     def _run_round(self) -> None:
-        rounds = self._phase_consensus()
+        self._phase_consensus()
         self._phase_faults()
         self._phase_spawns()
-        self._phase_assign(rounds)
+        self._phase_assign()
         self._phase_balance()
         proposals, movable = self._phase_plan()
         self._phase_move(proposals, movable)
         self._phase_complete()
 
     # Phase 1: one consensus round per led zone, over shared bus steps.
-    def _phase_consensus(self) -> dict[ZoneId, LeaderRound]:
-        rounds: dict[ZoneId, LeaderRound] = {}
+    def _phase_consensus(self) -> None:
+        self.leader_rounds = rounds = {}
         for zone in sorted(self.zones):
             leader = self._active_leader(zone)
             if leader is None:
@@ -311,7 +324,7 @@ class Simulation:
                 rec = self._record_for(a)
                 self._emit("StatePublish", aid, zone=list(a.home),
                            position=list(a.position), intent=list(rec.intent),
-                           job=a.job, agent_tick=a.local_tick)
+                           job=rec.job, agent_tick=a.local_tick)
                 for z in sorted(a.subscribed):
                     self._publish(aid, zone_topic(z, "db_update"),
                                   {"kind": "state", "record": rec})
@@ -319,7 +332,7 @@ class Simulation:
                 self._publish(aid, zone_topic(a.home, "db_update"),
                               {"kind": "resync_req", "agent": aid,
                                "tick": a.local_tick})
-        self._pump(rounds, 3 * self.timeout + 6)
+        self._pump(3 * self.timeout + 6)
         for zone in sorted(self.zones):
             lr = rounds.get(zone)
             has_live = any(a.powered and a.status is not cons.Liveness.DEAD
@@ -336,38 +349,33 @@ class Simulation:
                     self._publish(lr.leader, "super/inbox",
                                   {"kind": "stepdown", "zone": zone,
                                    "leader": lr.leader})
-        # Cross-round staleness drives leader-loss reporting.
+        # Cross-round staleness drives leader-loss reporting; _commit resets it.
         for aid in sorted(self.agents):
             a = self.agents[aid]
-            if not a.powered or a.is_leader:
+            if not a.powered or a.is_leader or a.committed_round == self.round:
                 continue
-            if a.committed_round == self.round:
-                a.stale_rounds = 0
-            else:
-                a.stale_rounds += 1
-                if a.stale_rounds >= 2 and a.stale_rounds % 2 == 0:
-                    self._publish(aid, "super/inbox",
-                                  {"kind": "leader_loss", "zone": a.home,
-                                   "agent": aid, "tick": a.local_tick})
-        return rounds
+            a.stale_rounds += 1
+            if a.stale_rounds >= 2 and a.stale_rounds % 2 == 0:
+                self._publish(aid, "super/inbox",
+                              {"kind": "leader_loss", "zone": a.home,
+                               "agent": aid, "tick": a.local_tick})
 
     def _leader_eval(self, lr: LeaderRound) -> None:
+        """One bus step of a round. Each half, states then acks, waits for its
+        members by one rule and marks the silent ones dead when it runs out."""
         if lr.complete:
             return
-        leader = self.agents[lr.leader]
-        if not leader.is_leader:  # demoted mid-round by a role broadcast
+        if not self.agents[lr.leader].is_leader:  # demoted mid-round by a role broadcast
             lr.complete = True
             return
-        if not lr.broadcast:
-            others = lr.expected - {lr.leader}
-            missing = others - set(lr.states)
-            if not missing:
-                self._leader_broadcast(lr)
-                return
+        heard = lr.tick_acks if lr.broadcast else lr.states.keys()
+        decision = cons.leader_tick_decision(
+            heard | {lr.leader}, lr.expected, lr.waited, self.timeout)
+        if isinstance(decision, cons.Wait):
             lr.waited += 1
-            if lr.waited < self.timeout:
-                return
-            if not lr.states and others:
+            return
+        if isinstance(decision, cons.MarkDeadAndAdvance):
+            if not lr.broadcast and not lr.states:
                 # Zero contact: suspect own isolation before declaring a
                 # whole zone dead; the super-leader acts as the arbiter.
                 if not lr.probe_sent:
@@ -375,35 +383,25 @@ class Simulation:
                     self._publish(lr.leader, "super/inbox",
                                   {"kind": "suspect", "zone": lr.zone,
                                    "leader": lr.leader})
-                if lr.confirm_ok:
-                    self._mark_dead(lr, missing)
-                    self._leader_broadcast(lr)
-                return
-            self._mark_dead(lr, missing)
-            self._leader_broadcast(lr)
+                if not lr.confirm_ok:
+                    return
+            self._mark_dead(lr, decision.missing)
+        if lr.broadcast:
+            lr.complete = True
         else:
-            decision = cons.leader_tick_decision(
-                lr.tick_acks | {lr.leader}, lr.expected, lr.waited, self.timeout)
-            if isinstance(decision, cons.Advance):
-                lr.complete = True
-            elif isinstance(decision, cons.Wait):
-                lr.waited += 1
-            else:
-                self._mark_dead(lr, decision.missing)
-                lr.complete = True
+            self._leader_broadcast(lr)
 
-    def _mark_dead(self, lr: LeaderRound, missing: set[str]) -> None:
+    def _mark_dead(self, lr: LeaderRound, missing: Iterable[str]) -> None:
         for aid in sorted(missing):
             a = self.agents[aid]
             a.status = cons.Liveness.DEAD
-            released = a.job
-            if released is not None:
-                job = self.jobs[released]
+            job = a.job
+            if job is not None:
                 job.status = jobmod.JobStatus.PENDING
                 job.assign_tick = None
                 self._drop_job(a)
             self._emit("MarkDead", lr.leader, zone=list(lr.zone), agent=aid,
-                       released_job=released)
+                       released_job=None if job is None else job.id)
             lr.expected.discard(aid)
 
     def _leader_broadcast(self, lr: LeaderRound) -> None:
@@ -411,7 +409,6 @@ class Simulation:
         zs = self.zones[lr.zone]
         records = dict(lr.states)
         records[lr.leader] = self._record_for(leader)
-        records = {a: r for a, r in records.items() if a in lr.expected}
         snapshot = cons.make_snapshot(lr.tick, records)
         new_tick = lr.tick + 1
         pending = sorted(j for j, job in zs.pool.items()
@@ -429,9 +426,7 @@ class Simulation:
                           self.costs.cost(leader.position, zs.pool[job_id].location))
         zs.tick = new_tick
         zs.snapshot = snapshot
-        leader.local_tick = new_tick
-        leader.committed_round = self.round
-        leader.stale_rounds = 0
+        self._commit(leader, new_tick)
         lr.broadcast = True
         lr.waited = 0
         self._emit("TickBroadcast", lr.leader, zone=list(lr.zone),
@@ -445,15 +440,14 @@ class Simulation:
 
     # ---------------------------------------------------------- bus handlers
 
-    def _deliver(self, env: Envelope, recipients: tuple[str, ...],
-                 rounds: dict[ZoneId, LeaderRound]) -> None:
+    def _deliver(self, env: Envelope, recipients: tuple[str, ...]) -> None:
         """Hand one envelope to its recipients in order."""
         zone, kind = self._topics[env.topic]
         payload = env.payload
         if kind in ("db_update", "tick_ack"):
             # Read by the round's leader alone; it stores records only from
             # its roster.
-            lr = rounds.get(zone)
+            lr = self.leader_rounds.get(zone)
             if lr is None or lr.leader not in recipients:
                 return
             if payload["kind"] == "state":
@@ -480,21 +474,18 @@ class Simulation:
             if not a.powered:
                 continue
             if kind == "global_tick":
-                self._handle_global_tick(a, zone, payload, rounds)
+                self._handle_global_tick(a, zone, payload)
             elif kind == "super_election":
-                self._handle_election_msg(a, payload, rounds)
+                self._handle_election_msg(a, payload)
             elif kind == "super_mandates":
                 self._handle_mandate_msg(a, payload)
 
-    def _handle_global_tick(self, a: AgentSim, zone: ZoneId, payload: dict,
-                            rounds: dict[ZoneId, LeaderRound]) -> None:
+    def _handle_global_tick(self, a: AgentSim, zone: ZoneId, payload: dict) -> None:
         if payload["kind"] == "resync_resp":
             if payload["target"] != a.id or a.status is cons.Liveness.ALIVE:
                 return
             a.status = cons.Liveness.ALIVE
-            a.local_tick = payload["tick"]
-            a.committed_round = self.round
-            a.stale_rounds = 0
+            self._commit(a, payload["tick"])
             # Rejoins the leader's expected set from the next round on; it has
             # not published state this round, so gating on it would stall.
             self._emit("Resync", a.id, zone=list(zone), resync_tick=payload["tick"])
@@ -510,9 +501,7 @@ class Simulation:
             return
         if new_tick <= a.local_tick:
             return
-        a.local_tick = new_tick
-        a.committed_round = self.round
-        a.stale_rounds = 0
+        self._commit(a, new_tick)
         snapshot: cons.ZoneSnapshot = payload["snapshot"]
         bids = []
         if a.idle:
@@ -524,8 +513,7 @@ class Simulation:
         self._publish(a.id, zone_topic(zone, "tick_ack"),
                       {"kind": "tick_ack", "tick": new_tick, "bids": bids})
 
-    def _handle_election_msg(self, a: AgentSim, payload: dict,
-                             rounds: dict[ZoneId, LeaderRound]) -> None:
+    def _handle_election_msg(self, a: AgentSim, payload: dict) -> None:
         kind = payload["kind"]
         if kind == "solicit":
             zone = payload["zone"]
@@ -556,7 +544,7 @@ class Simulation:
             elif a.is_leader and a.home == zone:
                 self._demote(a)
         elif kind == "suspect_ok":
-            lr = rounds.get(payload["zone"])
+            lr = self.leader_rounds.get(payload["zone"])
             if lr is not None and lr.leader == a.id:
                 lr.confirm_ok = True
 
@@ -686,9 +674,8 @@ class Simulation:
                           {"kind": "job_notice", "zone": zone})
 
     # Phase 4: leaders assign solicited jobs from bus-delivered bids.
-    def _phase_assign(self, rounds: dict[ZoneId, LeaderRound]) -> None:
-        for zone in sorted(rounds):
-            lr = rounds[zone]
+    def _phase_assign(self) -> None:
+        for zone, lr in sorted(self.leader_rounds.items()):
             if not lr.broadcast:
                 continue
             leader = self._active_leader(zone)
@@ -709,9 +696,8 @@ class Simulation:
                 a = self.agents[best.agent]
                 job.status = jobmod.JobStatus.ASSIGNED
                 job.assign_tick = self.round
-                a.job = job_id
+                a.job = job
                 a.goal = job.location
-                a.priority = job.priority
                 a.path = None
                 a.mandate = None  # assignment takes precedence over migration
                 taken.add(best.agent)
@@ -871,7 +857,7 @@ class Simulation:
                     or a.status is not cons.Liveness.ALIVE
                     or a.committed_round != self.round):
                 continue
-            job = self.jobs[a.job]
+            job = a.job
             if a.position != job.location:
                 continue
             job.status = jobmod.JobStatus.COMPLETED

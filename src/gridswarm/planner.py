@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Collection, Container, Optional
 
@@ -142,17 +142,14 @@ def _unit_dir(state: KinematicState) -> tuple[float, float]:
 
 
 def random_safe_vector(state: KinematicState, grid: GridMap, rng: random.Random,
-                       contested: Optional[Cell] = None,
                        blocked: Container[Cell] = ()) -> tuple[float, float]:
     """Unit vector toward a seeded-uniform free 4-neighbor, avoiding the
-    contested cell and the cells in `blocked`.
+    contested cell (the agent's own intent) and the cells in `blocked`.
 
     Zero vector when no safe neighbor exists.
     """
-    if contested is None:
-        contested = state.intent
     options = [n for n in grid.free_neighbors(state.current)
-               if n != contested and n not in blocked]
+               if n != state.intent and n not in blocked]
     if not options:
         return (0.0, 0.0)
     pick = options[rng.randrange(len(options))]
@@ -350,37 +347,30 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
             return a, b
         return b, a
 
-    for ai, aj in pairs:
-        si, sj = info[ai], info[aj]
-        kind = classify_conflict(si, sj)
-        ops.tick()
-        if kind not in (ConflictKind.VERTEX, ConflictKind.EDGE, ConflictKind.STATIC):
-            continue
-        keeper, yielder = yield_order(si, sj)
+    def give_way(yielder: KinematicState, keeper: KinematicState, kind: ConflictKind,
+                 deadlock: bool, tag: ConflictKind | str) -> None:
         force = compute_force(yielder, keeper, kind, params, grid,
-                              rng_for(yielder.agent),
-                              deadlock=yielder.agent in deadlocked, blocked=blocked)
+                              rng_for(yielder.agent), deadlock=deadlock, blocked=blocked)
         # taken still holds the yielder's own cell; quantize_move never tests it.
         proposal[yielder.agent] = quantize_move(force, yielder.current, grid, taken)
         ops.tick(4)
         if log is not None:
-            log.append((kind, keeper.agent, yielder.agent))
+            log.append((tag, keeper.agent, yielder.agent))
+
+    for ai, aj in pairs:
+        si, sj = info[ai], info[aj]
+        kind = classify_conflict(si, sj)
+        ops.tick()
+        if kind in (ConflictKind.VERTEX, ConflictKind.EDGE, ConflictKind.STATIC):
+            keeper, yielder = yield_order(si, sj)
+            give_way(yielder, keeper, kind, yielder.agent in deadlocked, kind)
 
     # Matured blocking cycles get the ramped branch even without a pairwise
     # conflict (a rotation cycle classifies as no-conflict on every pair).
     blockers = _blockers(states)
     for agent in sorted(deadlocked):
-        s = info[agent]
-        j = blockers.get(agent)
-        if j is None:
-            continue
-        force = compute_force(s, j, ConflictKind.STATIC, params, grid,
-                              rng_for(agent), deadlock=True, blocked=blocked)
-        # As above: taken holds s.current, which quantize_move never tests.
-        proposal[agent] = quantize_move(force, s.current, grid, taken)
-        ops.tick(4)
-        if log is not None:
-            log.append(("deadlock", j.agent, agent))
+        if agent in blockers:
+            give_way(info[agent], blockers[agent], ConflictKind.STATIC, True, "deadlock")
 
     # Final reservation pass, in priority rank order. _rank_key is unique per
     # agent, so counting the comparisons leaves the order as it is.

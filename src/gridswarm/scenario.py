@@ -225,6 +225,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if kind not in ("kill", "revive", "partition", "heal"):
             raise ConfigError(f"faults[{idx}]: unknown kind {kind!r}")
         agent = f.get("agent")
+        if agent is not None and not isinstance(agent, str):
+            raise ConfigError(f"faults[{idx}].agent: expected an agent id, got {agent!r}")
         if kind in ("kill", "revive") and agent not in known_ids:
             raise ConfigError(f"faults[{idx}]: unknown agent {agent!r}")
         faults.append(FaultEvent(tick=_int(f.get("tick", 0), f"faults[{idx}].tick"),

@@ -146,7 +146,7 @@ def _check_safety(tick: int, positions: dict[str, tuple], moves: set[tuple],
                         f"tick {tick}: edge swap between {actor} and {other} across {list(src)}-{list(dst)}")
 
 
-def verify_trace(trace: str | list[dict]) -> list[str]:
+def verify_trace(trace: str) -> list[str]:
     """Scan a trace for protocol and safety violations; empty list means clean.
 
     Checks: pairwise-distinct positions per tick, no edge swaps, per-zone
@@ -156,7 +156,6 @@ def verify_trace(trace: str | list[dict]) -> list[str]:
     A text is read one line at a time and checked one tick at a time, so its
     ticks must not decrease.
     """
-    events = _read(trace) if isinstance(trace, str) else enumerate(trace, start=1)
     violations: list[str] = []
     positions: dict[str, tuple] = {}
     committed: dict[str, int] = {}
@@ -168,7 +167,7 @@ def verify_trace(trace: str | list[dict]) -> list[str]:
 
     tick: Optional[int] = None
     moves: set[tuple] = set()
-    for line_no, e in events:
+    for line_no, e in _read(trace):
         if e["tick"] != tick:
             if tick is not None:
                 if e["tick"] < tick:

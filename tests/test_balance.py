@@ -28,9 +28,11 @@ def test_mandate_must_cross_one_boundary():
 
 
 def test_deficit_computation_with_carry():
-    previous = {(0, 0): load((0, 0), 5, 1), (0, 1): load((0, 1), 0, 2)}
-    fresh = {(0, 0): load((0, 0), 2, 1)}
-    deficits = compute_zone_loads(fresh, previous)
+    # The super-leader keeps each zone's latest report: a fresh report
+    # replaces its zone's, and a zone not heard from keeps its previous one.
+    loads = {(0, 0): load((0, 0), 5, 1), (0, 1): load((0, 1), 0, 2)}
+    loads.update({(0, 0): load((0, 0), 2, 1)})
+    deficits = compute_zone_loads(loads)
     assert deficits == {(0, 0): 1, (0, 1): -2}
 
 

@@ -122,6 +122,19 @@ def test_run_exits_2_on_a_field_of_the_wrong_type(tmp_path, capsys, section, val
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("faults", [
+    [{"tick": 1, "kind": "kill", "agent": [1]}],
+    [{"tick": 1, "kind": "heal"}, {"tick": 1, "kind": "heal", "agent": 5}],
+])
+def test_run_exits_2_on_a_fault_agent_that_is_not_a_string(tmp_path, capsys, faults):
+    scenario = random_scenario(0)
+    scenario["faults"] = faults
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert ".agent: expected an agent id" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("groups", [
     [["a00", "a01"], ["a02", "a00"]],  # overlapping
     [["a00", "ghost"]],  # an agent random_scenario(0) lacks

@@ -9,7 +9,7 @@ from gridswarm.world import subscribed_zones
 
 
 def two_zone(agents=None, jobs=None, faults=None, max_ticks=120, seed=9,
-             network=None):
+             network=None, timeout=10):
     return scenario_from_dict({
         "map": {"width": 12, "height": 6},
         "partition": {"rows": 1, "cols": 2},
@@ -24,7 +24,7 @@ def two_zone(agents=None, jobs=None, faults=None, max_ticks=120, seed=9,
         ],
         "network": network or {},
         "planner": {},
-        "consensus": {},
+        "consensus": {"timeout_steps": timeout},
         "balance": {"period": 5},
         "seed": seed,
         "max_ticks": max_ticks,
@@ -310,6 +310,9 @@ def test_zone_lookups_follow_every_move():
             assert sim.bus.subscribers(zone_topic(zone, "global_tick")) == homed
             assert sim.bus.subscribers(zone_topic(zone, "db_update")) == leaders
             assert sim.bus.subscribers(zone_topic(zone, "tick_ack")) == leaders
+            # The zone's leader, when set, leads it from inside it.
+            lid = sim.zones[zone].leader
+            assert lid is None or lid in leaders
         assert sim.bus.subscribers("super/inbox") == (SUPER,)
         for a in sim.agents.values():
             assert a.subscribed == subscribed_zones(a.position, sim.partition)
@@ -367,22 +370,25 @@ def test_role_naming_another_agent_demotes_the_leader():
     zone = run_until(sim, "a00", lambda s: True)
     sim._publish(SUPER, "super/election",
                  {"kind": "role", "zone": zone, "leader": "a01", "since_tick": 0})
-    sim._pump({}, 1)
+    sim._pump(1)
     assert_stepped_down(sim, "a00", zone)
     assert sim.agents["a01"].is_leader and sim.zones[zone].leader == "a01"
 
 
+# a00 leads zone (0, 0) over a01 and a03; a02 is alone in zone (0, 1).
+FOUR_AGENTS = [{"id": "a00", "start": [2, 3]}, {"id": "a01", "start": [4, 1]},
+               {"id": "a03", "start": [1, 4]}, {"id": "a02", "start": [9, 3]}]
+
+
 def test_leader_demoted_mid_round_reads_no_member_messages():
-    sim = Simulation(two_zone(agents=[{"id": "a00", "start": [2, 3]},
-                                      {"id": "a01", "start": [4, 1]},
-                                      {"id": "a03", "start": [1, 4]},
-                                      {"id": "a02", "start": [9, 3]}]))
+    sim = Simulation(two_zone(agents=FOUR_AGENTS))
     zone = run_until(sim, "a00", lambda s: s.zones[(0, 0)].snapshot is not None)
     lr = LeaderRound(zone=zone, leader="a00", tick=sim.zones[zone].tick,
                      expected={"a00", "a01", "a03"})
     sim._publish(SUPER, "super/election",
                  {"kind": "role", "zone": zone, "leader": "a01", "since_tick": 0})
-    sim._pump({zone: lr}, 1)
+    sim.leader_rounds = {zone: lr}
+    sim._pump(1)
     assert_stepped_down(sim, "a00", zone)
     ticks_published = sim.metrics.messages.get("global_tick", 0)
     member = sim.agents["a03"]
@@ -390,10 +396,40 @@ def test_leader_demoted_mid_round_reads_no_member_messages():
                  {"kind": "state", "record": sim._record_for(member)})
     sim._publish("a03", zone_topic(zone, "db_update"),
                  {"kind": "resync_req", "agent": "a03", "tick": member.local_tick})
-    sim._pump({zone: lr}, 3)
+    sim._pump(3)
     # The demoted leader neither answers with a resync_resp nor stores state.
     assert sim.metrics.messages.get("global_tick", 0) == ticks_published
     assert lr.states == {}
+
+
+@pytest.mark.parametrize("half", ["states", "acks"])
+def test_wait_rule_marks_a_silent_member_dead_at_the_timeout(half):
+    """With timeout T, a member whose state never arrives is marked dead on
+    the T-th bus step of the round, and one whose ack never arrives on the
+    (T+1)-th bus step after the broadcast."""
+    timeout = 4
+    sim = Simulation(two_zone(agents=FOUR_AGENTS, timeout=timeout))
+    zone = run_until(sim, "a00", lambda s: s.zones[(0, 0)].snapshot is not None)
+    lr = LeaderRound(zone=zone, leader="a00", tick=sim.zones[zone].tick,
+                     expected={"a00", "a01", "a03"})
+    for aid in ["a01", "a03"] if half == "acks" else ["a01"]:
+        sim._publish(aid, zone_topic(zone, "db_update"),
+                     {"kind": "state", "record": sim._record_for(sim.agents[aid])})
+    sim.agents["a03"].powered = False  # publishes and acknowledges nothing more
+    sim.leader_rounds = {zone: lr}
+    steps = {}
+    for step in range(1, 3 * timeout):
+        sim._pump(1)
+        if lr.broadcast:
+            steps.setdefault("broadcast", step)
+        if "a03" not in lr.expected:
+            steps.setdefault("dead", step)
+    if half == "states":
+        assert steps == {"broadcast": timeout, "dead": timeout}
+    else:
+        assert steps == {"broadcast": 1, "dead": 1 + timeout + 1}
+    assert lr.complete and lr.tick_acks == {"a01"}
+    assert [e["agent"] for e in events_of(sim.trace, "MarkDead")] == ["a03"]
 
 
 @pytest.mark.xfail(strict=True, reason="the super-leader publishes each role "

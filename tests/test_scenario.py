@@ -1,6 +1,10 @@
+import copy
+import functools
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridswarm.scenario import (ConfigError, bench_scenario, load_scenario,
                                 random_scenario, scenario_from_dict)
@@ -91,6 +95,20 @@ def test_fault_validation():
     with pytest.raises(ConfigError):
         scenario_from_dict(minimal(
             faults=[{"tick": 1, "kind": "kill", "agent": "ghost"}]))
+
+
+# A fault's agent that is not a string: unhashable on a kill, and compared
+# with a string by the fault sort when two heals share a tick.
+BAD_FAULT_AGENTS = {
+    "faults[0].agent": [{"tick": 1, "kind": "kill", "agent": [1]}],
+    "faults[1].agent": [{"tick": 1, "kind": "heal"}, {"tick": 1, "kind": "heal", "agent": 5}],
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_FAULT_AGENTS))
+def test_fault_agent_must_be_a_string(field):
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        scenario_from_dict(minimal(faults=BAD_FAULT_AGENTS[field]))
 
 
 # Partition groups over the agents of random_scenario(0), a00 to a10: two
@@ -203,3 +221,95 @@ def test_typed_fields_reject_other_types():
 def test_overlap_wider_than_a_zone_parses():
     cfg = scenario_from_dict(minimal(partition={"rows": 2, "cols": 2, "overlap": 50}))
     assert cfg.overlap == 50
+
+
+# Every fault kind, and two heals at one tick so that the fault sort
+# compares their agents.
+MUTATION_FAULTS = [
+    {"tick": 2, "kind": "kill", "agent": "a00"},
+    {"tick": 3, "kind": "partition", "groups": [["a00"], ["a01"]]},
+    {"tick": 5, "kind": "revive", "agent": "a00"},
+    {"tick": 6, "kind": "heal"},
+    {"tick": 6, "kind": "heal", "agent": "a01"},
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _mutation_base(seed: int) -> str:
+    scenario = random_scenario(seed, max_agents=4, max_jobs=4)
+    scenario["faults"] = MUTATION_FAULTS
+    return json.dumps(scenario)
+
+
+def _paths(value, path=()):
+    """The path of `value` and of every value inside it."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers(-3, 2**64) | st.floats()
+                 | st.text(max_size=4))
+_other_values = (st.none() | st.text(max_size=4) | st.floats() | st.booleans()
+                 | st.lists(_json_scalars, max_size=5)
+                 | st.dictionaries(st.text(max_size=4), _json_scalars, max_size=3))
+
+
+def _pick_path(data, paths):
+    """A path of `paths`, each field of the schema as likely as any other
+    however many list entries hold it."""
+    shape = lambda path: tuple("*" if isinstance(k, int) else k for k in path)
+    chosen = data.draw(st.sampled_from(list(dict.fromkeys(map(shape, paths)))))
+    return data.draw(st.sampled_from([p for p in paths if shape(p) == chosen]))
+
+
+def _mutate(data, scenario):
+    """`scenario` with one key dropped, one value at any path replaced by a
+    value of another type, or one list entry duplicated."""
+    paths = list(_paths(scenario))
+    op = data.draw(st.sampled_from(["drop", "replace", "duplicate"]))
+    if op == "drop":
+        paths = [p for p in paths if p and isinstance(_at(scenario, p[:-1]), dict)]
+    elif op == "duplicate":
+        paths = [p for p in paths if isinstance(_at(scenario, p), list) and _at(scenario, p)]
+    if not paths:
+        return scenario
+    path = _pick_path(data, paths)
+    if op == "drop":
+        del _at(scenario, path[:-1])[path[-1]]
+    elif op == "duplicate":
+        entries = _at(scenario, path)
+        i = data.draw(st.integers(0, len(entries) - 1))
+        entries.insert(i, copy.deepcopy(entries[i]))
+    elif path:
+        _at(scenario, path[:-1])[path[-1]] = data.draw(_other_values)
+    else:
+        return data.draw(_other_values)
+    return scenario
+
+
+# A fixed hypothesis seed: every run reads the same 800 examples.
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(st.integers(0, 20), st.data())
+def test_mutated_scenario_parses_or_raises_config_error(seed, data):
+    """A scenario after each of a few mutations either parses or raises
+    ConfigError."""
+    scenario = json.loads(_mutation_base(seed))
+    for _ in range(data.draw(st.integers(1, 4))):
+        scenario = _mutate(data, scenario)
+        try:
+            scenario_from_dict(scenario)
+        except ConfigError:
+            pass
