@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .trace import compact_json
 from .world import Cell
@@ -23,8 +23,7 @@ class Liveness(Enum):
     RECOVERING = "recovering"
 
 
-@dataclass(frozen=True)
-class StateRecord:
+class StateRecord(NamedTuple):
     agent: str
     position: Cell
     intent: Cell

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from . import balance as bal
 from . import consensus as cons
@@ -111,6 +111,13 @@ class LeaderRound:
     solicited: list[str] = field(default_factory=list)
 
 
+class ZoneTopics(NamedTuple):
+    """A zone's topic names, formatted once per run."""
+    db_update: str
+    global_tick: str
+    tick_ack: str
+
+
 @dataclass
 class ZoneState:
     leader: Optional[str] = None
@@ -159,12 +166,14 @@ class Simulation:
         self._spawn_idx = 0
 
         self.zones = {z: ZoneState() for z in self.partition.zone_ids()}
+        self._zone_topics = {z: ZoneTopics(*(zone_topic(z, kind) for kind in ZoneTopics._fields))
+                             for z in self.zones}
         # (zone, kind) of every topic; the kind is also its message-count class.
         # A topic reaches only its readers: zone global_tick the home agents,
         # db_update and tick_ack the leader, super/inbox the super-leader.
         self._topics: dict[str, tuple[Optional[ZoneId], str]] = {
-            zone_topic(z, kind): (z, kind) for z in self.zones
-            for kind in ("db_update", "global_tick", "tick_ack")}
+            topic: (z, kind) for z, topics in self._zone_topics.items()
+            for kind, topic in zip(ZoneTopics._fields, topics)}
         for topic in ("super/loads", "super/election", "super/mandates"):
             self._topics[topic] = (None, topic.replace("/", "_"))
         self._topics["super/inbox"] = (None, "super_election")
@@ -182,12 +191,9 @@ class Simulation:
             self.bus.register(aid)
             self.bus.subscribe(aid, "super/election")
             self.bus.subscribe(aid, "super/mandates")
-            self.bus.subscribe(aid, zone_topic(a.home, "global_tick"))
+            self.bus.subscribe(aid, self._zone_topics[a.home].global_tick)
 
     # ------------------------------------------------------------------ utils
-
-    def _emit(self, kind: str, actor: str, **payload: Any) -> None:
-        self.trace.emit(self.round, kind, actor, **payload)
 
     def _publish(self, sender: str, topic: str, payload: dict) -> None:
         cls = self._topics[topic][1]
@@ -197,8 +203,9 @@ class Simulation:
     def _demote(self, a: AgentSim) -> None:
         """Step `a` down from leading its home zone."""
         a.is_leader = False
-        self.bus.unsubscribe(a.id, zone_topic(a.home, "db_update"))
-        self.bus.unsubscribe(a.id, zone_topic(a.home, "tick_ack"))
+        topics = self._zone_topics[a.home]
+        self.bus.unsubscribe(a.id, topics.db_update)
+        self.bus.unsubscribe(a.id, topics.tick_ack)
         zs = self.zones[a.home]
         if zs.leader == a.id:
             zs.leader = None
@@ -206,7 +213,7 @@ class Simulation:
     def _homed(self, zone: ZoneId) -> Iterable[AgentSim]:
         """The agents whose home is `zone`, by id: its global_tick subscribers."""
         return map(self.agents.__getitem__,
-                   self.bus.subscribers(zone_topic(zone, "global_tick")))
+                   self.bus.subscribers(self._zone_topics[zone].global_tick))
 
     def _members(self, zone: ZoneId) -> list[AgentSim]:
         return [a for a in self._homed(zone) if a.status is cons.Liveness.ALIVE]
@@ -240,10 +247,9 @@ class Simulation:
         a.stale_rounds = 0
 
     def _record_for(self, a: AgentSim) -> cons.StateRecord:
-        return cons.StateRecord(agent=a.id, position=a.position,
-                                intent=self._next_cell(a),
-                                job=None if a.job is None else a.job.id,
-                                priority=a.priority, tick=a.local_tick)
+        return cons.StateRecord(a.id, a.position, self._next_cell(a),
+                                None if a.job is None else a.job.id, a.priority,
+                                a.local_tick)
 
     def _force_rng(self, agent: str) -> random.Random:
         return random.Random(derive_seed(self.cfg.seed, "force", self.round, agent))
@@ -283,15 +289,15 @@ class Simulation:
     def _pump(self, max_steps: int) -> None:
         """Step the bus, the leaders' rounds and the super-leader until every
         round is complete and the bus is quiet, or `max_steps` run out."""
-        rounds = self.leader_rounds
+        open_rounds = [lr for _, lr in sorted(self.leader_rounds.items())]
         for _ in range(max_steps):
             for env, recipients in self.bus.step_deliver():
                 self._deliver(env, recipients)
-            for zone in sorted(rounds):
-                self._leader_eval(rounds[zone])
+            for lr in open_rounds:
+                self._leader_eval(lr)
+            open_rounds = [lr for lr in open_rounds if not lr.complete]
             self._super_eval()
-            if (all(lr.complete for lr in rounds.values())
-                    and not self.sup.elections and self.bus.pending() == 0):
+            if not open_rounds and not self.sup.elections and self.bus.pending() == 0:
                 break
 
     # ------------------------------------------------------------- the phases
@@ -322,14 +328,14 @@ class Simulation:
                 continue
             if a.status is cons.Liveness.ALIVE:
                 rec = self._record_for(a)
-                self._emit("StatePublish", aid, zone=list(a.home),
-                           position=list(a.position), intent=list(rec.intent),
-                           job=rec.job, agent_tick=a.local_tick)
+                self.trace.emit(self.round, "StatePublish", aid, zone=list(a.home),
+                                position=list(a.position), intent=list(rec.intent),
+                                job=rec.job, agent_tick=a.local_tick)
                 for z in sorted(a.subscribed):
-                    self._publish(aid, zone_topic(z, "db_update"),
+                    self._publish(aid, self._zone_topics[z].db_update,
                                   {"kind": "state", "record": rec})
             else:
-                self._publish(aid, zone_topic(a.home, "db_update"),
+                self._publish(aid, self._zone_topics[a.home].db_update,
                               {"kind": "resync_req", "agent": aid,
                                "tick": a.local_tick})
         self._pump(3 * self.timeout + 6)
@@ -400,8 +406,8 @@ class Simulation:
                 job.status = jobmod.JobStatus.PENDING
                 job.assign_tick = None
                 self._drop_job(a)
-            self._emit("MarkDead", lr.leader, zone=list(lr.zone), agent=aid,
-                       released_job=None if job is None else job.id)
+            self.trace.emit(self.round, "MarkDead", lr.leader, zone=list(lr.zone), agent=aid,
+                            released_job=None if job is None else job.id)
             lr.expected.discard(aid)
 
     def _leader_broadcast(self, lr: LeaderRound) -> None:
@@ -416,7 +422,7 @@ class Simulation:
         lr.solicited = pending
         solicit = [[j, list(zs.pool[j].location), zs.pool[j].priority]
                    for j in pending]
-        self._publish(lr.leader, zone_topic(lr.zone, "global_tick"),
+        self._publish(lr.leader, self._zone_topics[lr.zone].global_tick,
                       {"kind": "tick", "new_tick": new_tick,
                        "roster": sorted(lr.expected), "snapshot": snapshot,
                        "solicit": solicit})
@@ -429,14 +435,14 @@ class Simulation:
         self._commit(leader, new_tick)
         lr.broadcast = True
         lr.waited = 0
-        self._emit("TickBroadcast", lr.leader, zone=list(lr.zone),
-                   new_tick=new_tick, roster=sorted(lr.expected),
-                   digest=snapshot.digest())
+        self.trace.emit(self.round, "TickBroadcast", lr.leader, zone=list(lr.zone),
+                        new_tick=new_tick, roster=sorted(lr.expected),
+                        digest=snapshot.digest())
 
     def _bid(self, lr: LeaderRound, agent: str, job_id: str,
              cost: Optional[int]) -> None:
-        lr.bids.setdefault(job_id, []).append(jobmod.Bid(agent=agent, job=job_id, cost=cost))
-        self._emit("Bid", agent, job=job_id, cost=cost, zone=list(lr.zone))
+        lr.bids.setdefault(job_id, []).append(jobmod.Bid(agent, job_id, cost))
+        self.trace.emit(self.round, "Bid", agent, job=job_id, cost=cost, zone=list(lr.zone))
 
     # ---------------------------------------------------------- bus handlers
 
@@ -456,7 +462,7 @@ class Simulation:
             elif payload["kind"] == "resync_req":
                 zs = self.zones[zone]
                 if zs.snapshot is not None:
-                    self._publish(lr.leader, zone_topic(zone, "global_tick"),
+                    self._publish(lr.leader, self._zone_topics[zone].global_tick,
                                   {"kind": "resync_resp", "target": payload["agent"],
                                    "tick": zs.tick, "snapshot": zs.snapshot,
                                    "roster": sorted(lr.expected | {payload["agent"]})})
@@ -488,7 +494,8 @@ class Simulation:
             self._commit(a, payload["tick"])
             # Rejoins the leader's expected set from the next round on; it has
             # not published state this round, so gating on it would stall.
-            self._emit("Resync", a.id, zone=list(zone), resync_tick=payload["tick"])
+            self.trace.emit(self.round, "Resync", a.id, zone=list(zone),
+                            resync_tick=payload["tick"])
             return
         if zone != a.home or a.is_leader or a.status is not cons.Liveness.ALIVE:
             return  # a recovering agent rejoins through the resync path
@@ -496,7 +503,7 @@ class Simulation:
         if a.id not in payload["roster"] or cons.tick_gap_requires_resync(
                 a.local_tick, new_tick):
             a.status = cons.Liveness.RECOVERING
-            self._publish(a.id, zone_topic(zone, "db_update"),
+            self._publish(a.id, self._zone_topics[zone].db_update,
                           {"kind": "resync_req", "agent": a.id, "tick": a.local_tick})
             return
         if new_tick <= a.local_tick:
@@ -508,9 +515,9 @@ class Simulation:
             for job_id, loc, _prio in payload["solicit"]:
                 cost = self.costs.cost(a.position, Cell(*loc))
                 bids.append([job_id, cost])
-        self._emit("TickAck", a.id, zone=list(zone), committed_tick=new_tick,
-                   digest=snapshot.digest())
-        self._publish(a.id, zone_topic(zone, "tick_ack"),
+        self.trace.emit(self.round, "TickAck", a.id, zone=list(zone), committed_tick=new_tick,
+                        digest=snapshot.digest())
+        self._publish(a.id, self._zone_topics[zone].tick_ack,
                       {"kind": "tick_ack", "tick": new_tick, "bids": bids})
 
     def _handle_election_msg(self, a: AgentSim, payload: dict) -> None:
@@ -536,11 +543,12 @@ class Simulation:
                 zs.leader = a.id
                 zs.tick = max(zs.tick, payload["since_tick"])
                 if zs.tick > a.local_tick:
-                    self._emit("Resync", a.id, zone=list(zone),
-                               resync_tick=zs.tick)
+                    self.trace.emit(self.round, "Resync", a.id, zone=list(zone),
+                                    resync_tick=zs.tick)
                 a.local_tick = max(a.local_tick, zs.tick)
-                self.bus.subscribe(a.id, zone_topic(zone, "db_update"))
-                self.bus.subscribe(a.id, zone_topic(zone, "tick_ack"))
+                topics = self._zone_topics[zone]
+                self.bus.subscribe(a.id, topics.db_update)
+                self.bus.subscribe(a.id, topics.tick_ack)
             elif a.is_leader and a.home == zone:
                 self._demote(a)
         elif kind == "suspect_ok":
@@ -576,9 +584,9 @@ class Simulation:
             self.sup.loads[zone] = load
             self.sup.idle_ids[zone] = payload["idle_ids"]
             self.sup.controller_pending.pop(zone, None)
-            self._emit("LoadReport", SUPER, zone=list(zone),
-                       pending=payload["pending"], idle=payload["idle"],
-                       total=payload["total"])
+            self.trace.emit(self.round, "LoadReport", SUPER, zone=list(zone),
+                            pending=payload["pending"], idle=payload["idle"],
+                            total=payload["total"])
         elif kind == "leader_loss":
             if zone not in self.sup.elections:
                 self._start_election(zone, elec.ElectionReason.LEADER_DEAD)
@@ -624,8 +632,8 @@ class Simulation:
             self._publish(SUPER, "super/election",
                           {"kind": "role", "zone": zone, "leader": winner,
                            "since_tick": since})
-            self._emit("Election", SUPER, zone=list(zone), leader=winner,
-                       since_tick=since, reason=st.reason.value)
+            self.trace.emit(self.round, "Election", SUPER, zone=list(zone), leader=winner,
+                            since_tick=since, reason=st.reason.value)
 
     # Phase 2: scripted faults.
     def _phase_faults(self) -> None:
@@ -660,16 +668,16 @@ class Simulation:
                 job = jobmod.spawn_job(self.grid, job_id, spec.location,
                                        spec.priority, self.round)
             except jobmod.SpawnRejected:
-                self._emit("JobSpawn", CONTROLLER, job=job_id,
-                           location=list(spec.location), priority=spec.priority,
-                           zone=None, rejected=True)
+                self.trace.emit(self.round, "JobSpawn", CONTROLLER, job=job_id,
+                                location=list(spec.location), priority=spec.priority,
+                                zone=None, rejected=True)
                 continue
             zone = home_zone(job.location, self.partition)
             self.jobs[job_id] = job
             self.zones[zone].pool[job_id] = job
-            self._emit("JobSpawn", CONTROLLER, job=job_id,
-                       location=list(job.location), priority=job.priority,
-                       zone=list(zone), rejected=False)
+            self.trace.emit(self.round, "JobSpawn", CONTROLLER, job=job_id,
+                            location=list(job.location), priority=job.priority,
+                            zone=list(zone), rejected=False)
             self._publish(CONTROLLER, "super/loads",
                           {"kind": "job_notice", "zone": zone})
 
@@ -701,8 +709,8 @@ class Simulation:
                 a.path = None
                 a.mandate = None  # assignment takes precedence over migration
                 taken.add(best.agent)
-                self._emit("Assign", leader.id, job=job_id, agent=best.agent,
-                           cost=best.cost, zone=list(zone))
+                self.trace.emit(self.round, "Assign", leader.id, job=job_id, agent=best.agent,
+                                cost=best.cost, zone=list(zone))
 
     # Phase 5: periodic load reporting and daisy-chain planning.
     def _phase_balance(self) -> None:
@@ -739,8 +747,8 @@ class Simulation:
         if starved:
             self.metrics.starvation = True
         for m in mandates:
-            self._emit("Mandate", SUPER, mandate=m.id, agent=m.agent,
-                       from_zone=list(m.from_zone), to_zone=list(m.to_zone))
+            self.trace.emit(self.round, "Mandate", SUPER, mandate=m.id, agent=m.agent,
+                            from_zone=list(m.from_zone), to_zone=list(m.to_zone))
             self._publish(SUPER, "super/mandates", {"kind": "mandate", "mandate": m})
 
     # Phases 6-7: per-zone conflict resolution, then simultaneous movement.
@@ -763,10 +771,8 @@ class Simulation:
                 intent = self._next_cell(a)
             if can_move:
                 movable.add(aid)
-            states[aid] = plan.KinematicState(
-                agent=aid, current=a.position, intent=intent,
-                priority=a.priority, stuck=a.stuck,
-                has_job=a.goal is not None and can_move)
+            states[aid] = plan.KinematicState(aid, a.position, intent, a.priority, a.stuck,
+                                              a.goal is not None and can_move)
         proposals: dict[str, Cell] = {aid: s.intent for aid, s in states.items()}
         # A zone's group: powered agents inside its expanded bounds.
         groups: dict[ZoneId, list[plan.KinematicState]] = {}
@@ -794,9 +800,9 @@ class Simulation:
                 else:
                     tick_used = self.zones[ya.home].tick
                 kind_name = kind.value if isinstance(kind, plan.ConflictKind) else kind
-                self._emit("ConflictResolved", yielder, zone=list(zone),
-                           kind_detail=kind_name, keeper=keeper, yielder=yielder,
-                           tick_used=tick_used)
+                self.trace.emit(self.round, "ConflictResolved", yielder, zone=list(zone),
+                                kind_detail=kind_name, keeper=keeper, yielder=yielder,
+                                tick_used=tick_used)
         for aid in sorted(states):
             if aid not in movable:
                 proposals[aid] = self.agents[aid].position
@@ -812,7 +818,7 @@ class Simulation:
             a = self.agents[aid]
             target = final[aid]
             if target != a.position:
-                self._emit("Move", aid, src=list(a.position), dst=list(target))
+                self.trace.emit(self.round, "Move", aid, src=list(a.position), dst=list(target))
                 step = self._next_cell(a)
                 a.position = target
                 a.stuck = 0
@@ -839,8 +845,8 @@ class Simulation:
                 self._demote(a)
                 self._publish(a.id, "super/inbox",
                               {"kind": "stepdown", "zone": a.home, "leader": a.id})
-            self.bus.unsubscribe(a.id, zone_topic(a.home, "global_tick"))
-            self.bus.subscribe(a.id, zone_topic(new_home, "global_tick"))
+            self.bus.unsubscribe(a.id, self._zone_topics[a.home].global_tick)
+            self.bus.subscribe(a.id, self._zone_topics[new_home].global_tick)
             a.home = new_home
             if a.mandate is not None and new_home == a.mandate.to_zone:
                 self.metrics.migrations += 1
@@ -865,7 +871,7 @@ class Simulation:
             zone = home_zone(job.location, self.partition)
             self.costs.release(job.location, self.zones[zone].pool.values())
             leader = self.zones[zone].leader or aid
-            self._emit("Complete", leader, job=job.id, agent=aid, zone=list(zone))
+            self.trace.emit(self.round, "Complete", leader, job=job.id, agent=aid, zone=list(zone))
             self._drop_job(a)
 
 

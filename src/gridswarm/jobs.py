@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .world import Cell, GridMap, InvalidPositionError
 
@@ -30,8 +30,7 @@ class Job:
     completion_tick: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class Bid:
+class Bid(NamedTuple):
     agent: str
     job: str
     cost: Optional[int]  # None means unreachable

@@ -13,7 +13,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 
 def derive_seed(*parts: Any) -> int:
@@ -35,8 +35,7 @@ class PartitionConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     seq: int
     sender: str
     topic: str
@@ -111,28 +110,25 @@ class Bus:
     def reachable(self, a: str, b: str) -> bool:
         return self._group.get(a, -1) == self._group.get(b, -1)
 
-    def _delay(self) -> int:
-        d = self.config.delay_steps
-        if isinstance(d, int):
-            return d
-        return self._rng.randint(d[0], d[1])
-
     def publish(self, sender: str, topic: str, payload: Any) -> bool:
         """Queue `payload` for every current subscriber other than the sender
         and those a partition cuts off; False if dropped."""
         if sender not in self._registered:
             raise UnknownSenderError(sender)
-        if self.config.drop_prob > 0 and self._rng.random() < self.config.drop_prob:
+        config = self.config
+        if config.drop_prob > 0 and self._rng.random() < config.drop_prob:
             return False
         key = (sender, topic)
         seq = self._seq.get(key, 0) + 1
         self._seq[key] = seq
+        d = config.delay_steps
+        deliver_at = self.now + (d if isinstance(d, int) else self._rng.randint(d[0], d[1]))
         # Clamp so per-(sender, topic) delivery stays FIFO under random delay.
-        deliver_at = max(self.now + self._delay(), self._last_deliver_at.get(key, 0))
+        last = self._last_deliver_at.get(key, 0)
+        if deliver_at < last:
+            deliver_at = last
         self._last_deliver_at[key] = deliver_at
-        env = Envelope(seq=seq, sender=sender, topic=topic, deliver_at=deliver_at,
-                       payload=payload)
-        recipients = self.subscribers(topic)
+        recipients = self._sorted_subs.get(topic) or self.subscribers(topic)
         if self._group:
             recipients = tuple(sub for sub in recipients
                                if sub != sender and self.reachable(sender, sub))
@@ -142,7 +138,9 @@ class Bus:
         if recipients:
             # (deliver_at, sender, topic, seq) is unique per publish, so the
             # heap never compares envelopes.
-            heapq.heappush(self._queue, (deliver_at, sender, topic, seq, env, recipients))
+            heapq.heappush(self._queue, (deliver_at, sender, topic, seq,
+                                         Envelope(seq, sender, topic, deliver_at, payload),
+                                         recipients))
         return True
 
     def pending(self) -> int:

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Collection, Container, Optional
+from typing import Callable, Collection, Container, NamedTuple, Optional
 
 from .world import Cell, DIRECTIONS, GridMap
 
@@ -28,8 +28,7 @@ class ConflictKind(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class KinematicState:
+class KinematicState(NamedTuple):
     agent: str
     current: Cell
     intent: Cell

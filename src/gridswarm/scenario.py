@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -70,8 +71,11 @@ def _int(value: Any, where: str) -> int:
 
 
 def _number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    """A finite float. ``json`` reads NaN and Infinity, which no trace may
+    hold, and integers too large for a float."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -121,15 +125,19 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                   "scenario")
     m = _object(data.get("map"), "map")
     _require_keys(m, {"width", "height", "obstacles", "obstacle_rects"}, "map")
+    width = _int(m.get("width", 0), "map.width")
+    height = _int(m.get("height", 0), "map.height")
     obstacles = {_cell(c, "map.obstacles")
                  for c in _list(m.get("obstacles", []), "map.obstacles")}
     for idx, rect in enumerate(_list(m.get("obstacle_rects", []), "map.obstacle_rects")):
         where = f"map.obstacle_rects[{idx}]"
         if not (isinstance(rect, (list, tuple)) and len(rect) == 4):
             raise ConfigError(f"{where}: expected [x0,y0,x1,y1], got {rect!r}")
-        obstacles |= _rect_cells([[_int(v, where) for v in rect]])
-    width = _int(m.get("width", 0), "map.width")
-    height = _int(m.get("height", 0), "map.height")
+        x0, y0, x1, y1 = (_int(v, where) for v in rect)
+        # Before the expansion, whose cost grows with the rect's area.
+        if not (0 <= x0 < width and 0 <= x1 < width and 0 <= y0 < height and 0 <= y1 < height):
+            raise ConfigError(f"{where}: corner off the {width}x{height} map in {rect!r}")
+        obstacles |= _rect_cells([[x0, y0, x1, y1]])
     try:
         grid = GridMap(width=width, height=height, obstacles=frozenset(obstacles))
     except ValueError as exc:

@@ -57,6 +57,9 @@ class TraceWriter:
         fields = EVENT_FIELDS.get(kind)
         if fields is None:
             raise ValueError(f"unknown event kind {kind!r}")
+        if tuple(payload) == fields:  # already in schema order: one merge
+            self.events.append({"tick": tick, "kind": kind, "actor": actor, **payload})
+            return
         event: dict[str, Any] = {"tick": tick, "kind": kind, "actor": actor}
         for name in fields:
             if name in payload:

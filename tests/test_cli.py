@@ -122,6 +122,16 @@ def test_run_exits_2_on_a_field_of_the_wrong_type(tmp_path, capsys, section, val
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("priority", [float("nan"), float("inf")])
+def test_run_exits_2_on_a_non_finite_job_priority(tmp_path, capsys, priority):
+    scenario = random_scenario(3)
+    scenario["jobs"][0]["priority"] = priority
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(scenario))  # writes NaN or Infinity, as Python's json reads
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "jobs[0].priority: expected a finite number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("faults", [
     [{"tick": 1, "kind": "kill", "agent": [1]}],
     [{"tick": 1, "kind": "heal"}, {"tick": 1, "kind": "heal", "agent": 5}],

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridswarm import scenario as scenario_mod
 from gridswarm.scenario import (ConfigError, bench_scenario, load_scenario,
                                 random_scenario, scenario_from_dict)
 from gridswarm.world import Cell
@@ -82,10 +83,59 @@ def test_obstacle_rects_expand():
     assert cfg.grid.is_free(Cell(4, 4))
 
 
+@pytest.mark.parametrize("rect", [
+    [0, 0, 1000000000, 1000000000],  # would expand to 10**18 cells
+    [0, 5, 100000000, 4],  # empty y range, but 10**8 columns to loop over
+    [-1, 0, 2, 2],
+    [0, 0, 8, 0],  # x1 == width
+    [0, 8, 0, 0],  # y0 == height
+])
+def test_off_map_obstacle_rect_rejected_before_expansion(monkeypatch, rect):
+    def no_expansion(rects):
+        raise AssertionError(f"expanded {rects} before the bounds check")
+
+    monkeypatch.setattr(scenario_mod, "_rect_cells", no_expansion)
+    with pytest.raises(ConfigError, match=r"map\.obstacle_rects\[0\]: corner off the 8x8 map"):
+        scenario_from_dict(minimal(
+            map={"width": 8, "height": 8, "obstacle_rects": [rect]}))
+
+
+def test_obstacle_rect_on_the_last_row_and_column_parses():
+    cfg = scenario_from_dict(minimal(
+        map={"width": 8, "height": 8, "obstacle_rects": [[7, 0, 7, 3], [0, 7, 3, 7]]}))
+    assert not cfg.grid.is_free(Cell(7, 3))
+    assert not cfg.grid.is_free(Cell(3, 7))
+
+
 def test_bad_job_priority_rejected():
     with pytest.raises(ConfigError):
         scenario_from_dict(minimal(
             jobs=[{"spawn_tick": 0, "location": [1, 1], "priority": -1}]))
+
+
+# Scenarios holding a number at the named field.
+NUMBER_AT = {
+    "jobs[0].priority":
+        lambda v: minimal(jobs=[{"spawn_tick": 0, "location": [4, 4], "priority": v}]),
+    "network.drop_prob": lambda v: minimal(network={"drop_prob": v}),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int_over_float_max"])
+@pytest.mark.parametrize("field", sorted(NUMBER_AT))
+def test_non_finite_number_is_a_config_error_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=re.escape(field) + ": expected a finite number"):
+        scenario_from_dict(NUMBER_AT[field](value))
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_priority_in_a_file_is_rejected(tmp_path, token):
+    # Python's json reads these tokens, though they are not JSON.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(minimal()).replace('"priority": 1.5', f'"priority": {token}'))
+    with pytest.raises(ConfigError, match=r"jobs\[0\]\.priority"):
+        load_scenario(str(path))
 
 
 def test_fault_validation():
