@@ -1,7 +1,8 @@
 """Command line entry points: run, verify, bench.
 
-Exit codes: 0 clean, 1 invariant violation detected, 2 configuration error,
-3 run ended incomplete (jobs left unfinished at the tick limit).
+Exit codes: 0 clean, 1 invariant violation detected, 2 configuration error
+or a file that cannot be read, decoded or written, 3 run ended incomplete
+(jobs left unfinished at the tick limit).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from .engine import run_scenario
 from .scenario import ConfigError, bench_scenario, load_scenario, scenario_from_dict
@@ -22,27 +24,20 @@ EXIT_INCOMPLETE = 3
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = load_scenario(args.scenario)
-        if args.seed is not None:
-            from dataclasses import replace
-            config = replace(config, seed=args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_scenario(args.scenario)
+    if args.seed is not None:
+        from dataclasses import replace
+        config = replace(config, seed=args.seed)
     metrics, trace = run_scenario(config)
     text = trace.dump()
+    flat = metrics.flat()
     if args.trace_out:
-        with open(args.trace_out, "w") as fh:
-            fh.write(text)
+        Path(args.trace_out).write_text(text)
     if args.metrics_out:
-        with open(args.metrics_out, "w") as fh:
-            json.dump(metrics.flat(), fh, indent=2)
-            fh.write("\n")
+        Path(args.metrics_out).write_text(json.dumps(flat, indent=2) + "\n")
     violations = verify_trace(text)
     for v in violations:
         print(f"violation: {v}", file=sys.stderr)
-    flat = metrics.flat()
     print(json.dumps({"completed": flat["completed"], "rounds": flat["rounds"],
                       "makespan": flat["makespan"], "digest": trace_digest(text)}))
     if violations:
@@ -53,17 +48,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        with open(args.trace) as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        violations = verify_trace(text)
-    except TraceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    violations = verify_trace(Path(args.trace).read_text(encoding="utf-8"))
     for v in violations:
         print(f"violation: {v}")
     print(f"{len(violations)} violation(s)")
@@ -71,11 +56,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    agents = [int(v) for v in args.agents.split(",")]
-    job_counts = [int(v) for v in args.jobs.split(",")]
     rows = []
-    for n_agents in agents:
-        for n_jobs in job_counts:
+    for n_agents in args.agents:
+        for n_jobs in args.jobs:
             for rep in range(args.repeats):
                 seed = 1000 * n_agents + 10 * n_jobs + rep
                 scenario = bench_scenario(n_agents, n_jobs, seed,
@@ -92,10 +75,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                              "wall_s": round(elapsed, 3)})
                 print(json.dumps(rows[-1]))
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        Path(args.out).write_text(json.dumps(rows, indent=2) + "\n")
     return EXIT_OK
+
+
+def _counts(text: str) -> list[int]:
+    """A comma-separated list of non-negative counts (an argparse type)."""
+    try:
+        counts = [int(v) for v in text.split(",")]
+        if min(counts) >= 0:
+            return counts
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated counts, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,8 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bench = sub.add_parser("bench", help="sweep seeded scenarios and report timings")
-    p_bench.add_argument("--agents", required=True, help="comma-separated counts")
-    p_bench.add_argument("--jobs", required=True, help="comma-separated counts")
+    p_bench.add_argument("--agents", type=_counts, required=True,
+                         help="comma-separated counts")
+    p_bench.add_argument("--jobs", type=_counts, required=True,
+                         help="comma-separated counts")
     p_bench.add_argument("--repeats", type=int, default=1)
     p_bench.add_argument("--max-ticks", type=int, default=5000)
     p_bench.add_argument("--out", default=None)
@@ -126,7 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, TraceFormatError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

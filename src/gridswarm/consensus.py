@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
+from .planner import rank
 from .trace import compact_json
 from .world import Cell
 
@@ -88,11 +89,5 @@ def tick_gap_requires_resync(local_tick: int, new_tick: int) -> bool:
 def resolve_overlap_tick(tick_i: int, tick_j: int, prio_i: float, prio_j: float,
                          id_i: str, id_j: str) -> int:
     """Tick used when agents from different zones meet in an overlap region:
-    the higher-priority agent's tick, ties to the lower agent id."""
-    if tick_i == tick_j:
-        return tick_i
-    if prio_i > prio_j:
-        return tick_i
-    if prio_j > prio_i:
-        return tick_j
-    return tick_i if id_i < id_j else tick_j
+    the tick of the agent that `planner.rank` puts first."""
+    return tick_i if rank(prio_i, id_i) < rank(prio_j, id_j) else tick_j

@@ -811,7 +811,7 @@ class Simulation:
     def _phase_move(self, proposals: dict[str, Cell], movable: set[str]) -> None:
         # Non-movable agents were pinned to their own cell by _phase_plan.
         order = [(a.id, a.position) for a in
-                 sorted(self.agents.values(), key=lambda a: (-a.priority, a.id))]
+                 sorted(self.agents.values(), key=lambda a: plan.rank(a.priority, a.id))]
         occ = {a.position: a.id for a in self.agents.values()}
         final = plan.reserve_moves(order, proposals, occ, self.grid)
         for aid in sorted(self.agents):

@@ -1,11 +1,15 @@
 """Path planning and force-based cooperative conflict resolution.
 
 Base paths come from A* with the Manhattan heuristic over the map's
-neighbour table; `blocked` cells count as obstacles. Per-tick movement
-conflicts between agents (vertex, edge, static) are resolved by a piecewise
-force law: the lower-priority agent of a conflicting pair recomputes its
-intent from a force vector, and agents stuck in a blocking cycle ramp their
-force exponentially with their stuck counter until the cycle breaks.
+neighbour table; `blocked` cells count as obstacles. Two agents can conflict
+in a tick (vertex, edge, static) only if one intends the other's cell or
+both intend the same cell, so the resolver finds every conflicting pair and
+every blocker in one pass over the agents intending each cell, joined with
+the cell map. Of a conflicting pair, the agent that `rank` puts second
+(lower priority, ties to the higher id) recomputes its intent from a
+piecewise force law, and agents stuck in a blocking cycle ramp their force
+exponentially with their stuck counter until the cycle breaks. The same rank
+orders the final reservation pass.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cmp_to_key
+from itertools import combinations
 from typing import Callable, Collection, Container, NamedTuple, Optional
 
 from .world import Cell, DIRECTIONS, GridMap
@@ -200,15 +206,47 @@ def quantize_move(force: tuple[float, float], current: Cell, grid: GridMap,
     return best if best is not None else current
 
 
-def _blockers(states: list[KinematicState]) -> dict[str, KinematicState]:
-    """The agent whose current cell each agent intends to enter, if any."""
-    by_cell = {s.current: s for s in states}
-    out = {}
+def _contacts(states: list[KinematicState], occ: dict[Cell, str]
+              ) -> tuple[dict[str, KinematicState], list[tuple[str, str]]]:
+    """The blocking map and the sorted pairs that can conflict.
+
+    A pair can conflict only if one agent intends the other's cell or both
+    intend the same cell, so one pass over the agents intending each cell,
+    joined with the cell's occupant, finds every such pair and every blocker.
+    """
+    info = {s.agent: s for s in states}
+    entrants: dict[Cell, list[str]] = {}
     for s in states:
-        b = by_cell.get(s.intent)
-        if b is not None and b.agent != s.agent:
-            out[s.agent] = b
-    return out
+        entrants.setdefault(s.intent, []).append(s.agent)
+    blockers: dict[str, KinematicState] = {}
+    pairs: set[tuple[str, str]] = set()
+    for cell, group in entrants.items():
+        here = occ.get(cell)
+        if here is not None:
+            for a in group:
+                if a != here:
+                    blockers[a] = info[here]
+            if here not in group:
+                group.append(here)
+        if len(group) > 1:
+            pairs.update(combinations(sorted(group), 2))
+    return blockers, sorted(pairs)
+
+
+def _matured_cycles(blockers: dict[str, KinematicState], threshold: int) -> set[str]:
+    on_cycle: set[str] = set()
+    seen: set[str] = set()
+    for node in blockers:
+        trail = []
+        while node in blockers and node not in seen:
+            seen.add(node)
+            trail.append(node)
+            node = blockers[node].agent
+        if node in trail:
+            on_cycle.update(trail[trail.index(node):])
+    # Every agent on a cycle blocks the one before it, so its state is a value.
+    return {b.agent for b in blockers.values()
+            if b.agent in on_cycle and b.stuck >= threshold and b.has_job}
 
 
 def detect_deadlock(states: list[KinematicState], threshold: int) -> set[str]:
@@ -218,25 +256,8 @@ def detect_deadlock(states: list[KinematicState], threshold: int) -> set[str]:
     cells and positions are distinct, the blocking relation is a functional
     graph and cycles are found by pointer chasing.
     """
-    info = {s.agent: s for s in states}
-    succ = {a: b.agent for a, b in _blockers(states).items()}
-    on_cycle: set[str] = set()
-    color: dict[str, int] = {}  # 0 visiting, 1 done
-    for a in sorted(info):
-        if a in color:
-            continue
-        trail = []
-        node: Optional[str] = a
-        while node is not None and node not in color:
-            color[node] = 0
-            trail.append(node)
-            node = succ.get(node)
-        if node is not None and color.get(node) == 0:
-            on_cycle.update(trail[trail.index(node):])
-        for t in trail:
-            color[t] = 1
-    return {a for a in on_cycle
-            if info[a].stuck >= threshold and info[a].has_job}
+    blockers, _pairs = _contacts(states, {s.current: s.agent for s in states})
+    return _matured_cycles(blockers, threshold)
 
 
 def reserve_moves(order: list[tuple[str, Cell]], proposal: dict[str, Cell],
@@ -266,29 +287,11 @@ def reserve_moves(order: list[tuple[str, Cell]], proposal: dict[str, Cell],
     return final
 
 
-def _rank_key(s: KinematicState) -> tuple[float, str]:
-    # Higher priority first; ties keep the lower agent id ahead.
-    return (-s.priority, s.agent)
-
-
-class _Ranked:
-    """Sort wrapper that counts every comparison of the rank sort."""
-
-    __slots__ = ("s", "ops")
-
-    def __init__(self, s: KinematicState, ops: OpCounter) -> None:
-        self.s = s
-        self.ops = ops
-
-    def __lt__(self, other: "_Ranked") -> bool:
-        self.ops.tick()
-        return _rank_key(self.s) < _rank_key(other.s)
-
-
-# Cell offsets within Manhattan distance 2: the only pairs that can interact,
-# since intents move at most one cell.
-_NEAR = tuple((dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)
-              if abs(dx) + abs(dy) <= 2)
+def rank(priority: float, agent: str) -> tuple[float, str]:
+    """Sort key of the swarm's one rank rule: higher priority first, ties to
+    the lower agent id. It picks the keeper of a conflicting pair, orders
+    both reservation passes and picks the tick used in a zone overlap."""
+    return (-priority, agent)
 
 
 def resolve_zone_step(states: list[KinematicState], grid: GridMap,
@@ -300,51 +303,24 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
     """Resolve one tick of movement for a set of co-located agents.
 
     Returns a collision-free intent per agent: no two intents share a cell,
-    none enters a cell in `blocked`, and no pair swaps cells. Lower-priority
-    members of conflicting pairs recompute their intent from the force law;
-    agents in matured blocking cycles use the deadlock branch; anything
-    still unsafe waits.
+    none enters a cell in `blocked`, and no pair swaps cells. The member of
+    a conflicting pair that `rank` puts second recomputes its intent from
+    the force law; agents in matured blocking cycles use the deadlock
+    branch; anything still unsafe waits.
     """
     ops = counter or OpCounter()
     info = {s.agent: s for s in states}
     proposal = {s.agent: s.intent for s in states}
-    cur_of = {s.agent: s.current for s in states}
     occ = {s.current: s.agent for s in states}
     if len(occ) != len(states):
         raise ValueError("agents must occupy distinct cells")
-    taken = occ.keys() | blocked if blocked else occ  # no yielder steps onto these
-    # Flat indices on the map padded by two cells on every side, so that no
-    # offset in _NEAR wraps from one row into the next.
-    w, h = grid.width, grid.height
-    pw = w + 4
-    at: dict[int, str] = {}
     for s in states:
-        x, y = s.current
-        if not (0 <= x < w and 0 <= y < h):
+        if not grid.in_bounds(s.current):
             raise ValueError(f"agent {s.agent} at {s.current} is off the map")
-        at[(y + 2) * pw + x + 2] = s.agent
-
-    deadlocked = detect_deadlock(states, params.deadlock_threshold)
+    taken = occ.keys() | blocked if blocked else occ  # no yielder steps onto these
+    blockers, pairs = _contacts(states, occ)
+    deadlocked = _matured_cycles(blockers, params.deadlock_threshold)
     ops.tick(len(states))
-
-    # Nearby pairs only (see _NEAR).
-    steps = [dy * pw + dx for dx, dy in _NEAR]
-    ops.tick(len(steps) * len(states))
-    pairs: list[tuple[str, str]] = []
-    for s in states:
-        x, y = s.current
-        base = (y + 2) * pw + x + 2
-        for step in steps:
-            other = at.get(base + step)
-            if other is not None and other > s.agent:
-                pairs.append((s.agent, other))
-    pairs.sort()
-
-    def yield_order(a: KinematicState, b: KinematicState) -> tuple[KinematicState, KinematicState]:
-        # Returns (keeper, yielder): lower priority yields, ties yield the higher id.
-        if (a.priority, b.agent) > (b.priority, a.agent):
-            return a, b
-        return b, a
 
     def give_way(yielder: KinematicState, keeper: KinematicState, kind: ConflictKind,
                  deadlock: bool, tag: ConflictKind | str) -> None:
@@ -361,30 +337,31 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
         kind = classify_conflict(si, sj)
         ops.tick()
         if kind in (ConflictKind.VERTEX, ConflictKind.EDGE, ConflictKind.STATIC):
-            keeper, yielder = yield_order(si, sj)
+            keeper, yielder = ((si, sj) if rank(si.priority, ai) < rank(sj.priority, aj)
+                               else (sj, si))
             give_way(yielder, keeper, kind, yielder.agent in deadlocked, kind)
 
     # Matured blocking cycles get the ramped branch even without a pairwise
     # conflict (a rotation cycle classifies as no-conflict on every pair).
-    blockers = _blockers(states)
     for agent in sorted(deadlocked):
-        if agent in blockers:
-            give_way(info[agent], blockers[agent], ConflictKind.STATIC, True, "deadlock")
+        give_way(info[agent], blockers[agent], ConflictKind.STATIC, True, "deadlock")
 
-    # Final reservation pass, in priority rank order. _rank_key is unique per
-    # agent, so counting the comparisons leaves the order as it is.
-    if counter is None:
-        ranked = sorted(states, key=_rank_key)
-    else:
-        ranked = [r.s for r in sorted(_Ranked(s, counter) for s in states)]
-    order = [(s.agent, s.current) for s in ranked]
+    # Final reservation pass, in rank order. The rank is unique per agent, so
+    # counting the comparisons leaves the order as it is.
+    def counted(a: KinematicState, b: KinematicState) -> int:
+        ops.tick()
+        return -1 if rank(a.priority, a.agent) < rank(b.priority, b.agent) else 1
+
+    by_rank = cmp_to_key(counted) if counter else lambda s: rank(s.priority, s.agent)
+    order = [(s.agent, s.current) for s in sorted(states, key=by_rank)]
     ops.tick(len(order))
     final = reserve_moves(order, proposal, occ, grid, blocked)
 
     # Safety: distinct targets and no swaps.
     assert len(set(final.values())) == len(final)
     for a, t in final.items():
-        if t != cur_of[a]:
+        here = info[a].current
+        if t != here:
             back = occ.get(t)
-            assert not (back is not None and final.get(back) == cur_of[a])
+            assert not (back is not None and final.get(back) == here)
     return final

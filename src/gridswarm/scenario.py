@@ -256,9 +256,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 def load_scenario(path: str) -> ScenarioConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers undecodable bytes, bad JSON and over-long integers.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     return scenario_from_dict(data)
 
@@ -313,6 +314,8 @@ def bench_scenario(n_agents: int, n_jobs: int, seed: int,
     rects = [[4, 4, 6, 6], [22, 4, 24, 6], [4, 22, 6, 24],
              [22, 22, 24, 24], [13, 13, 16, 16]]
     free = _free_cells(GridMap(30, 30, _rect_cells(rects)))
+    if not 0 <= n_agents <= len(free):
+        raise ConfigError(f"bench: {n_agents} agents do not fit on {len(free)} free cells")
     rng = random.Random(derive_seed(seed, "bench", n_agents, n_jobs))
     starts = rng.sample(free, n_agents)
     return _scenario_dict(30, 30, rects, 3, 3, starts, _draw_jobs(rng, free, n_jobs, 20),

@@ -98,7 +98,7 @@ def _read(text: str) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 event = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise TraceFormatError(idx, f"invalid JSON: {exc}") from exc
         if not isinstance(event, dict) or "kind" not in event or "tick" not in event:
             raise TraceFormatError(idx, "event must be an object with tick and kind")

@@ -96,6 +96,49 @@ def test_bench_reports_rows(tmp_path, capsys):
     assert rows[0]["completed"] is True
 
 
+def exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args,fragment", [
+    (["--agents", "x"], "argument --agents: expected comma-separated counts, got 'x'"),
+    (["--agents", "900"], "900 agents do not fit"),
+    (["--agents", "5", "--max-ticks", "0"], "max_ticks must be >= 1"),
+], ids=["agents_not_a_number", "agents_beyond_free_cells", "max_ticks_0"])
+def test_bench_exits_2_on_a_bad_argument(capsys, args, fragment):
+    assert exit_code(["bench", "--jobs", "1"] + args) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and fragment in err
+
+
+@pytest.mark.parametrize("command,flag", [("run", "--scenario"), ("verify", "--trace")])
+@pytest.mark.parametrize("content", [
+    b'{"tick":0,"kind":"Move","actor":"\xe9","src":[0,0],"dst":[1,0]}\n',  # Latin-1
+    b'{"tick":' + b"1" * 5000 + b',"kind":"Move"}\n',  # past int()'s digit limit
+    b"[" * 100000 + b"]" * 100000 + b"\n",  # past the recursion limit
+], ids=["latin1", "long_integer", "deep_nesting"])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, command, flag, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    assert main([command, flag, str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "{scenario}", "--trace-out", "{out}"],
+    ["run", "--scenario", "{scenario}", "--metrics-out", "{out}"],
+    ["bench", "--agents", "2", "--jobs", "1", "--out", "{out}"],
+], ids=["trace_out", "metrics_out", "bench_out"])
+def test_unwritable_output_exits_2(tmp_path, scenario_file, capsys, argv):
+    out = str(tmp_path / "missing" / "out")
+    assert main([a.format(scenario=scenario_file, out=out) for a in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", [
     '{"tick":1,"kind":"Move","actor":"a","src":[0,0]}',
     '{"tick":1,"kind":"TickAck","actor":"a","zone":[0,0],"committed_tick":1}',

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -425,6 +426,41 @@ def test_resolution_same_with_and_without_op_counter(data):
     assert plain == counted
     assert plain_log == counted_log
     assert counter.n > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_resolution_log_matches_classifying_every_pair(data):
+    """The resolver logs, in order, exactly the vertex, edge and static
+    conflicts that classifying every sorted pair of agents finds, so its
+    candidate search misses none. Agents stand anywhere, map edges and
+    cells beside blocked ones included, and ids follow no list order."""
+    w = data.draw(st.integers(2, 6))
+    h = data.draw(st.integers(1, 6))
+    grid = GridMap(width=w, height=h)
+    cells = [Cell(x, y) for y in range(h) for x in range(w)]
+    currents = data.draw(st.lists(st.sampled_from(cells), min_size=2,
+                                  max_size=min(12, len(cells)), unique=True))
+    rest = [c for c in cells if c not in currents]
+    blocked = set(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else set()
+    ids = data.draw(st.permutations(range(len(currents))))
+    states = [KinematicState(
+        agent=f"a{ids[idx]:02d}", current=cur,
+        intent=data.draw(st.sampled_from([cur] + grid.free_neighbors(cur))),
+        priority=data.draw(st.sampled_from([1.0, 1.5, 2.0])),
+        stuck=data.draw(st.integers(0, 4)), has_job=data.draw(st.booleans()))
+        for idx, cur in enumerate(currents)]
+    log = []
+    resolve_zone_step(states, grid, PlannerParams(), rng_factory(data.draw(st.integers(0, 99))),
+                      log=log, blocked=blocked)
+    expected = []
+    for i, j in combinations(sorted(states, key=lambda s: s.agent), 2):
+        kind = classify_conflict(i, j)
+        if kind in (ConflictKind.VERTEX, ConflictKind.EDGE, ConflictKind.STATIC):
+            # i has the lower id, so it keeps its intent unless j outranks it.
+            keeper, yielder = (i, j) if i.priority >= j.priority else (j, i)
+            expected.append((kind, keeper.agent, yielder.agent))
+    assert [entry for entry in log if entry[0] != "deadlock"] == expected
 
 
 def test_deadlocked_agent_steps_aside_from_a_blocked_cell():
