@@ -90,6 +90,17 @@ def _counts(text: str) -> list[int]:
     raise argparse.ArgumentTypeError(f"expected comma-separated counts, got {text!r}")
 
 
+def _at_least_one(text: str) -> int:
+    """A count of at least 1 (an argparse type)."""
+    try:
+        count = int(text)
+        if count >= 1:
+            return count
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gridswarm")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -111,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated counts")
     p_bench.add_argument("--jobs", type=_counts, required=True,
                          help="comma-separated counts")
-    p_bench.add_argument("--repeats", type=int, default=1)
+    p_bench.add_argument("--repeats", type=_at_least_one, default=1)
     p_bench.add_argument("--max-ticks", type=int, default=5000)
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=_cmd_bench)

@@ -32,10 +32,6 @@ class StateRecord(NamedTuple):
     priority: float
     tick: int
 
-    def as_payload(self) -> list:
-        return [self.agent, list(self.position), list(self.intent),
-                self.job, self.priority, self.tick]
-
 
 @dataclass(frozen=True)
 class ZoneSnapshot:
@@ -46,7 +42,8 @@ class ZoneSnapshot:
     def digest(self) -> str:
         # Every roster member acknowledges the same snapshot, so compute once.
         if self._digest is None:
-            blob = compact_json([self.tick] + [r.as_payload() for r in self.records])
+            # JSON writes NamedTuples as arrays: [tick, [agent, [x, y], ...], ...].
+            blob = compact_json((self.tick, *self.records))
             object.__setattr__(self, "_digest", hashlib.sha256(blob.encode()).hexdigest()[:16])
         return self._digest
 

@@ -328,8 +328,8 @@ class Simulation:
                 continue
             if a.status is cons.Liveness.ALIVE:
                 rec = self._record_for(a)
-                self.trace.emit(self.round, "StatePublish", aid, zone=list(a.home),
-                                position=list(a.position), intent=list(rec.intent),
+                self.trace.emit(self.round, "StatePublish", aid, zone=tuple(a.home),
+                                position=tuple(a.position), intent=tuple(rec.intent),
                                 job=rec.job, agent_tick=a.local_tick)
                 for z in sorted(a.subscribed):
                     self._publish(aid, self._zone_topics[z].db_update,
@@ -406,7 +406,7 @@ class Simulation:
                 job.status = jobmod.JobStatus.PENDING
                 job.assign_tick = None
                 self._drop_job(a)
-            self.trace.emit(self.round, "MarkDead", lr.leader, zone=list(lr.zone), agent=aid,
+            self.trace.emit(self.round, "MarkDead", lr.leader, zone=tuple(lr.zone), agent=aid,
                             released_job=None if job is None else job.id)
             lr.expected.discard(aid)
 
@@ -435,14 +435,14 @@ class Simulation:
         self._commit(leader, new_tick)
         lr.broadcast = True
         lr.waited = 0
-        self.trace.emit(self.round, "TickBroadcast", lr.leader, zone=list(lr.zone),
-                        new_tick=new_tick, roster=sorted(lr.expected),
+        self.trace.emit(self.round, "TickBroadcast", lr.leader, zone=tuple(lr.zone),
+                        new_tick=new_tick, roster=tuple(sorted(lr.expected)),
                         digest=snapshot.digest())
 
     def _bid(self, lr: LeaderRound, agent: str, job_id: str,
              cost: Optional[int]) -> None:
         lr.bids.setdefault(job_id, []).append(jobmod.Bid(agent, job_id, cost))
-        self.trace.emit(self.round, "Bid", agent, job=job_id, cost=cost, zone=list(lr.zone))
+        self.trace.emit(self.round, "Bid", agent, job=job_id, cost=cost, zone=tuple(lr.zone))
 
     # ---------------------------------------------------------- bus handlers
 
@@ -494,7 +494,7 @@ class Simulation:
             self._commit(a, payload["tick"])
             # Rejoins the leader's expected set from the next round on; it has
             # not published state this round, so gating on it would stall.
-            self.trace.emit(self.round, "Resync", a.id, zone=list(zone),
+            self.trace.emit(self.round, "Resync", a.id, zone=tuple(zone),
                             resync_tick=payload["tick"])
             return
         if zone != a.home or a.is_leader or a.status is not cons.Liveness.ALIVE:
@@ -515,7 +515,7 @@ class Simulation:
             for job_id, loc, _prio in payload["solicit"]:
                 cost = self.costs.cost(a.position, Cell(*loc))
                 bids.append([job_id, cost])
-        self.trace.emit(self.round, "TickAck", a.id, zone=list(zone), committed_tick=new_tick,
+        self.trace.emit(self.round, "TickAck", a.id, zone=tuple(zone), committed_tick=new_tick,
                         digest=snapshot.digest())
         self._publish(a.id, self._zone_topics[zone].tick_ack,
                       {"kind": "tick_ack", "tick": new_tick, "bids": bids})
@@ -543,7 +543,7 @@ class Simulation:
                 zs.leader = a.id
                 zs.tick = max(zs.tick, payload["since_tick"])
                 if zs.tick > a.local_tick:
-                    self.trace.emit(self.round, "Resync", a.id, zone=list(zone),
+                    self.trace.emit(self.round, "Resync", a.id, zone=tuple(zone),
                                     resync_tick=zs.tick)
                 a.local_tick = max(a.local_tick, zs.tick)
                 topics = self._zone_topics[zone]
@@ -584,7 +584,7 @@ class Simulation:
             self.sup.loads[zone] = load
             self.sup.idle_ids[zone] = payload["idle_ids"]
             self.sup.controller_pending.pop(zone, None)
-            self.trace.emit(self.round, "LoadReport", SUPER, zone=list(zone),
+            self.trace.emit(self.round, "LoadReport", SUPER, zone=tuple(zone),
                             pending=payload["pending"], idle=payload["idle"],
                             total=payload["total"])
         elif kind == "leader_loss":
@@ -632,7 +632,7 @@ class Simulation:
             self._publish(SUPER, "super/election",
                           {"kind": "role", "zone": zone, "leader": winner,
                            "since_tick": since})
-            self.trace.emit(self.round, "Election", SUPER, zone=list(zone), leader=winner,
+            self.trace.emit(self.round, "Election", SUPER, zone=tuple(zone), leader=winner,
                             since_tick=since, reason=st.reason.value)
 
     # Phase 2: scripted faults.
@@ -669,15 +669,15 @@ class Simulation:
                                        spec.priority, self.round)
             except jobmod.SpawnRejected:
                 self.trace.emit(self.round, "JobSpawn", CONTROLLER, job=job_id,
-                                location=list(spec.location), priority=spec.priority,
+                                location=tuple(spec.location), priority=spec.priority,
                                 zone=None, rejected=True)
                 continue
             zone = home_zone(job.location, self.partition)
             self.jobs[job_id] = job
             self.zones[zone].pool[job_id] = job
             self.trace.emit(self.round, "JobSpawn", CONTROLLER, job=job_id,
-                            location=list(job.location), priority=job.priority,
-                            zone=list(zone), rejected=False)
+                            location=tuple(job.location), priority=job.priority,
+                            zone=tuple(zone), rejected=False)
             self._publish(CONTROLLER, "super/loads",
                           {"kind": "job_notice", "zone": zone})
 
@@ -710,7 +710,7 @@ class Simulation:
                 a.mandate = None  # assignment takes precedence over migration
                 taken.add(best.agent)
                 self.trace.emit(self.round, "Assign", leader.id, job=job_id, agent=best.agent,
-                                cost=best.cost, zone=list(zone))
+                                cost=best.cost, zone=tuple(zone))
 
     # Phase 5: periodic load reporting and daisy-chain planning.
     def _phase_balance(self) -> None:
@@ -748,7 +748,7 @@ class Simulation:
             self.metrics.starvation = True
         for m in mandates:
             self.trace.emit(self.round, "Mandate", SUPER, mandate=m.id, agent=m.agent,
-                            from_zone=list(m.from_zone), to_zone=list(m.to_zone))
+                            from_zone=tuple(m.from_zone), to_zone=tuple(m.to_zone))
             self._publish(SUPER, "super/mandates", {"kind": "mandate", "mandate": m})
 
     # Phases 6-7: per-zone conflict resolution, then simultaneous movement.
@@ -800,7 +800,7 @@ class Simulation:
                 else:
                     tick_used = self.zones[ya.home].tick
                 kind_name = kind.value if isinstance(kind, plan.ConflictKind) else kind
-                self.trace.emit(self.round, "ConflictResolved", yielder, zone=list(zone),
+                self.trace.emit(self.round, "ConflictResolved", yielder, zone=tuple(zone),
                                 kind_detail=kind_name, keeper=keeper, yielder=yielder,
                                 tick_used=tick_used)
         for aid in sorted(states):
@@ -818,7 +818,7 @@ class Simulation:
             a = self.agents[aid]
             target = final[aid]
             if target != a.position:
-                self.trace.emit(self.round, "Move", aid, src=list(a.position), dst=list(target))
+                self.trace.emit(self.round, "Move", aid, src=tuple(a.position), dst=tuple(target))
                 step = self._next_cell(a)
                 a.position = target
                 a.stuck = 0
@@ -871,7 +871,7 @@ class Simulation:
             zone = home_zone(job.location, self.partition)
             self.costs.release(job.location, self.zones[zone].pool.values())
             leader = self.zones[zone].leader or aid
-            self.trace.emit(self.round, "Complete", leader, job=job.id, agent=aid, zone=list(zone))
+            self.trace.emit(self.round, "Complete", leader, job=job.id, agent=aid, zone=tuple(zone))
             self._drop_job(a)
 
 

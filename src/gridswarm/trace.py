@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 # Payload field order per event kind; canonicalization rejects unknown kinds.
 EVENT_FIELDS: dict[str, tuple[str, ...]] = {
@@ -35,10 +35,22 @@ _REQUIRED: dict[str, frozenset[str]] = {
     for kind, fields in EVENT_FIELDS.items()}
 
 
-# The canonical compact form of a trace line and of a snapshot digest's input;
-# byte-identical to json.dumps(value, separators=(",", ":")).
-compact_json = json.JSONEncoder(separators=(",", ":")).encode
+def make_compact_encoder(c_make_encoder: Any = json.encoder.c_make_encoder) -> Callable[[Any], str]:
+    """An encoder byte-identical to json.dumps(value, separators=(",", ":")),
+    with no check for circular references. ``JSONEncoder.encode`` builds a new
+    C encoder on every call; this one is built once. The C encoder returns a
+    list of chunks on Python 3.10-3.11 and a tuple on 3.12+; join takes both."""
+    if c_make_encoder is None:
+        return json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+    encode = c_make_encoder(None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+                            None, ":", ",", False, False, True)
+    return lambda value: "".join(encode(value, 0))
+
+
+# The canonical compact form of a trace line and of a snapshot digest's input.
+compact_json = make_compact_encoder()
 _scan = json.JSONDecoder().scan_once
+_SLICE = 1 << 16  # characters of trace text split into lines at a time
 
 
 class TraceFormatError(ValueError):
@@ -82,13 +94,25 @@ def trace_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _lines(text: str) -> Iterator[str]:
+    r"""The lines of ``text.splitlines()``, split one slice at a time so that
+    only one slice's lines are held at once. A slice ends just after a "\n"
+    (or at the end of the text), so no slice cuts a "\r\n" in two; a line
+    longer than a slice extends the slice to its end."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _SLICE - 1) + 1 or size
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def _read(text: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, event) for each non-blank line, checking that the
     line is a JSON object with an integer tick, a known kind, all of that
     kind's fields and a string actor. A line goes to ``json.loads`` whenever
     the scanner fails or stops short of its end, so exactly what per-line
     ``json.loads`` accepts is accepted, with its messages."""
-    for idx, line in enumerate(text.splitlines(), start=1):
+    for idx, line in enumerate(_lines(text), start=1):
         try:
             event, end = _scan(line, 0)
         except (StopIteration, ValueError, RecursionError):

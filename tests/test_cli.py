@@ -108,7 +108,12 @@ def exit_code(argv):
     (["--agents", "x"], "argument --agents: expected comma-separated counts, got 'x'"),
     (["--agents", "900"], "900 agents do not fit"),
     (["--agents", "5", "--max-ticks", "0"], "max_ticks must be >= 1"),
-], ids=["agents_not_a_number", "agents_beyond_free_cells", "max_ticks_0"])
+    (["--agents", "5", "--repeats", "0"],
+     "argument --repeats: expected a count of at least 1, got '0'"),
+    (["--agents", "5", "--repeats", "-2"],
+     "argument --repeats: expected a count of at least 1, got '-2'"),
+], ids=["agents_not_a_number", "agents_beyond_free_cells", "max_ticks_0", "repeats_0",
+        "repeats_negative"])
 def test_bench_exits_2_on_a_bad_argument(capsys, args, fragment):
     assert exit_code(["bench", "--jobs", "1"] + args) == 2
     err = capsys.readouterr().err

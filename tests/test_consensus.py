@@ -30,7 +30,8 @@ def test_snapshot_digest_cache_matches_fresh_digest():
     s2 = make_snapshot(3, dict(base))  # equal content, never digested
     assert s2 == s1 and hash(s2) == hash(s1)
     assert s2.digest() == first
-    blob = json.dumps([3] + [r.as_payload() for r in s1.records], separators=(",", ":"))
+    blob = json.dumps([3, ["a", [0, 0], [0, 0], None, 1.0, 5], ["b", [1, 0], [1, 0], "j1", 1.0, 5]],
+                      separators=(",", ":"))
     assert first == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -1,13 +1,16 @@
 import functools
+import gc
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridswarm import trace
 from gridswarm.engine import run_scenario
 from gridswarm.scenario import random_scenario, scenario_from_dict
 from gridswarm.trace import (EVENT_FIELDS, TraceFormatError, TraceWriter, compact_json,
-                             parse_trace, trace_digest, verify_trace)
+                             make_compact_encoder, parse_trace, trace_digest, verify_trace)
 
 
 def writer_with(*events):
@@ -329,6 +332,71 @@ def test_compact_form_matches_json_dumps():
     assert TraceWriter().dump() == ""
 
 
+def _fallback(value):
+    """The fallback encoder as it runs where the json C accelerator is missing."""
+    with mock.patch.multiple(json.encoder, c_make_encoder=None,
+                             encode_basestring_ascii=json.encoder.py_encode_basestring_ascii):
+        return make_compact_encoder(None)(value)
+
+
+ENCODERS = {"c": compact_json, "fallback": _fallback}
+
+_json_like = st.recursive(
+    st.none() | st.booleans()
+    | st.integers() | st.sampled_from([2**63, -(2**64) - 1, 10**300])
+    | st.floats() | st.sampled_from([-0.0, 1e300, 5e-324, float("nan"), float("-inf")])
+    | st.text() | st.sampled_from(["\u2028", "\u2029", "\x00\x1f\x7f\"\\", "\ud800\U0001f600", "\u00e9"]),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+
+
+@pytest.mark.parametrize("encoder", sorted(ENCODERS))
+@settings(max_examples=300, deadline=None)
+@given(value=_json_like)
+def test_compact_json_matches_json_dumps(encoder, value):
+    assert ENCODERS[encoder](value) == json.dumps(value, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("encoder", sorted(ENCODERS))
+@pytest.mark.parametrize("value", [{1, 2}, b"x", [0, object()], {"a": {(1, 2): 0}}],
+                         ids=["set", "bytes", "object", "tuple_key"])
+def test_compact_json_raises_what_json_dumps_raises(encoder, value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, separators=(",", ":"))
+    with pytest.raises(TypeError) as got:
+        ENCODERS[encoder](value)
+    assert str(got.value) == str(expected.value)
+
+
+# Every line boundary str.splitlines() knows.
+TERMINATORS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(("a", "bc", " ") + TERMINATORS), max_size=40).map("".join),
+       st.integers(1, 6))
+def test_lines_read_slice_by_slice_are_those_of_splitlines(text, size):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace, "_SLICE", size)
+        assert list(trace._lines(text)) == text.splitlines()
+
+
+def test_line_numbers_hold_across_slices():
+    move = '{"tick":0,"kind":"Move","actor":"a","src":[0,0],"dst":[1,0]}'
+    long_move = move[:-1] + ',"pad":"' + "x" * trace._SLICE + '"}'
+    body = "".join(move + end for end in TERMINATORS)
+    text = (body * (2 * trace._SLICE // len(body)) + long_move + "\r\n" + body
+            + long_move + "\u2029")
+    assert len(text) > 3 * trace._SLICE
+    assert list(trace._lines(text)) == text.splitlines()
+    assert len(parse_trace(text)) == len(text.splitlines())
+    with pytest.raises(TraceFormatError) as err:
+        parse_trace(text + "{}\n")
+    assert err.value.line_no == len(text.splitlines()) + 1
+
+
 # --- the trace boundary under generated input --------------------------------
 
 _VALID_EVENTS = [
@@ -388,6 +456,19 @@ def test_parse_trace_matches_per_line_json_loads(text):
         with pytest.raises(TraceFormatError) as err:
             parse_trace(text)
         assert (err.value.line_no, str(err.value)) == expected
+
+
+def test_emitted_events_are_untracked_after_a_full_collection():
+    """Events hold only exact tuples and atoms, so a full collection untracks
+    them and later collections need not walk the trace."""
+    scenario = random_scenario(8, max_agents=12, max_jobs=8, drop_prob=0.1, delay=1,
+                               max_ticks=120)
+    scenario["faults"] = [{"tick": 3, "kind": "kill", "agent": "a00"},
+                          {"tick": 10, "kind": "revive", "agent": "a00"}]
+    _, writer = run_scenario(scenario_from_dict(scenario))
+    assert {e["kind"] for e in writer.events} == set(EVENT_FIELDS)
+    gc.collect()
+    assert [e for e in writer.events if gc.is_tracked(e)] == []
 
 
 @functools.lru_cache(maxsize=None)
