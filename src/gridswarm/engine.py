@@ -73,14 +73,13 @@ class AgentSim:
     is_leader: bool = False  # leads its home zone
     solo_rounds: int = 0
     home: ZoneId = (0, 0)
-    # Zones whose expanded bounds hold the agent: its planning groups and
-    # the zones its state publishes go to.
-    subscribed: frozenset[ZoneId] = frozenset()
+    # Zones whose expanded bounds hold the agent, in zone order: its planning
+    # groups and the zones its state publishes go to.
+    subscribed: tuple[ZoneId, ...] = ()
     job: Optional[jobmod.Job] = None
     mandate: Optional[bal.MigrationMandate] = None
     goal: Optional[Cell] = None
-    path: Optional[list[Cell]] = None
-    path_i: int = 0
+    path: Optional[list[Cell]] = None  # the cells still ahead, the next one last
     stuck: int = 0
 
     @property
@@ -165,6 +164,8 @@ class Simulation:
         self._spawn_order = sorted(config.jobs, key=lambda s: s.spawn_tick)
         self._spawn_idx = 0
 
+        # Zones in row-major order and agents by id: the canonical orders
+        # every phase iterates in.
         self.zones = {z: ZoneState() for z in self.partition.zone_ids()}
         self._zone_topics = {z: ZoneTopics(*(zone_topic(z, kind) for kind in ZoneTopics._fields))
                              for z in self.zones}
@@ -184,10 +185,10 @@ class Simulation:
         self.bus.subscribe(SUPER, "super/loads")
         self.bus.subscribe(SUPER, "super/inbox")
         self.agents: dict[str, AgentSim] = {}
-        for aid, start in config.agents:
+        for aid, start in sorted(config.agents):
             a = self.agents[aid] = AgentSim(id=aid, position=start)
             a.home = home_zone(start, self.partition)
-            a.subscribed = frozenset(subscribed_zones(start, self.partition))
+            a.subscribed = tuple(sorted(subscribed_zones(start, self.partition)))
             self.bus.register(aid)
             self.bus.subscribe(aid, "super/election")
             self.bus.subscribe(aid, "super/mandates")
@@ -230,9 +231,7 @@ class Simulation:
     @staticmethod
     def _next_cell(a: AgentSim) -> Cell:
         """The next cell on `a`'s path, or its own cell at the path's end."""
-        if a.path and a.path_i + 1 < len(a.path):
-            return a.path[a.path_i + 1]
-        return a.position
+        return a.path[-1] if a.path else a.position
 
     @staticmethod
     def _drop_job(a: AgentSim) -> None:
@@ -282,14 +281,14 @@ class Simulation:
         return all(j.status is jobmod.JobStatus.COMPLETED for j in self.jobs.values())
 
     def _bootstrap(self) -> None:
-        for zone in sorted(self.zones):
+        for zone in self.zones:
             self._start_election(zone, elec.ElectionReason.BOOTSTRAP)
         self._pump(2 * self.timeout + 6)
 
     def _pump(self, max_steps: int) -> None:
         """Step the bus, the leaders' rounds and the super-leader until every
         round is complete and the bus is quiet, or `max_steps` run out."""
-        open_rounds = [lr for _, lr in sorted(self.leader_rounds.items())]
+        open_rounds = list(self.leader_rounds.values())
         for _ in range(max_steps):
             for env, recipients in self.bus.step_deliver():
                 self._deliver(env, recipients)
@@ -315,15 +314,14 @@ class Simulation:
     # Phase 1: one consensus round per led zone, over shared bus steps.
     def _phase_consensus(self) -> None:
         self.leader_rounds = rounds = {}
-        for zone in sorted(self.zones):
+        for zone in self.zones:
             leader = self._active_leader(zone)
             if leader is None:
                 continue
             expected = {m.id for m in self._members(zone)}
             rounds[zone] = LeaderRound(zone=zone, leader=leader.id,
                                        tick=self.zones[zone].tick, expected=expected)
-        for aid in sorted(self.agents):
-            a = self.agents[aid]
+        for aid, a in self.agents.items():
             if not a.powered:
                 continue
             if a.status is cons.Liveness.ALIVE:
@@ -331,15 +329,14 @@ class Simulation:
                 self.trace.emit(self.round, "StatePublish", aid, zone=tuple(a.home),
                                 position=tuple(a.position), intent=tuple(rec.intent),
                                 job=rec.job, agent_tick=a.local_tick)
-                for z in sorted(a.subscribed):
+                for z in a.subscribed:
                     self._publish(aid, self._zone_topics[z].db_update,
                                   {"kind": "state", "record": rec})
             else:
                 self._publish(aid, self._zone_topics[a.home].db_update,
-                              {"kind": "resync_req", "agent": aid,
-                               "tick": a.local_tick})
+                              {"kind": "resync_req"})
         self._pump(3 * self.timeout + 6)
-        for zone in sorted(self.zones):
+        for zone in self.zones:
             lr = rounds.get(zone)
             has_live = any(a.powered and a.status is not cons.Liveness.DEAD
                            for a in self._homed(zone))
@@ -356,15 +353,13 @@ class Simulation:
                                   {"kind": "stepdown", "zone": zone,
                                    "leader": lr.leader})
         # Cross-round staleness drives leader-loss reporting; _commit resets it.
-        for aid in sorted(self.agents):
-            a = self.agents[aid]
+        for aid, a in self.agents.items():
             if not a.powered or a.is_leader or a.committed_round == self.round:
                 continue
             a.stale_rounds += 1
             if a.stale_rounds >= 2 and a.stale_rounds % 2 == 0:
                 self._publish(aid, "super/inbox",
-                              {"kind": "leader_loss", "zone": a.home,
-                               "agent": aid, "tick": a.local_tick})
+                              {"kind": "leader_loss", "zone": a.home})
 
     def _leader_eval(self, lr: LeaderRound) -> None:
         """One bus step of a round. Each half, states then acks, waits for its
@@ -420,12 +415,11 @@ class Simulation:
         pending = sorted(j for j, job in zs.pool.items()
                          if job.status is jobmod.JobStatus.PENDING)
         lr.solicited = pending
-        solicit = [[j, list(zs.pool[j].location), zs.pool[j].priority]
-                   for j in pending]
+        roster = tuple(sorted(lr.expected))
         self._publish(lr.leader, self._zone_topics[lr.zone].global_tick,
-                      {"kind": "tick", "new_tick": new_tick,
-                       "roster": sorted(lr.expected), "snapshot": snapshot,
-                       "solicit": solicit})
+                      {"kind": "tick", "new_tick": new_tick, "roster": roster,
+                       "snapshot": snapshot,
+                       "solicit": [(j, zs.pool[j].location) for j in pending]})
         if leader.idle:
             for job_id in pending:
                 self._bid(lr, lr.leader, job_id,
@@ -436,7 +430,7 @@ class Simulation:
         lr.broadcast = True
         lr.waited = 0
         self.trace.emit(self.round, "TickBroadcast", lr.leader, zone=tuple(lr.zone),
-                        new_tick=new_tick, roster=tuple(sorted(lr.expected)),
+                        new_tick=new_tick, roster=roster,
                         digest=snapshot.digest())
 
     def _bid(self, lr: LeaderRound, agent: str, job_id: str,
@@ -463,9 +457,8 @@ class Simulation:
                 zs = self.zones[zone]
                 if zs.snapshot is not None:
                     self._publish(lr.leader, self._zone_topics[zone].global_tick,
-                                  {"kind": "resync_resp", "target": payload["agent"],
-                                   "tick": zs.tick, "snapshot": zs.snapshot,
-                                   "roster": sorted(lr.expected | {payload["agent"]})})
+                                  {"kind": "resync_resp", "target": env.sender,
+                                   "tick": zs.tick})
             else:
                 lr.tick_acks.add(env.sender)
                 for job_id, cost in payload["bids"]:
@@ -503,8 +496,7 @@ class Simulation:
         if a.id not in payload["roster"] or cons.tick_gap_requires_resync(
                 a.local_tick, new_tick):
             a.status = cons.Liveness.RECOVERING
-            self._publish(a.id, self._zone_topics[zone].db_update,
-                          {"kind": "resync_req", "agent": a.id, "tick": a.local_tick})
+            self._publish(a.id, self._zone_topics[zone].db_update, {"kind": "resync_req"})
             return
         if new_tick <= a.local_tick:
             return
@@ -512,13 +504,12 @@ class Simulation:
         snapshot: cons.ZoneSnapshot = payload["snapshot"]
         bids = []
         if a.idle:
-            for job_id, loc, _prio in payload["solicit"]:
-                cost = self.costs.cost(a.position, Cell(*loc))
-                bids.append([job_id, cost])
+            for job_id, loc in payload["solicit"]:
+                bids.append([job_id, self.costs.cost(a.position, loc)])
         self.trace.emit(self.round, "TickAck", a.id, zone=tuple(zone), committed_tick=new_tick,
                         digest=snapshot.digest())
         self._publish(a.id, self._zone_topics[zone].tick_ack,
-                      {"kind": "tick_ack", "tick": new_tick, "bids": bids})
+                      {"kind": "tick_ack", "bids": bids})
 
     def _handle_election_msg(self, a: AgentSim, payload: dict) -> None:
         kind = payload["kind"]
@@ -602,9 +593,7 @@ class Simulation:
                                                    payload["tick"])
         elif kind == "suspect":
             if self.sup.roles.get(zone) == payload["leader"]:
-                self._publish(SUPER, "super/election",
-                              {"kind": "suspect_ok", "zone": zone,
-                               "leader": payload["leader"]})
+                self._publish(SUPER, "super/election", {"kind": "suspect_ok", "zone": zone})
 
     def _start_election(self, zone: ZoneId, reason: elec.ElectionReason) -> None:
         self.sup.next_election += 1
@@ -683,7 +672,7 @@ class Simulation:
 
     # Phase 4: leaders assign solicited jobs from bus-delivered bids.
     def _phase_assign(self) -> None:
-        for zone, lr in sorted(self.leader_rounds.items()):
+        for zone, lr in self.leader_rounds.items():
             if not lr.broadcast:
                 continue
             leader = self._active_leader(zone)
@@ -716,15 +705,14 @@ class Simulation:
     def _phase_balance(self) -> None:
         if self.round % self.cfg.balance_period != 0:
             return
-        for zone in sorted(self.zones):
+        for zone in self.zones:
             leader = self._active_leader(zone)
             if leader is None:
                 continue
             members = self._members(zone)
             pending = sum(1 for j in self.zones[zone].pool.values()
                           if j.status is jobmod.JobStatus.PENDING)
-            idle_ids = sorted(m.id for m in members
-                              if m.idle and m.mandate is None and m.powered)
+            idle_ids = [m.id for m in members if m.idle and m.mandate is None and m.powered]
             self._publish(leader.id, "super/loads",
                           {"kind": "load", "zone": zone, "pending": pending,
                            "idle": len(idle_ids), "total": len(members),
@@ -755,39 +743,36 @@ class Simulation:
     def _phase_plan(self) -> tuple[dict[str, Cell], set[str]]:
         # Powered-off agents sit still indefinitely: plan around them.
         off = {a.position for a in self.agents.values() if not a.powered}
-        states: dict[str, plan.KinematicState] = {}
+        proposals: dict[str, Cell] = {}
         movable: set[str] = set()
-        for aid in sorted(self.agents):
-            a = self.agents[aid]
+        # A zone's group: powered agents inside its expanded bounds.
+        groups: dict[ZoneId, list[plan.KinematicState]] = {z: [] for z in self.zones}
+        for aid, a in self.agents.items():
             can_move = (a.powered and a.status is cons.Liveness.ALIVE
                         and a.committed_round == self.round)
-            intent = a.position
-            if can_move and a.goal is not None and a.position != a.goal:
-                if not a.path or a.path_i >= len(a.path) or a.path[a.path_i] != a.position:
-                    # Around powered-off agents, or the plain route if they box it in.
-                    a.path = (plan.plan_path(self.grid, a.position, a.goal, off)
-                              or plan.plan_path(self.grid, a.position, a.goal))
-                    a.path_i = 0
-                intent = self._next_cell(a)
+            intent = a.position  # an agent that cannot move keeps its cell
             if can_move:
                 movable.add(aid)
-            states[aid] = plan.KinematicState(aid, a.position, intent, a.priority, a.stuck,
-                                              a.goal is not None and can_move)
-        proposals: dict[str, Cell] = {aid: s.intent for aid, s in states.items()}
-        # A zone's group: powered agents inside its expanded bounds.
-        groups: dict[ZoneId, list[plan.KinematicState]] = {}
-        for aid in sorted(states):
-            if self.agents[aid].powered:
-                for zone in self.agents[aid].subscribed:
-                    groups.setdefault(zone, []).append(states[aid])
-        for zone, group in sorted(groups.items()):
+                if a.goal is not None and a.position != a.goal and not a.path:
+                    # Around powered-off agents, or the plain route if they box it in.
+                    path = (plan.plan_path(self.grid, a.position, a.goal, off)
+                            or plan.plan_path(self.grid, a.position, a.goal))
+                    a.path = path[:0:-1] if path else None
+                intent = self._next_cell(a)
+            proposals[aid] = intent
+            if a.powered:
+                state = plan.KinematicState(aid, a.position, intent, a.priority, a.stuck,
+                                            a.goal is not None and can_move)
+                for zone in a.subscribed:
+                    groups[zone].append(state)
+        for zone, group in groups.items():
             members = {s.agent for s in group if self.agents[s.agent].home == zone}
             if not members or len(group) < 2:
                 continue
             log: list = []
             result = plan.resolve_zone_step(group, self.grid, self.cfg.planner,
                                             self._force_rng, log=log, blocked=off)
-            for aid in sorted(members):
+            for aid in members & movable:
                 proposals[aid] = result[aid]
             for kind, keeper, yielder in log:
                 if yielder not in members:
@@ -803,9 +788,6 @@ class Simulation:
                 self.trace.emit(self.round, "ConflictResolved", yielder, zone=tuple(zone),
                                 kind_detail=kind_name, keeper=keeper, yielder=yielder,
                                 tick_used=tick_used)
-        for aid in sorted(states):
-            if aid not in movable:
-                proposals[aid] = self.agents[aid].position
         return proposals, movable
 
     def _phase_move(self, proposals: dict[str, Cell], movable: set[str]) -> None:
@@ -814,18 +796,16 @@ class Simulation:
                  sorted(self.agents.values(), key=lambda a: plan.rank(a.priority, a.id))]
         occ = {a.position: a.id for a in self.agents.values()}
         final = plan.reserve_moves(order, proposals, occ, self.grid)
-        for aid in sorted(self.agents):
-            a = self.agents[aid]
+        for aid, a in self.agents.items():
             target = final[aid]
             if target != a.position:
                 self.trace.emit(self.round, "Move", aid, src=tuple(a.position), dst=tuple(target))
-                step = self._next_cell(a)
-                a.position = target
-                a.stuck = 0
-                if step == target:
-                    a.path_i += 1
+                if a.path and a.path[-1] == target:
+                    a.path.pop()
                 else:
                     a.path = None
+                a.position = target
+                a.stuck = 0
                 self._after_move(a)
             else:
                 if aid in movable and a.goal is not None and a.position != a.goal:
@@ -853,12 +833,11 @@ class Simulation:
                 a.mandate = None
                 a.goal = None
                 a.path = None
-        a.subscribed = frozenset(subscribed_zones(a.position, self.partition))
+        a.subscribed = tuple(sorted(subscribed_zones(a.position, self.partition)))
 
     # Phase 8: completion checks at committed positions.
     def _phase_complete(self) -> None:
-        for aid in sorted(self.agents):
-            a = self.agents[aid]
+        for aid, a in self.agents.items():
             if (a.job is None or not a.powered
                     or a.status is not cons.Liveness.ALIVE
                     or a.committed_round != self.round):

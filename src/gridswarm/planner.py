@@ -206,17 +206,17 @@ def quantize_move(force: tuple[float, float], current: Cell, grid: GridMap,
     return best if best is not None else current
 
 
-def _contacts(states: list[KinematicState], occ: dict[Cell, str]
+def _contacts(info: dict[str, KinematicState], occ: dict[Cell, str]
               ) -> tuple[dict[str, KinematicState], list[tuple[str, str]]]:
-    """The blocking map and the sorted pairs that can conflict.
+    """The blocking map and the sorted pairs that can conflict, over the
+    states in `info` (by agent).
 
     A pair can conflict only if one agent intends the other's cell or both
     intend the same cell, so one pass over the agents intending each cell,
     joined with the cell's occupant, finds every such pair and every blocker.
     """
-    info = {s.agent: s for s in states}
     entrants: dict[Cell, list[str]] = {}
-    for s in states:
+    for s in info.values():
         entrants.setdefault(s.intent, []).append(s.agent)
     blockers: dict[str, KinematicState] = {}
     pairs: set[tuple[str, str]] = set()
@@ -256,7 +256,8 @@ def detect_deadlock(states: list[KinematicState], threshold: int) -> set[str]:
     cells and positions are distinct, the blocking relation is a functional
     graph and cycles are found by pointer chasing.
     """
-    blockers, _pairs = _contacts(states, {s.current: s.agent for s in states})
+    blockers, _pairs = _contacts({s.agent: s for s in states},
+                                 {s.current: s.agent for s in states})
     return _matured_cycles(blockers, threshold)
 
 
@@ -318,7 +319,7 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
         if not grid.in_bounds(s.current):
             raise ValueError(f"agent {s.agent} at {s.current} is off the map")
     taken = occ.keys() | blocked if blocked else occ  # no yielder steps onto these
-    blockers, pairs = _contacts(states, occ)
+    blockers, pairs = _contacts(info, occ)
     deadlocked = _matured_cycles(blockers, params.deadlock_threshold)
     ops.tick(len(states))
 

@@ -235,12 +235,18 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         agent = f.get("agent")
         if agent is not None and not isinstance(agent, str):
             raise ConfigError(f"faults[{idx}].agent: expected an agent id, got {agent!r}")
-        if kind in ("kill", "revive") and agent not in known_ids:
-            raise ConfigError(f"faults[{idx}]: unknown agent {agent!r}")
+        if kind in ("kill", "revive"):
+            if agent not in known_ids:
+                raise ConfigError(f"faults[{idx}]: unknown agent {agent!r}")
+        elif "agent" in f:
+            raise ConfigError(f"faults[{idx}].agent: a {kind} fault names no agent")
+        if kind != "partition" and "groups" in f:
+            raise ConfigError(f"faults[{idx}].groups: a {kind} fault has no groups")
+        groups = _groups(f.get("groups", []), f"faults[{idx}].groups", known_ids)
+        if kind == "partition" and not groups:
+            raise ConfigError(f"faults[{idx}].groups: a partition needs at least one group")
         faults.append(FaultEvent(tick=_int(f.get("tick", 0), f"faults[{idx}].tick"),
-                                 kind=kind, agent=agent,
-                                 groups=_groups(f.get("groups", []), f"faults[{idx}].groups",
-                                                known_ids)))
+                                 kind=kind, agent=agent, groups=groups))
     faults.sort(key=lambda f: (f.tick, f.kind, f.agent or ""))
 
     max_ticks = _int(data.get("max_ticks", 1000), "max_ticks")

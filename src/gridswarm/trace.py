@@ -11,7 +11,7 @@ import hashlib
 import json
 from typing import Any, Callable, Iterator, Optional
 
-# Payload field order per event kind; canonicalization rejects unknown kinds.
+# Payload fields per event kind, in the order `TraceWriter.emit` takes them.
 EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     "StatePublish": ("zone", "position", "intent", "job", "agent_tick"),
     "TickBroadcast": ("zone", "new_tick", "roster", "digest"),
@@ -66,19 +66,14 @@ class TraceWriter:
         self.events: list[dict] = []
 
     def emit(self, tick: int, kind: str, actor: str, **payload: Any) -> None:
+        """Append one event; `payload` must hold exactly the kind's fields,
+        in the order of EVENT_FIELDS."""
         fields = EVENT_FIELDS.get(kind)
         if fields is None:
             raise ValueError(f"unknown event kind {kind!r}")
-        if tuple(payload) == fields:  # already in schema order: one merge
-            self.events.append({"tick": tick, "kind": kind, "actor": actor, **payload})
-            return
-        event: dict[str, Any] = {"tick": tick, "kind": kind, "actor": actor}
-        for name in fields:
-            if name in payload:
-                event[name] = payload.pop(name)
-        if payload:
-            raise ValueError(f"{kind}: unexpected payload fields {sorted(payload)}")
-        self.events.append(event)
+        if tuple(payload) != fields:
+            raise ValueError(f"{kind}: payload fields {list(payload)} are not {list(fields)}")
+        self.events.append({"tick": tick, "kind": kind, "actor": actor, **payload})
 
     def lines(self) -> list[str]:
         return list(map(compact_json, self.events))

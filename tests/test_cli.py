@@ -207,6 +207,20 @@ def test_run_exits_2_on_bad_partition_groups(tmp_path, capsys, groups):
     assert "faults[1].groups" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault,field", [
+    ({"tick": 3, "kind": "partition"}, "groups"),
+    ({"tick": 3, "kind": "heal", "groups": [["a00"]]}, "groups"),
+    ({"tick": 3, "kind": "heal", "agent": "a00"}, "agent"),
+])
+def test_run_exits_2_on_a_fault_field_its_kind_does_not_read(tmp_path, capsys, fault, field):
+    scenario = random_scenario(0)
+    scenario["faults"] = [fault]
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert f"faults[0].{field}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line,fragment", [
     ('{"tick":1,"kind":"Move","actor":"a","src":[0,0],"dst":5}', "line 2: Move event"),
     ('{"tick":"1","kind":"Move","actor":"a","src":[0,0],"dst":[1,0]}', "line 2: tick"),

@@ -1,3 +1,8 @@
+import copy
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 
 from gridswarm.engine import SUPER, LeaderRound, Simulation, run_scenario
@@ -315,9 +320,64 @@ def test_zone_lookups_follow_every_move():
             assert lid is None or lid in leaders
         assert sim.bus.subscribers("super/inbox") == (SUPER,)
         for a in sim.agents.values():
-            assert a.subscribed == subscribed_zones(a.position, sim.partition)
+            assert a.subscribed == tuple(sorted(subscribed_zones(a.position, sim.partition)))
     assert sim.metrics.migrations > 0
     assert any(e["tick"] > 0 for e in events_of(sim.trace, "Election"))
+
+
+def _lossy_scenario(seed):
+    """`perfbench/workloads.py`'s 30x30 nine-zone run under drops, delays,
+    four kills and a partition."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.lossy_scenario(seed)
+
+
+FILE_ORDER_RUNS = {
+    **{f"random/{seed}": (random_scenario, seed, {}) for seed in range(11)},
+    **{f"random_lossy/{seed}": (random_scenario, seed, {"drop_prob": 0.05, "delay": 1})
+       for seed in range(11)},
+    **{f"lossy_scenario/{seed}": (_lossy_scenario, seed, {}) for seed in range(11)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_ORDER_RUNS))
+def test_agent_file_order_leaves_the_trace_unchanged(name):
+    """The engine orders agents by id, so the order of the scenario's
+    `agents` list cannot reach the trace."""
+    make, seed, kwargs = FILE_ORDER_RUNS[name]
+    scenario = make(seed, **kwargs)
+    shuffled = copy.deepcopy(scenario)
+    random.Random(name).shuffle(shuffled["agents"])
+    if shuffled["agents"] == scenario["agents"]:
+        shuffled["agents"].reverse()
+    digests = [run_scenario(scenario_from_dict(sc))[1].digest() for sc in (scenario, shuffled)]
+    assert digests[0] == digests[1]
+
+
+def test_path_holds_the_cells_still_ahead():
+    """After every round, an agent's path ends at its goal and its last
+    entry, the next cell, is a free neighbour of the agent's cell; kills
+    leave powered-off agents on the map for paths to go around."""
+    sc = bench_scenario(20, 30, seed=11)
+    sc["faults"] = [{"tick": t, "kind": kind, "agent": f"a{i:02d}"}
+                    for i in range(0, 20, 4) for t, kind in ((3, "kill"), (25, "revive"))]
+    sim = Simulation(scenario_from_dict(sc))
+    sim._bootstrap()
+    checked = off_rounds = 0
+    while sim.round < 80 and not sim._all_jobs_done():
+        sim.round += 1
+        sim._run_round()
+        off_rounds += any(not a.powered for a in sim.agents.values())
+        for a in sim.agents.values():
+            if a.path:
+                assert a.path[0] == a.goal
+                assert a.path[-1] in sim.grid.free_neighbors(a.position)
+                checked += 1
+    assert checked > 100 and off_rounds > 10
+    assert sim.grid.obstacles
 
 
 # Step-down: each trigger must leave the agent not leader, off its zone's
@@ -395,7 +455,7 @@ def test_leader_demoted_mid_round_reads_no_member_messages():
     sim._publish("a03", zone_topic(zone, "db_update"),
                  {"kind": "state", "record": sim._record_for(member)})
     sim._publish("a03", zone_topic(zone, "db_update"),
-                 {"kind": "resync_req", "agent": "a03", "tick": member.local_tick})
+                 {"kind": "resync_req"})
     sim._pump(3)
     # The demoted leader neither answers with a resync_resp nor stores state.
     assert sim.metrics.messages.get("global_tick", 0) == ticks_published

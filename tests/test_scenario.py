@@ -161,6 +161,29 @@ def test_fault_agent_must_be_a_string(field):
         scenario_from_dict(minimal(faults=BAD_FAULT_AGENTS[field]))
 
 
+# Fields a fault's kind does not read, and a partition that splits nothing.
+# Each used to parse: the field was ignored, and the partition acted as a heal.
+BAD_FAULT_FIELDS = {
+    "partition without groups": ({"tick": 1, "kind": "partition"}, "groups"),
+    "partition with no group": ({"tick": 1, "kind": "partition", "groups": []}, "groups"),
+    "kill with groups": ({"tick": 1, "kind": "kill", "agent": "a0", "groups": [["a1"]]},
+                         "groups"),
+    "revive with groups": ({"tick": 1, "kind": "revive", "agent": "a0", "groups": []},
+                           "groups"),
+    "heal with groups": ({"tick": 1, "kind": "heal", "groups": [["a0"]]}, "groups"),
+    "partition with an agent": ({"tick": 1, "kind": "partition", "agent": "a0",
+                                 "groups": [["a0"]]}, "agent"),
+    "heal with an agent": ({"tick": 1, "kind": "heal", "agent": "a0"}, "agent"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FAULT_FIELDS))
+def test_fault_fields_must_fit_the_kind(case):
+    fault, field = BAD_FAULT_FIELDS[case]
+    with pytest.raises(ConfigError, match=re.escape(f"faults[1].{field}:")):
+        scenario_from_dict(minimal(faults=[{"tick": 0, "kind": "heal"}, fault]))
+
+
 # Partition groups over the agents of random_scenario(0), a00 to a10: two
 # groups that share a00, and a group naming an agent the scenario lacks.
 BAD_GROUPS = {
@@ -273,14 +296,14 @@ def test_overlap_wider_than_a_zone_parses():
     assert cfg.overlap == 50
 
 
-# Every fault kind, and two heals at one tick so that the fault sort
+# Every fault kind, and two kills at one tick so that the fault sort
 # compares their agents.
 MUTATION_FAULTS = [
     {"tick": 2, "kind": "kill", "agent": "a00"},
+    {"tick": 2, "kind": "kill", "agent": "a01"},
     {"tick": 3, "kind": "partition", "groups": [["a00"], ["a01"]]},
     {"tick": 5, "kind": "revive", "agent": "a00"},
     {"tick": 6, "kind": "heal"},
-    {"tick": 6, "kind": "heal", "agent": "a01"},
 ]
 
 

@@ -30,8 +30,14 @@ def test_emit_rejects_unknown_kind_and_fields():
 
 def test_field_order_is_fixed():
     w = TraceWriter()
-    w.emit(3, "Move", "a", dst=[1, 0], src=[0, 0])
+    w.emit(3, "Move", "a", src=[0, 0], dst=[1, 0])
     assert w.lines() == ['{"tick":3,"kind":"Move","actor":"a","src":[0,0],"dst":[1,0]}']
+    # A payload out of schema order, or one lacking a field, is refused
+    # rather than reordered or written as a line the parser rejects.
+    for payload in ({"dst": [1, 0], "src": [0, 0]}, {"src": [0, 0]}):
+        with pytest.raises(ValueError, match="Move: payload fields"):
+            w.emit(4, "Move", "a", **payload)
+    assert len(w.events) == 1
 
 
 def test_digest_changes_with_content():
