@@ -18,7 +18,8 @@ its traces to a temporary directory. The script prints every run whose trace
 digest or ``metrics.flat()`` differs, with the keys that differ, each side's
 verifier violations and the first trace line that differs (its number, and
 each side's tick, kind and actor there), and exits 1 if any run differs (0
-if none, 2 if a checkout fails to run the set).
+if none, 2 if a checkout fails to run the set). It also prints the line count
+of each ``src/gridswarm/*.py`` file in both checkouts and the net change.
 """
 
 from __future__ import annotations
@@ -106,6 +107,21 @@ def first_difference(a_path: str, b_path: str) -> str | None:
     return None
 
 
+def line_counts(checkout: Path) -> dict[str, int]:
+    """Lines (as ``wc -l`` counts them) of each src/gridswarm/*.py file."""
+    return {path.name: path.read_text(encoding="utf-8").count("\n")
+            for path in (checkout / "src" / "gridswarm").glob("*.py")}
+
+
+def print_line_counts(base: dict[str, int], this: dict[str, int]) -> None:
+    print("lines of src/gridswarm/*.py, other checkout -> this one:")
+    rows = [(name, base.get(name, 0), this.get(name, 0))
+            for name in sorted(base.keys() | this.keys())]
+    rows.append(("total", sum(base.values()), sum(this.values())))
+    for name, a, b in rows:
+        print(f"    {name}: {a} -> {b} ({b - a:+d})")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     group = parser.add_mutually_exclusive_group(required=True)
@@ -141,6 +157,7 @@ def main() -> int:
                                      os.path.join(this_traces, f"{i}.jsonl"))
             if where is not None:
                 print(f"    first differing trace {where}")
+    print_line_counts(line_counts(args.against.resolve()), line_counts(ROOT))
     print(f"{differing} of {len(runs)} runs differ from {args.against}")
     return 1 if differing else 0
 

@@ -9,23 +9,10 @@ period.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .world import Cell, GridMap, ZoneId
-
-
-@dataclass(frozen=True)
-class ZoneLoad:
-    zone: ZoneId
-    pending_jobs: int
-    idle_agents: int
-    total_agents: int
-
-    def __post_init__(self) -> None:
-        if self.idle_agents > self.total_agents:
-            raise ValueError("idle_agents cannot exceed total_agents")
 
 
 @dataclass(frozen=True)
@@ -34,7 +21,6 @@ class MigrationMandate:
     agent: str
     from_zone: ZoneId
     to_zone: ZoneId
-    issue_tick: int
 
     def __post_init__(self) -> None:
         dr = abs(self.from_zone[0] - self.to_zone[0])
@@ -43,37 +29,19 @@ class MigrationMandate:
             raise ValueError("mandates move across exactly one zone boundary")
 
 
-def compute_zone_loads(loads: dict[ZoneId, ZoneLoad]) -> dict[ZoneId, int]:
-    """Per-zone deficit from each zone's latest load report."""
-    return {z: load.pending_jobs - load.idle_agents for z, load in loads.items()}
+def _zone_path(src: ZoneId, dst: ZoneId) -> list[ZoneId]:
+    """A shortest path on the 4-neighbour zone grid: up to the target's row
+    if the target is above, then along the row, then down. This is the path
+    a breadth-first search that tries up, left, right, down finds."""
+    (r, c), (tr, tc) = src, dst
+    row = min(r, tr)
+    step = 1 if tc >= c else -1
+    return ([(y, c) for y in range(r, row - 1, -1)]
+            + [(row, x) for x in range(c + step, tc + step, step)]
+            + [(y, tc) for y in range(row + 1, tr + 1)])
 
 
-def _zone_path(src: ZoneId, dst: ZoneId, rows: int, cols: int) -> list[ZoneId]:
-    """Deterministic shortest path on the 4-neighbor zone grid."""
-    if src == dst:
-        return [src]
-    parent: dict[ZoneId, ZoneId] = {}
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        r, c = queue.popleft()
-        for nr, nc in sorted(((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))):
-            if not (0 <= nr < rows and 0 <= nc < cols) or (nr, nc) in seen:
-                continue
-            parent[(nr, nc)] = (r, c)
-            if (nr, nc) == dst:
-                path = [dst]
-                while path[-1] != src:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            seen.add((nr, nc))
-            queue.append((nr, nc))
-    raise ValueError("zone grid is connected; unreachable zones are a bug")
-
-
-def plan_daisy_chain(deficits: dict[ZoneId, int], rows: int, cols: int,
-                     idle_by_zone: dict[ZoneId, list[str]], issue_tick: int,
+def plan_daisy_chain(deficits: dict[ZoneId, int], idle_by_zone: dict[ZoneId, list[str]],
                      start_id: int = 0) -> tuple[list[MigrationMandate], bool]:
     """Plan one period of migrations.
 
@@ -90,28 +58,26 @@ def plan_daisy_chain(deficits: dict[ZoneId, int], rows: int, cols: int,
     next_id = start_id
     starved = False
     for _ in range(sum(max(d, 0) for d in deficits.values()) + 1):
-        targets = sorted((z for z, d in deficits.items() if d > 0),
-                         key=lambda z: (-deficits[z], z))
-        sources = [z for z, d in deficits.items() if d < 0 and avail.get(z)]
-        if not targets:
+        target = min((z for z, d in deficits.items() if d > 0),
+                     key=lambda z: (-deficits[z], z), default=None)
+        if target is None:
             break
+        sources = [z for z, d in deficits.items() if d < 0 and avail.get(z)]
         if not sources:
             # Unstaffable surplus only delays the transfer; starvation means
             # there is demand left and no surplus anywhere to serve it.
             starved = not any(d < 0 for d in deficits.values())
             break
-        target = targets[0]
         dist = lambda z: abs(z[0] - target[0]) + abs(z[1] - target[1])
         source = min(sources, key=lambda z: (dist(z), z))
-        path = _zone_path(source, target, rows, cols)
+        path = _zone_path(source, target)
         reached = source
         for frm, to in zip(path, path[1:]):
             agents = avail.get(frm)
             if not agents:
                 break
             mandates.append(MigrationMandate(id=f"m{next_id}", agent=agents.pop(0),
-                                             from_zone=frm, to_zone=to,
-                                             issue_tick=issue_tick))
+                                             from_zone=frm, to_zone=to))
             next_id += 1
             reached = to
         deficits[source] = deficits.get(source, 0) + 1

@@ -138,7 +138,8 @@ class SuperState:
         self.roles: dict[ZoneId, Optional[str]] = dict.fromkeys(zones)
         self.elections: dict[ZoneId, ElectionState] = {}
         self.next_election = 0
-        self.loads: dict[ZoneId, bal.ZoneLoad] = {}
+        # Each zone's last reported pending - idle, kept while it is silent.
+        self.deficits: dict[ZoneId, int] = {}
         self.idle_ids: dict[ZoneId, list[str]] = {}  # zones reporting this period
         self.controller_pending: dict[ZoneId, int] = {}
         self.mandate_counter = 0
@@ -276,9 +277,8 @@ class Simulation:
         return self.metrics, self.trace
 
     def _all_jobs_done(self) -> bool:
-        if self._spawn_idx < len(self._spawn_order):
-            return False
-        return all(j.status is jobmod.JobStatus.COMPLETED for j in self.jobs.values())
+        return (self._spawn_idx == len(self._spawn_order)
+                and not any(zs.pool for zs in self.zones.values()))
 
     def _bootstrap(self) -> None:
         for zone in self.zones:
@@ -326,7 +326,7 @@ class Simulation:
                 continue
             if a.status is cons.Liveness.ALIVE:
                 rec = self._record_for(a)
-                self.trace.emit(self.round, "StatePublish", aid, zone=tuple(a.home),
+                self.trace.emit(self.round, "StatePublish", aid, zone=a.home,
                                 position=tuple(a.position), intent=tuple(rec.intent),
                                 job=rec.job, agent_tick=a.local_tick)
                 for z in a.subscribed:
@@ -364,8 +364,6 @@ class Simulation:
     def _leader_eval(self, lr: LeaderRound) -> None:
         """One bus step of a round. Each half, states then acks, waits for its
         members by one rule and marks the silent ones dead when it runs out."""
-        if lr.complete:
-            return
         if not self.agents[lr.leader].is_leader:  # demoted mid-round by a role broadcast
             lr.complete = True
             return
@@ -398,10 +396,9 @@ class Simulation:
             a.status = cons.Liveness.DEAD
             job = a.job
             if job is not None:
-                job.status = jobmod.JobStatus.PENDING
                 job.assign_tick = None
                 self._drop_job(a)
-            self.trace.emit(self.round, "MarkDead", lr.leader, zone=tuple(lr.zone), agent=aid,
+            self.trace.emit(self.round, "MarkDead", lr.leader, zone=lr.zone, agent=aid,
                             released_job=None if job is None else job.id)
             lr.expected.discard(aid)
 
@@ -429,14 +426,14 @@ class Simulation:
         self._commit(leader, new_tick)
         lr.broadcast = True
         lr.waited = 0
-        self.trace.emit(self.round, "TickBroadcast", lr.leader, zone=tuple(lr.zone),
+        self.trace.emit(self.round, "TickBroadcast", lr.leader, zone=lr.zone,
                         new_tick=new_tick, roster=roster,
                         digest=snapshot.digest())
 
     def _bid(self, lr: LeaderRound, agent: str, job_id: str,
              cost: Optional[int]) -> None:
         lr.bids.setdefault(job_id, []).append(jobmod.Bid(agent, job_id, cost))
-        self.trace.emit(self.round, "Bid", agent, job=job_id, cost=cost, zone=tuple(lr.zone))
+        self.trace.emit(self.round, "Bid", agent, job=job_id, cost=cost, zone=lr.zone)
 
     # ---------------------------------------------------------- bus handlers
 
@@ -487,7 +484,7 @@ class Simulation:
             self._commit(a, payload["tick"])
             # Rejoins the leader's expected set from the next round on; it has
             # not published state this round, so gating on it would stall.
-            self.trace.emit(self.round, "Resync", a.id, zone=tuple(zone),
+            self.trace.emit(self.round, "Resync", a.id, zone=zone,
                             resync_tick=payload["tick"])
             return
         if zone != a.home or a.is_leader or a.status is not cons.Liveness.ALIVE:
@@ -506,7 +503,7 @@ class Simulation:
         if a.idle:
             for job_id, loc in payload["solicit"]:
                 bids.append([job_id, self.costs.cost(a.position, loc)])
-        self.trace.emit(self.round, "TickAck", a.id, zone=tuple(zone), committed_tick=new_tick,
+        self.trace.emit(self.round, "TickAck", a.id, zone=zone, committed_tick=new_tick,
                         digest=snapshot.digest())
         self._publish(a.id, self._zone_topics[zone].tick_ack,
                       {"kind": "tick_ack", "bids": bids})
@@ -534,7 +531,7 @@ class Simulation:
                 zs.leader = a.id
                 zs.tick = max(zs.tick, payload["since_tick"])
                 if zs.tick > a.local_tick:
-                    self.trace.emit(self.round, "Resync", a.id, zone=tuple(zone),
+                    self.trace.emit(self.round, "Resync", a.id, zone=zone,
                                     resync_tick=zs.tick)
                 a.local_tick = max(a.local_tick, zs.tick)
                 topics = self._zone_topics[zone]
@@ -553,11 +550,8 @@ class Simulation:
                 or a.home != m.from_zone):
             return  # not ours; or busy, dead, or already moved: mandate lapses
         target_zone = self.partition.zone(m.to_zone)
-        goal = bal.nearest_free_cell(self.grid, zone_centroid(target_zone))
-        if goal is None:
-            return
         a.mandate = m
-        a.goal = goal
+        a.goal = bal.nearest_free_cell(self.grid, zone_centroid(target_zone))
         a.path = None
 
     def _handle_super(self, env) -> None:
@@ -569,14 +563,12 @@ class Simulation:
             self.sup.controller_pending[zone] = (
                 self.sup.controller_pending.get(zone, 0) + 1)
         elif kind == "load":
-            load = bal.ZoneLoad(zone=zone, pending_jobs=payload["pending"],
-                                idle_agents=payload["idle"],
-                                total_agents=payload["total"])
-            self.sup.loads[zone] = load
-            self.sup.idle_ids[zone] = payload["idle_ids"]
+            idle_ids = payload["idle_ids"]
+            self.sup.deficits[zone] = payload["pending"] - len(idle_ids)
+            self.sup.idle_ids[zone] = idle_ids
             self.sup.controller_pending.pop(zone, None)
-            self.trace.emit(self.round, "LoadReport", SUPER, zone=tuple(zone),
-                            pending=payload["pending"], idle=payload["idle"],
+            self.trace.emit(self.round, "LoadReport", SUPER, zone=zone,
+                            pending=payload["pending"], idle=len(idle_ids),
                             total=payload["total"])
         elif kind == "leader_loss":
             if zone not in self.sup.elections:
@@ -615,13 +607,13 @@ class Simulation:
                 continue
             winner = elec.elect_zone_leader(
                 [elec.Candidacy(agent=aid, distance=d)
-                 for aid, (d, _t) in sorted(st.candidacies.items())])
+                 for aid, (d, _t) in st.candidacies.items()])
             since = max(t for _d, t in st.candidacies.values())
             self.sup.roles[zone] = winner
             self._publish(SUPER, "super/election",
                           {"kind": "role", "zone": zone, "leader": winner,
                            "since_tick": since})
-            self.trace.emit(self.round, "Election", SUPER, zone=tuple(zone), leader=winner,
+            self.trace.emit(self.round, "Election", SUPER, zone=zone, leader=winner,
                             since_tick=since, reason=st.reason.value)
 
     # Phase 2: scripted faults.
@@ -666,7 +658,7 @@ class Simulation:
             self.zones[zone].pool[job_id] = job
             self.trace.emit(self.round, "JobSpawn", CONTROLLER, job=job_id,
                             location=tuple(job.location), priority=job.priority,
-                            zone=tuple(zone), rejected=False)
+                            zone=zone, rejected=False)
             self._publish(CONTROLLER, "super/loads",
                           {"kind": "job_notice", "zone": zone})
 
@@ -679,27 +671,23 @@ class Simulation:
             if leader is None:
                 continue
             zs = self.zones[zone]
-            taken: set[str] = set()
             for job_id in lr.solicited:
-                job = zs.pool.get(job_id)
-                if job is None or job.status is not jobmod.JobStatus.PENDING:
-                    continue
+                # An agent assigned earlier in this loop holds a job: not idle.
                 bids = [b for b in lr.bids.get(job_id, [])
-                        if b.agent not in taken and self.agents[b.agent].idle
+                        if self.agents[b.agent].idle
                         and self.agents[b.agent].status is cons.Liveness.ALIVE]
                 best = jobmod.choose_assignee(bids)
                 if best is None:
                     continue
                 a = self.agents[best.agent]
-                job.status = jobmod.JobStatus.ASSIGNED
+                job = zs.pool[job_id]
                 job.assign_tick = self.round
                 a.job = job
                 a.goal = job.location
                 a.path = None
                 a.mandate = None  # assignment takes precedence over migration
-                taken.add(best.agent)
                 self.trace.emit(self.round, "Assign", leader.id, job=job_id, agent=best.agent,
-                                cost=best.cost, zone=tuple(zone))
+                                cost=best.cost, zone=zone)
 
     # Phase 5: periodic load reporting and daisy-chain planning.
     def _phase_balance(self) -> None:
@@ -715,28 +703,26 @@ class Simulation:
             idle_ids = [m.id for m in members if m.idle and m.mandate is None and m.powered]
             self._publish(leader.id, "super/loads",
                           {"kind": "load", "zone": zone, "pending": pending,
-                           "idle": len(idle_ids), "total": len(members),
-                           "idle_ids": idle_ids})
+                           "total": len(members), "idle_ids": idle_ids})
         # The super-leader plans on the loads delivered so far (previous
         # period's reports); this period's reports arrive next round. Chains
         # are staffed only from zones heard from this period; stale rosters
         # would mandate agents that have long since moved on.
         idle_by_zone = self.sup.idle_ids
         self.sup.idle_ids = {}
-        deficits = bal.compute_zone_loads(self.sup.loads)
-        for zone, count in sorted(self.sup.controller_pending.items()):
+        deficits = dict(self.sup.deficits)
+        for zone, count in self.sup.controller_pending.items():
             deficits[zone] = max(deficits.get(zone, 0), count)
         self.metrics.deficit_history.append(
             max([d for d in deficits.values() if d > 0], default=0))
         mandates, starved = bal.plan_daisy_chain(
-            deficits, self.partition.rows, self.partition.cols, idle_by_zone,
-            issue_tick=self.round, start_id=self.sup.mandate_counter)
+            deficits, idle_by_zone, start_id=self.sup.mandate_counter)
         self.sup.mandate_counter += len(mandates)
         if starved:
             self.metrics.starvation = True
         for m in mandates:
             self.trace.emit(self.round, "Mandate", SUPER, mandate=m.id, agent=m.agent,
-                            from_zone=tuple(m.from_zone), to_zone=tuple(m.to_zone))
+                            from_zone=m.from_zone, to_zone=m.to_zone)
             self._publish(SUPER, "super/mandates", {"kind": "mandate", "mandate": m})
 
     # Phases 6-7: per-zone conflict resolution, then simultaneous movement.
@@ -785,7 +771,7 @@ class Simulation:
                 else:
                     tick_used = self.zones[ya.home].tick
                 kind_name = kind.value if isinstance(kind, plan.ConflictKind) else kind
-                self.trace.emit(self.round, "ConflictResolved", yielder, zone=tuple(zone),
+                self.trace.emit(self.round, "ConflictResolved", yielder, zone=zone,
                                 kind_detail=kind_name, keeper=keeper, yielder=yielder,
                                 tick_used=tick_used)
         return proposals, movable
@@ -845,12 +831,13 @@ class Simulation:
             job = a.job
             if a.position != job.location:
                 continue
-            job.status = jobmod.JobStatus.COMPLETED
             job.completion_tick = self.round
             zone = home_zone(job.location, self.partition)
-            self.costs.release(job.location, self.zones[zone].pool.values())
-            leader = self.zones[zone].leader or aid
-            self.trace.emit(self.round, "Complete", leader, job=job.id, agent=aid, zone=tuple(zone))
+            zs = self.zones[zone]
+            del zs.pool[job.id]
+            self.costs.release(job.location, zs.pool.values())
+            leader = zs.leader or aid
+            self.trace.emit(self.round, "Complete", leader, job=job.id, agent=aid, zone=zone)
             self._drop_job(a)
 
 

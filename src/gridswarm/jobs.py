@@ -25,9 +25,14 @@ class Job:
     location: Cell
     priority: float
     spawn_tick: int
-    status: JobStatus = JobStatus.PENDING
     assign_tick: Optional[int] = None
     completion_tick: Optional[int] = None
+
+    @property
+    def status(self) -> JobStatus:
+        if self.completion_tick is not None:
+            return JobStatus.COMPLETED
+        return JobStatus.PENDING if self.assign_tick is None else JobStatus.ASSIGNED
 
 
 class Bid(NamedTuple):

@@ -245,8 +245,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         groups = _groups(f.get("groups", []), f"faults[{idx}].groups", known_ids)
         if kind == "partition" and not groups:
             raise ConfigError(f"faults[{idx}].groups: a partition needs at least one group")
-        faults.append(FaultEvent(tick=_int(f.get("tick", 0), f"faults[{idx}].tick"),
-                                 kind=kind, agent=agent, groups=groups))
+        tick = _int(f.get("tick"), f"faults[{idx}].tick")
+        if tick < 1:  # round 1 is the first round a fault can fire in
+            raise ConfigError(f"faults[{idx}].tick: expected a round >= 1, got {tick}")
+        faults.append(FaultEvent(tick=tick, kind=kind, agent=agent, groups=groups))
     faults.sort(key=lambda f: (f.tick, f.kind, f.agent or ""))
 
     max_ticks = _int(data.get("max_ticks", 1000), "max_ticks")

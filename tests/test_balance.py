@@ -1,45 +1,49 @@
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridswarm.balance import (MigrationMandate, ZoneLoad, compute_zone_loads,
-                               nearest_free_cell, plan_daisy_chain)
+from gridswarm.balance import MigrationMandate, _zone_path, nearest_free_cell, plan_daisy_chain
+from gridswarm.engine import CONTROLLER, Simulation
+from gridswarm.scenario import scenario_from_dict
+from gridswarm.trace import parse_trace
 from gridswarm.world import Cell, GridMap
 
 
-def load(zone, pending, idle, total=None):
-    return ZoneLoad(zone=zone, pending_jobs=pending, idle_agents=idle,
-                    total_agents=total if total is not None else idle)
-
-
-def test_zone_load_validation():
-    with pytest.raises(ValueError):
-        ZoneLoad(zone=(0, 0), pending_jobs=0, idle_agents=3, total_agents=2)
-
-
 def test_mandate_must_cross_one_boundary():
-    MigrationMandate("m", "a", (0, 0), (0, 1), 0)
+    MigrationMandate("m", "a", (0, 0), (0, 1))
     with pytest.raises(ValueError):
-        MigrationMandate("m", "a", (0, 0), (1, 1), 0)
+        MigrationMandate("m", "a", (0, 0), (1, 1))
     with pytest.raises(ValueError):
-        MigrationMandate("m", "a", (0, 0), (0, 0), 0)
+        MigrationMandate("m", "a", (0, 0), (0, 0))
 
 
 def test_deficit_computation_with_carry():
     # The super-leader keeps each zone's latest report: a fresh report
     # replaces its zone's, and a zone not heard from keeps its previous one.
-    loads = {(0, 0): load((0, 0), 5, 1), (0, 1): load((0, 1), 0, 2)}
-    loads.update({(0, 0): load((0, 0), 2, 1)})
-    deficits = compute_zone_loads(loads)
-    assert deficits == {(0, 0): 1, (0, 1): -2}
+    sim = Simulation(scenario_from_dict({
+        "map": {"width": 12, "height": 6}, "partition": {"rows": 1, "cols": 2},
+        "agents": [], "jobs": [], "seed": 0, "max_ticks": 10}))
+    for zone, pending, idle_ids in [((0, 0), 5, ["a1"]), ((0, 1), 0, ["a2", "a3"]),
+                                    ((0, 0), 2, ["a1"])]:
+        sim._publish(CONTROLLER, "super/loads",
+                     {"kind": "load", "zone": zone, "pending": pending,
+                      "total": len(idle_ids), "idle_ids": idle_ids})
+        sim._pump(1)
+    assert sim.sup.deficits == {(0, 0): 1, (0, 1): -2}
+    assert [e["idle"] for e in parse_trace(sim.trace.dump())
+            if e["kind"] == "LoadReport"] == [1, 2, 1]
+    # The balancing period plans from the carried deficits.
+    sim.round = sim.cfg.balance_period
+    sim._phase_balance()
+    assert sim.metrics.deficit_history == [1]
 
 
 def test_single_hop_mandate():
     deficits = {(0, 0): 1, (0, 1): -1}
-    mandates, starved = plan_daisy_chain(deficits, 1, 2,
-                                         {(0, 1): ["a2", "a1"]}, issue_tick=0)
+    mandates, starved = plan_daisy_chain(deficits, {(0, 1): ["a2", "a1"]})
     assert not starved
     assert len(mandates) == 1
     m = mandates[0]
@@ -48,8 +52,7 @@ def test_single_hop_mandate():
 
 def test_starved_when_surplus_insufficient():
     deficits = {(0, 0): 2, (0, 1): -1}
-    mandates, starved = plan_daisy_chain(deficits, 1, 2,
-                                         {(0, 1): ["a1"]}, issue_tick=0)
+    mandates, starved = plan_daisy_chain(deficits, {(0, 1): ["a1"]})
     assert len(mandates) == 1
     assert starved  # one unit of demand is left with no surplus anywhere
 
@@ -58,38 +61,35 @@ def test_multi_hop_chain_staffed_per_zone():
     # surplus two zones away; every intermediate zone has an idle agent
     deficits = {(0, 2): 1, (0, 0): -1, (0, 1): 0}
     idle = {(0, 0): ["far"], (0, 1): ["mid"]}
-    mandates, starved = plan_daisy_chain(deficits, 1, 3, idle, issue_tick=4)
+    mandates, starved = plan_daisy_chain(deficits, idle)
     assert not starved
     assert [(m.agent, m.from_zone, m.to_zone) for m in mandates] == [
         ("far", (0, 0), (0, 1)), ("mid", (0, 1), (0, 2))]
-    assert all(m.issue_tick == 4 for m in mandates)
 
 
 def test_chain_truncates_at_unstaffable_hop():
     deficits = {(0, 2): 1, (0, 0): -1}
-    mandates, starved = plan_daisy_chain(deficits, 1, 3, {(0, 0): ["a"]},
-                                         issue_tick=0)
+    mandates, starved = plan_daisy_chain(deficits, {(0, 0): ["a"]})
     # first hop issued, the stranded unit resumes from (0,1) next period
     assert [(m.from_zone, m.to_zone) for m in mandates] == [((0, 0), (0, 1))]
     assert not starved
 
 
 def test_starved_when_no_surplus():
-    mandates, starved = plan_daisy_chain({(0, 0): 3}, 1, 2, {}, issue_tick=0)
+    mandates, starved = plan_daisy_chain({(0, 0): 3}, {})
     assert mandates == []
     assert starved
 
 
 def test_largest_deficit_served_first():
     deficits = {(0, 0): 1, (0, 2): 3, (0, 1): -1}
-    mandates, _ = plan_daisy_chain(deficits, 1, 3, {(0, 1): ["x"]}, issue_tick=0)
+    mandates, _ = plan_daisy_chain(deficits, {(0, 1): ["x"]})
     assert mandates[0].to_zone == (0, 2)
 
 
 def test_mandate_ids_sequential_from_start():
     deficits = {(0, 0): 1, (0, 1): -1}
-    mandates, _ = plan_daisy_chain(deficits, 1, 2, {(0, 1): ["a", "b"]},
-                                   issue_tick=0, start_id=5)
+    mandates, _ = plan_daisy_chain(deficits, {(0, 1): ["a", "b"]}, start_id=5)
     assert [m.id for m in mandates] == ["m5"]
 
 
@@ -100,8 +100,7 @@ def test_total_hops_match_min_cost_flow_oracle():
     deficits = {(0, 0): 2, (1, 2): 1, (0, 2): -2, (1, 0): -1}
     idle = {(r, c): [f"a{r}{c}x", f"a{r}{c}y", f"a{r}{c}z"]
             for r in range(rows) for c in range(cols)}
-    mandates, starved = plan_daisy_chain(dict(deficits), rows, cols, idle,
-                                         issue_tick=0)
+    mandates, starved = plan_daisy_chain(dict(deficits), idle)
     assert not starved
 
     g = nx.DiGraph()
@@ -120,6 +119,33 @@ def test_total_hops_match_min_cost_flow_oracle():
     cost = nx.max_flow_min_cost(g, "src", "dst")
     flow_cost = nx.cost_of_flow(g, cost)
     assert len(mandates) == flow_cost
+
+
+def bfs_zone_path(src, dst, rows, cols):
+    """Reference: breadth-first search on the zone grid, trying each zone's
+    neighbours up, left, right, down, and the path back through the parent
+    that first reached each zone."""
+    parent = {src: None}
+    queue = deque([src])
+    while dst not in parent:
+        r, c = queue.popleft()
+        for nxt in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
+            if 0 <= nxt[0] < rows and 0 <= nxt[1] < cols and nxt not in parent:
+                parent[nxt] = (r, c)
+                queue.append(nxt)
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def test_zone_path_matches_breadth_first_search_on_every_grid_to_8x8():
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            zones = [(r, c) for r in range(rows) for c in range(cols)]
+            for src in zones:
+                for dst in zones:
+                    assert _zone_path(src, dst) == bfs_zone_path(src, dst, rows, cols)
 
 
 def test_nearest_free_cell_matches_exhaustive_scan():

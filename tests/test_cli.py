@@ -221,6 +221,16 @@ def test_run_exits_2_on_a_fault_field_its_kind_does_not_read(tmp_path, capsys, f
     assert f"faults[0].{field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tick", [0, -3])
+def test_run_exits_2_on_a_fault_before_round_1(tmp_path, capsys, tick):
+    scenario = random_scenario(5)
+    scenario["faults"] = [{"tick": tick, "kind": "kill", "agent": "a00"}]
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "faults[0].tick:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line,fragment", [
     ('{"tick":1,"kind":"Move","actor":"a","src":[0,0],"dst":5}', "line 2: Move event"),
     ('{"tick":"1","kind":"Move","actor":"a","src":[0,0],"dst":[1,0]}', "line 2: tick"),

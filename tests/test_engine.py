@@ -260,6 +260,21 @@ def test_job_on_obstacle_is_rejected_not_fatal():
     assert metrics.completed  # the valid job still runs to completion
 
 
+def test_rejected_spawn_gets_no_zone_bid_or_assignment():
+    scenario = random_scenario(3)
+    scenario["map"]["obstacles"] = [[0, 0]]
+    scenario["jobs"].append({"spawn_tick": 2, "location": [0, 0], "priority": 1.0})
+    metrics, trace = run_scenario(scenario)
+    (rejected,) = [e for e in events_of(trace, "JobSpawn") if e["rejected"]]
+    assert rejected["location"] == [0, 0] and rejected["zone"] is None
+    job = rejected["job"]
+    assert not [e for e in events_of(trace, "Bid") + events_of(trace, "Assign")
+                if e["job"] == job]
+    assert events_of(trace, "Bid")  # the other jobs drew bids
+    assert metrics.completed
+    assert verify_trace(trace.dump()) == []
+
+
 def test_spawns_follow_spawn_tick_and_keep_file_order_within_a_tick():
     jobs = [{"spawn_tick": 3, "location": [10, 4], "priority": 1.5},
             {"spawn_tick": 0, "location": [1, 1], "priority": 2.0},
@@ -287,6 +302,9 @@ def test_cost_fields_are_dropped_once_their_jobs_complete():
     while not sim._all_jobs_done():
         sim.round += 1
         sim._run_round()
+        # A zone's pool holds its open jobs only.
+        assert not [j for zs in sim.zones.values() for j in zs.pool.values()
+                    if j.status is JobStatus.COMPLETED]
         shared = [sim.jobs[j] for j in ("j000", "j001") if j in sim.jobs]
         done = [j.status.value == "completed" for j in shared]
         if any(done) and not all(done):

@@ -42,6 +42,10 @@ def test_spawn_creates_pending_job():
     assert job.status.value == "pending"
     assert job.assign_tick is None and job.completion_tick is None
     assert job.spawn_tick == 7
+    job.assign_tick = 8
+    assert job.status is JobStatus.ASSIGNED
+    job.completion_tick = 9
+    assert job.status is JobStatus.COMPLETED
 
 
 def test_cost_matches_bfs_oracle():
@@ -137,12 +141,12 @@ def test_release_keeps_a_field_while_an_open_job_shares_its_cell():
     other = spawn_job(grid, "j2", Cell(4, 4), 1.0, 0)
     field.cost(Cell(0, 0), first.location)
     field.cost(Cell(0, 0), other.location)
-    first.status = JobStatus.COMPLETED
-    for status in (JobStatus.PENDING, JobStatus.ASSIGNED):
-        second.status = status
+    first.assign_tick = first.completion_tick = 1
+    for assign_tick in (None, 1):  # pending, then assigned
+        second.assign_tick = assign_tick
         field.release(first.location, [first, second, other])
         assert Cell(2, 2) in field._fields
-    second.status = JobStatus.COMPLETED
+    second.completion_tick = 2
     field.release(first.location, [first, second, other])
     assert Cell(2, 2) not in field._fields
     assert Cell(4, 4) in field._fields

@@ -181,7 +181,16 @@ BAD_FAULT_FIELDS = {
 def test_fault_fields_must_fit_the_kind(case):
     fault, field = BAD_FAULT_FIELDS[case]
     with pytest.raises(ConfigError, match=re.escape(f"faults[1].{field}:")):
-        scenario_from_dict(minimal(faults=[{"tick": 0, "kind": "heal"}, fault]))
+        scenario_from_dict(minimal(faults=[{"tick": 1, "kind": "heal"}, fault]))
+
+
+# Round 1 is the first round, so a fault before it would never fire.
+@pytest.mark.parametrize("fault", [{"tick": 0, "kind": "kill", "agent": "a0"},
+                                   {"tick": -3, "kind": "heal"},
+                                   {"kind": "heal"}])
+def test_fault_tick_must_be_a_round(fault):
+    with pytest.raises(ConfigError, match=re.escape("faults[1].tick:")):
+        scenario_from_dict(minimal(faults=[{"tick": 1, "kind": "heal"}, fault]))
 
 
 # Partition groups over the agents of random_scenario(0), a00 to a10: two
