@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .world import Cell, GridMap, ZoneId
+from .world import Cell, GridMap, Zone, ZoneId, zone_centroid
 
 
 @dataclass(frozen=True)
@@ -85,30 +85,32 @@ def plan_daisy_chain(deficits: dict[ZoneId, int], idle_by_zone: dict[ZoneId, lis
     return mandates, starved
 
 
-def nearest_free_cell(grid: GridMap, point: tuple[float, float]) -> Optional[Cell]:
-    """Free cell closest to a real-valued point (Euclidean, ties by y then x).
+def nearest_free_cell(grid: GridMap, zone: Zone) -> Optional[Cell]:
+    """The zone's free cell closest to its centroid (Euclidean, ties by y
+    then x); None if the zone has no free cell.
 
-    Searches square rings of growing radius around the map cell nearest the
-    point. Every cell on ring r is at least r - e from the point along one
-    axis, where e is the point's offset from the ring centre, so the search
-    stops at the first ring whose bound exceeds the best distance found.
+    Searches square rings of growing radius, clipped to the zone, around the
+    cell nearest the centroid. Every cell on ring r is at least r - e from the
+    centroid along one axis, where e is the centroid's offset from the ring
+    centre, so the search stops at the first ring whose bound exceeds the
+    best distance found.
     """
-    px, py = point
-    w, h = grid.width, grid.height
+    x0, y0, x1, y1 = zone.bounds
+    px, py = zone_centroid(zone)
+    w = grid.width
     free = grid.free_flags
-    cx = min(max(round(px), 0), w - 1)
-    cy = min(max(round(py), 0), h - 1)
+    cx, cy = round(px), round(py)
     e = max(abs(px - cx), abs(py - cy))
     best: Optional[tuple[float, int, int]] = None
-    for r in range(max(cx, w - 1 - cx, cy, h - 1 - cy) + 1):
+    for r in range(max(cx - x0, x1 - cx, cy - y0, y1 - cy) + 1):
         if best is not None and max(r - e, 0) ** 2 > best[0]:
             break
-        for y in range(max(cy - r, 0), min(cy + r, h - 1) + 1):
+        for y in range(max(cy - r, y0), min(cy + r, y1) + 1):
             # The ring's full rows at its top and bottom, its two end cells
             # in every row between.
-            xs = (range(max(cx - r, 0), min(cx + r, w - 1) + 1)
+            xs = (range(max(cx - r, x0), min(cx + r, x1) + 1)
                   if abs(y - cy) == r else
-                  [x for x in (cx - r, cx + r) if 0 <= x < w])
+                  [x for x in (cx - r, cx + r) if x0 <= x <= x1])
             for x in xs:
                 if free[y * w + x]:
                     key = ((x - px) ** 2 + (y - py) ** 2, y, x)

@@ -21,8 +21,7 @@ from . import planner as plan
 from .netsim import Bus, Envelope, derive_seed, zone_topic
 from .scenario import ScenarioConfig, scenario_from_dict
 from .trace import TraceWriter
-from .world import (Cell, ZoneId, build_partition, home_zone, subscribed_zones,
-                    zone_centroid)
+from .world import Cell, ZoneId, build_partition, home_zone, subscribed_zones
 
 SUPER = "super"
 CONTROLLER = "controller"
@@ -409,8 +408,7 @@ class Simulation:
         records[lr.leader] = self._record_for(leader)
         snapshot = cons.make_snapshot(lr.tick, records)
         new_tick = lr.tick + 1
-        pending = sorted(j for j, job in zs.pool.items()
-                         if job.status is jobmod.JobStatus.PENDING)
+        pending = sorted(j for j, job in zs.pool.items() if job.assign_tick is None)
         lr.solicited = pending
         roster = tuple(sorted(lr.expected))
         self._publish(lr.leader, self._zone_topics[lr.zone].global_tick,
@@ -549,9 +547,9 @@ class Simulation:
         if (m.agent != a.id or not a.idle or a.status is not cons.Liveness.ALIVE
                 or a.home != m.from_zone):
             return  # not ours; or busy, dead, or already moved: mandate lapses
-        target_zone = self.partition.zone(m.to_zone)
         a.mandate = m
-        a.goal = bal.nearest_free_cell(self.grid, zone_centroid(target_zone))
+        # Inside the target zone, so _after_move clears it on arrival.
+        a.goal = bal.nearest_free_cell(self.grid, self.partition.zone(m.to_zone))
         a.path = None
 
     def _handle_super(self, env) -> None:
@@ -699,7 +697,7 @@ class Simulation:
                 continue
             members = self._members(zone)
             pending = sum(1 for j in self.zones[zone].pool.values()
-                          if j.status is jobmod.JobStatus.PENDING)
+                          if j.assign_tick is None)
             idle_ids = [m.id for m in members if m.idle and m.mandate is None and m.powered]
             self._publish(leader.id, "super/loads",
                           {"kind": "load", "zone": zone, "pending": pending,
@@ -798,9 +796,6 @@ class Simulation:
                     a.stuck += 1
                 else:
                     a.stuck = 0
-            if a.goal is not None and a.position == a.goal and a.job is None:
-                a.goal = None
-                a.path = None
         positions = [a.position for a in self.agents.values() if a.powered]
         self.metrics.collisions += len(positions) - len(set(positions))
 

@@ -3,16 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
 from .world import Cell, GridMap, InvalidPositionError
-
-
-class JobStatus(Enum):
-    PENDING = "pending"
-    ASSIGNED = "assigned"
-    COMPLETED = "completed"
 
 
 class SpawnRejected(ValueError):
@@ -21,18 +14,15 @@ class SpawnRejected(ValueError):
 
 @dataclass
 class Job:
+    """A job is pending until `assign_tick` is set and open until
+    `completion_tick` is; a release by `MarkDead` clears `assign_tick`."""
+
     id: str
     location: Cell
     priority: float
     spawn_tick: int
     assign_tick: Optional[int] = None
     completion_tick: Optional[int] = None
-
-    @property
-    def status(self) -> JobStatus:
-        if self.completion_tick is not None:
-            return JobStatus.COMPLETED
-        return JobStatus.PENDING if self.assign_tick is None else JobStatus.ASSIGNED
 
 
 class Bid(NamedTuple):
@@ -117,10 +107,9 @@ class CostField:
         return dist[target]
 
     def release(self, job_location: Cell, jobs: Iterable[Job]) -> None:
-        """Drop the field of `job_location` unless an open job in `jobs`
-        (pending, or assigned) still sits there; jobs may share a cell."""
-        if not any(j.location == job_location and j.status is not JobStatus.COMPLETED
-                   for j in jobs):
+        """Drop the field of `job_location` unless a job in `jobs` (a zone's
+        open jobs) still sits there; jobs may share a cell."""
+        if not any(j.location == job_location for j in jobs):
             self._fields.pop(Cell(*job_location), None)
 
 

@@ -161,20 +161,16 @@ def random_safe_vector(state: KinematicState, grid: GridMap, rng: random.Random,
     return (float(pick.x - state.current.x), float(pick.y - state.current.y))
 
 
-def compute_force(i: KinematicState, j: Optional[KinematicState],
-                  conflict: ConflictKind, params: PlannerParams, grid: GridMap,
-                  rng: random.Random, deadlock: bool = False,
+def compute_force(i: KinematicState, j: KinematicState, params: PlannerParams,
+                  grid: GridMap, rng: random.Random, deadlock: bool = False,
                   blocked: Container[Cell] = ()) -> tuple[float, float]:
-    """Piecewise force on agent `i`.
+    """Piecewise force on agent `i`, which gives way to `j` in a conflict.
 
-    No conflict: follow own intent direction. Conflict with `j`: align with
-    j's direction scaled by own priority plus a random safe escape scaled by
-    j's priority. Under deadlock the own-priority factor is ramped to
-    priority**stuck (exponent capped). The scale is arbitrary: quantize_move
-    reads only the sign and order of dot products.
+    Align with j's direction scaled by own priority plus a random safe escape
+    scaled by j's priority. Under deadlock the own-priority factor is ramped
+    to priority**stuck (exponent capped). The scale is arbitrary:
+    quantize_move reads only the sign and order of dot products.
     """
-    if j is None or conflict in (ConflictKind.NONE, ConflictKind.WAIT):
-        return _unit_dir(i)
     p_i = i.priority ** min(i.stuck, params.ramp_cap) if deadlock else i.priority
     jdx, jdy = _unit_dir(j)
     rx, ry = random_safe_vector(i, grid, rng, blocked=blocked)
@@ -234,6 +230,10 @@ def _contacts(info: dict[str, KinematicState], occ: dict[Cell, str]
 
 
 def _matured_cycles(blockers: dict[str, KinematicState], threshold: int) -> set[str]:
+    """Agents with a job whose stuck counter has reached `threshold` inside a
+    cycle of the blocking map (agent -> the state of the agent on the cell it
+    intends). Intents are single cells and positions are distinct, so the
+    map is a functional graph and cycles are found by pointer chasing."""
     on_cycle: set[str] = set()
     seen: set[str] = set()
     for node in blockers:
@@ -247,18 +247,6 @@ def _matured_cycles(blockers: dict[str, KinematicState], threshold: int) -> set[
     # Every agent on a cycle blocks the one before it, so its state is a value.
     return {b.agent for b in blockers.values()
             if b.agent in on_cycle and b.stuck >= threshold and b.has_job}
-
-
-def detect_deadlock(states: list[KinematicState], threshold: int) -> set[str]:
-    """Agents whose stuck counter has matured inside a cycle of blocking relations.
-
-    Agent i blocks j iff j intends i's current cell; since intents are single
-    cells and positions are distinct, the blocking relation is a functional
-    graph and cycles are found by pointer chasing.
-    """
-    blockers, _pairs = _contacts({s.agent: s for s in states},
-                                 {s.current: s.agent for s in states})
-    return _matured_cycles(blockers, threshold)
 
 
 def reserve_moves(order: list[tuple[str, Cell]], proposal: dict[str, Cell],
@@ -323,10 +311,10 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
     deadlocked = _matured_cycles(blockers, params.deadlock_threshold)
     ops.tick(len(states))
 
-    def give_way(yielder: KinematicState, keeper: KinematicState, kind: ConflictKind,
-                 deadlock: bool, tag: ConflictKind | str) -> None:
-        force = compute_force(yielder, keeper, kind, params, grid,
-                              rng_for(yielder.agent), deadlock=deadlock, blocked=blocked)
+    def give_way(yielder: KinematicState, keeper: KinematicState, deadlock: bool,
+                 tag: ConflictKind | str) -> None:
+        force = compute_force(yielder, keeper, params, grid, rng_for(yielder.agent),
+                              deadlock=deadlock, blocked=blocked)
         # taken still holds the yielder's own cell; quantize_move never tests it.
         proposal[yielder.agent] = quantize_move(force, yielder.current, grid, taken)
         ops.tick(4)
@@ -340,12 +328,12 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
         if kind in (ConflictKind.VERTEX, ConflictKind.EDGE, ConflictKind.STATIC):
             keeper, yielder = ((si, sj) if rank(si.priority, ai) < rank(sj.priority, aj)
                                else (sj, si))
-            give_way(yielder, keeper, kind, yielder.agent in deadlocked, kind)
+            give_way(yielder, keeper, yielder.agent in deadlocked, kind)
 
     # Matured blocking cycles get the ramped branch even without a pairwise
     # conflict (a rotation cycle classifies as no-conflict on every pair).
     for agent in sorted(deadlocked):
-        give_way(info[agent], blockers[agent], ConflictKind.STATIC, True, "deadlock")
+        give_way(info[agent], blockers[agent], True, "deadlock")
 
     # Final reservation pass, in rank order. The rank is unique per agent, so
     # counting the comparisons leaves the order as it is.

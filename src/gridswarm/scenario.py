@@ -215,8 +215,13 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     cons = _object(data.get("consensus", {}), "consensus")
     _require_keys(cons, {"timeout_steps"}, "consensus")
     timeout_steps = _int(cons.get("timeout_steps", 10), "consensus.timeout_steps")
-    if timeout_steps < 1:
-        raise ConfigError("consensus.timeout_steps must be >= 1")
+    # An election closes timeout_steps bus steps after its solicit, and a
+    # candidacy takes two deliveries (the solicit out, the candidacy back) of
+    # at least max(1, least delay) steps each: a shorter timeout never elects.
+    least = max(1, delay if isinstance(delay, int) else delay[0])
+    if timeout_steps < 2 * least:
+        raise ConfigError(f"consensus.timeout_steps must be >= {2 * least}, twice the "
+                          f"least delivery time, got {timeout_steps}")
 
     bal = _object(data.get("balance", {}), "balance")
     _require_keys(bal, {"period"}, "balance")

@@ -9,7 +9,7 @@ from gridswarm.balance import MigrationMandate, _zone_path, nearest_free_cell, p
 from gridswarm.engine import CONTROLLER, Simulation
 from gridswarm.scenario import scenario_from_dict
 from gridswarm.trace import parse_trace
-from gridswarm.world import Cell, GridMap
+from gridswarm.world import Cell, GridMap, Zone, zone_centroid
 
 
 def test_mandate_must_cross_one_boundary():
@@ -148,65 +148,74 @@ def test_zone_path_matches_breadth_first_search_on_every_grid_to_8x8():
                     assert _zone_path(src, dst) == bfs_zone_path(src, dst, rows, cols)
 
 
+def scan_nearest(grid, zone):
+    """Reference: the first minimum over the zone's free cells in (y, x) order."""
+    x0, y0, x1, y1 = zone.bounds
+    px, py = zone_centroid(zone)
+    return min((Cell(x, y) for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)
+                if grid.is_free(Cell(x, y))),
+               key=lambda c: (c.x - px) ** 2 + (c.y - py) ** 2, default=None)
+
+
 def test_nearest_free_cell_matches_exhaustive_scan():
     grid = GridMap(width=7, height=5,
                    obstacles=frozenset({Cell(3, 2), Cell(2, 2), Cell(3, 1)}))
-    for point in [(3.0, 2.0), (0.0, 0.0), (6.5, 4.5), (2.5, 1.5)]:
-        got = nearest_free_cell(grid, point)
-        px, py = point
-        expected = min((c for y in range(5) for x in range(7)
+    for bounds in [(0, 0, 6, 4), (0, 0, 0, 0), (2, 1, 3, 2), (3, 0, 6, 4), (1, 1, 4, 3)]:
+        zone = Zone(id=(0, 0), bounds=bounds)
+        x0, y0, x1, y1 = bounds
+        px, py = zone_centroid(zone)
+        expected = min((c for y in range(y0, y1 + 1) for x in range(x0, x1 + 1)
                         if grid.is_free(c := Cell(x, y))),
                        key=lambda c: ((c.x - px) ** 2 + (c.y - py) ** 2, c.y, c.x))
-        assert got == expected
+        assert nearest_free_cell(grid, zone) == expected
+    # A walled-off centroid: the map's free cell nearest (4, 2) is (2, 2),
+    # outside the zone; the zone's own free cell is the answer.
+    walled = GridMap(width=7, height=5, obstacles=frozenset(
+        Cell(x, y) for x in range(3, 6) for y in range(5) if (x, y) != (5, 4)))
+    assert nearest_free_cell(walled, Zone(id=(0, 1), bounds=(3, 0, 5, 4))) == Cell(5, 4)
 
 
 def test_nearest_free_cell_none_on_full_map():
     grid = GridMap(width=2, height=1,
                    obstacles=frozenset({Cell(0, 0), Cell(1, 0)}))
-    assert nearest_free_cell(grid, (0.5, 0.0)) is None
-
-
-def scan_nearest(grid, point):
-    """Reference: the first minimum over every free cell in (y, x) order."""
-    px, py = point
-    return min((Cell(x, y) for y in range(grid.height) for x in range(grid.width)
-                if grid.is_free(Cell(x, y))),
-               key=lambda c: (c.x - px) ** 2 + (c.y - py) ** 2, default=None)
+    assert nearest_free_cell(grid, Zone(id=(0, 0), bounds=(0, 0, 1, 0))) is None
 
 
 @settings(deadline=None)
 @given(st.data())
 def test_ring_search_matches_full_scan(data):
-    """Random maps, some full; half-integer points (zone centroids) and
-    arbitrary points, inside and outside the map."""
+    """Random maps, some full, and random zones on them."""
     w = data.draw(st.integers(1, 14))
     h = data.draw(st.integers(1, 14))
     cells = [(x, y) for y in range(h) for x in range(w)]
     blocked = data.draw(st.sets(st.sampled_from(cells)) | st.just(set(cells)))
     grid = GridMap(width=w, height=h, obstacles=frozenset(Cell(*c) for c in blocked))
-    halves = st.tuples(st.integers(-4, 2 * w + 4), st.integers(-4, 2 * h + 4)).map(
-        lambda p: (p[0] / 2, p[1] / 2))
-    reals = st.tuples(st.floats(-5, w + 5), st.floats(-5, h + 5))
-    for point in data.draw(st.lists(halves | reals, min_size=1, max_size=8)):
-        assert nearest_free_cell(grid, point) == scan_nearest(grid, point)
+    xs = st.tuples(st.integers(0, w - 1), st.integers(0, w - 1)).map(sorted)
+    ys = st.tuples(st.integers(0, h - 1), st.integers(0, h - 1)).map(sorted)
+    for (x0, x1), (y0, y1) in data.draw(st.lists(st.tuples(xs, ys), min_size=1, max_size=8)):
+        zone = Zone(id=(0, 0), bounds=(x0, y0, x1, y1))
+        assert nearest_free_cell(grid, zone) == scan_nearest(grid, zone)
 
 
 def test_ring_search_breaks_distance_ties_by_y_then_x():
     grid = GridMap(width=8, height=8, obstacles=frozenset({Cell(4, 4)}))
-    # (3, 4), (4, 3), (5, 4) and (4, 5) are all 1 away; (4, 3) has the lowest y.
-    assert nearest_free_cell(grid, (4.0, 4.0)) == Cell(4, 3)
-    # A zone centroid between four cells: the lowest y, then the lowest x.
-    assert nearest_free_cell(GridMap(width=8, height=8), (3.5, 3.5)) == Cell(3, 3)
+    # (3, 4), (4, 3), (5, 4) and (4, 5) are all 1 away from the centroid
+    # (4, 4); (4, 3) has the lowest y.
+    assert nearest_free_cell(grid, Zone(id=(0, 0), bounds=(1, 1, 7, 7))) == Cell(4, 3)
+    # A centroid between four cells: the lowest y, then the lowest x.
+    assert nearest_free_cell(GridMap(width=8, height=8),
+                             Zone(id=(0, 0), bounds=(0, 0, 7, 7))) == Cell(3, 3)
 
 
 def test_ring_search_matches_full_scan_at_every_half_point():
-    # Seeded obstacle patterns, each point on a half-cell lattice over and
-    # around the map, so every ring side and corner gets to hold the answer.
+    # Seeded obstacle patterns, and every rectangle of the map as a zone, so
+    # every half-cell point of the map is a centroid, and every ring side and
+    # corner gets to hold the answer.
     rng = random.Random(7)
     for density in (0.2, 0.5, 0.8, 0.95):
         grid = GridMap(width=9, height=7, obstacles=frozenset(
             Cell(x, y) for y in range(7) for x in range(9) if rng.random() < density))
-        for hx in range(-4, 2 * 9 + 4):
-            for hy in range(-4, 2 * 7 + 4):
-                point = (hx / 2, hy / 2)
-                assert nearest_free_cell(grid, point) == scan_nearest(grid, point)
+        for x0, x1, y0, y1 in ((x0, x1, y0, y1) for x0 in range(9) for x1 in range(x0, 9)
+                               for y0 in range(7) for y1 in range(y0, 7)):
+            zone = Zone(id=(0, 0), bounds=(x0, y0, x1, y1))
+            assert nearest_free_cell(grid, zone) == scan_nearest(grid, zone)

@@ -251,3 +251,14 @@ def test_verify_exits_2_on_a_value_of_the_wrong_type(tmp_path, capsys, line, fra
                     + line + "\n")
     assert main(["verify", "--trace", str(path)]) == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timeout, delay", [(1, 0), (5, 3), (3, [2, 4])])
+def test_run_exits_2_on_a_timeout_too_short_for_an_election(tmp_path, capsys, timeout, delay):
+    scenario = random_scenario(3)
+    scenario["consensus"] = {"timeout_steps": timeout}
+    scenario["network"] = {"drop_prob": 0.0, "delay_steps": delay}
+    path = tmp_path / "timeout.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "consensus.timeout_steps must be >=" in capsys.readouterr().err

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from gridswarm.engine import SUPER, LeaderRound, Simulation, run_scenario
-from gridswarm.jobs import JobStatus
 from gridswarm.netsim import zone_topic
 from gridswarm.scenario import bench_scenario, random_scenario, scenario_from_dict
 from gridswarm.trace import parse_trace, verify_trace
@@ -86,7 +85,7 @@ def test_released_job_still_pending_at_the_end_has_no_waits():
     assert not metrics.completed
     assert [e["agent"] for e in events_of(trace, "MarkDead")
             if e["released_job"] == "j002"] == ["a04"]
-    assert sim.jobs["j002"].status is JobStatus.PENDING
+    assert sim.jobs["j002"].assign_tick is None
     assert metrics.job_waits["j002"] == (None, None)
 
 
@@ -189,6 +188,41 @@ def test_migration_serves_agentless_zone():
     assert metrics.migrations > 0
     mandates = events_of(trace, "Mandate")
     assert mandates and all(e["actor"] == "super" for e in mandates)
+
+
+def test_mandate_into_a_zone_whose_centroid_is_walled_off():
+    """The right zone's centroid (14.5, 9.5) lies inside an obstacle, and the
+    map's free cell nearest it, (9, 9), lies in the left zone. A mandate's
+    goal is the target zone's own free cell nearest its centroid, so the
+    migrants enter the zone and serve its jobs."""
+    sim = Simulation(scenario_from_dict({
+        "map": {"width": 20, "height": 20, "obstacle_rects": [[10, 1, 19, 19]]},
+        "partition": {"rows": 1, "cols": 2, "overlap": 1},
+        "agents": [{"id": f"a{i}", "start": [i, 5]} for i in range(4)],
+        "jobs": [{"spawn_tick": 1, "location": [19, 0], "priority": 1.0},
+                 {"spawn_tick": 1, "location": [18, 0], "priority": 1.0}],
+        "network": {}, "planner": {}, "consensus": {"timeout_steps": 10},
+        "balance": {"period": 5}, "seed": 1, "max_ticks": 120, "faults": [],
+    }))
+    sim._bootstrap()
+    goals = set()
+    while not sim._all_jobs_done() and sim.round < sim.cfg.max_ticks:
+        sim.round += 1
+        sim._run_round()
+        goals |= {a.goal for a in sim.agents.values() if a.mandate is not None}
+    assert goals == {(14, 0)}
+    assert sim._all_jobs_done() and sim.round == 39
+    assert sim.metrics.migrations == 4
+    assert verify_trace(sim.trace.dump()) == []
+
+
+@pytest.mark.parametrize("timeout, delay", [(2, 0), (6, 3), (4, [2, 4])])
+def test_the_shortest_accepted_timeout_elects_and_completes(timeout, delay):
+    sc = random_scenario(3)
+    sc["consensus"] = {"timeout_steps": timeout}
+    sc["network"] = {"drop_prob": 0.0, "delay_steps": delay}
+    metrics, trace = run_scenario(sc)
+    assert events_of(trace, "Election") and metrics.completed
 
 
 def test_same_seed_same_digest():
@@ -304,9 +338,9 @@ def test_cost_fields_are_dropped_once_their_jobs_complete():
         sim._run_round()
         # A zone's pool holds its open jobs only.
         assert not [j for zs in sim.zones.values() for j in zs.pool.values()
-                    if j.status is JobStatus.COMPLETED]
+                    if j.completion_tick is not None]
         shared = [sim.jobs[j] for j in ("j000", "j001") if j in sim.jobs]
-        done = [j.status.value == "completed" for j in shared]
+        done = [j.completion_tick is not None for j in shared]
         if any(done) and not all(done):
             assert (1, 1) in sim.costs._fields
             kept_for_open_job = True
@@ -396,6 +430,24 @@ def test_path_holds_the_cells_still_ahead():
                 checked += 1
     assert checked > 100 and off_rounds > 10
     assert sim.grid.obstacles
+
+
+def test_plain_route_when_powered_off_agents_box_the_goal_in():
+    """b is killed in the only corridor to a's job. The route around b fails,
+    so a takes the plain route once: it walks up to b and waits beside it
+    instead of waiting at its start."""
+    metrics, trace = run_scenario({
+        "map": {"width": 9, "height": 1},
+        "partition": {"rows": 1, "cols": 1, "overlap": 0},
+        "agents": [{"id": "a", "start": [0, 0]}, {"id": "b", "start": [4, 0]}],
+        "jobs": [{"spawn_tick": 3, "location": [8, 0], "priority": 1.0}],
+        "network": {}, "planner": {}, "consensus": {"timeout_steps": 10},
+        "balance": {"period": 10}, "seed": 1, "max_ticks": 15,
+        "faults": [{"tick": 2, "kind": "kill", "agent": "b"}],
+    })
+    assert [(e["tick"], e["actor"], e["src"], e["dst"]) for e in events_of(trace, "Move")] == [
+        (6, "a", [0, 0], [1, 0]), (7, "a", [1, 0], [2, 0]), (8, "a", [2, 0], [3, 0])]
+    assert not metrics.completed
 
 
 # Step-down: each trigger must leave the agent not leader, off its zone's

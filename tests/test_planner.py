@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from gridswarm.planner import (ConflictKind, KinematicState, OpCounter,
                                PlannerParams, classify_conflict, compute_force,
-                               detect_deadlock, manhattan, plan_path,
-                               quantize_move, random_safe_vector,
-                               resolve_zone_step)
+                               manhattan, plan_path, quantize_move,
+                               random_safe_vector, resolve_zone_step)
 from gridswarm.world import Cell, GridMap
 
 
@@ -198,21 +197,6 @@ def test_classify_symmetric_for_blocking_kinds(ci, ii, cj, ij):
 
 # ---------------------------------------------------------------- force algebra
 
-def test_force_follows_intent_without_conflict():
-    params = PlannerParams()
-    grid = GridMap(width=5, height=5)
-    s = ks("a", (1, 1), (1, 2))
-    assert compute_force(s, None, ConflictKind.NONE, params, grid,
-                         random.Random(0)) == (0.0, 1.0)
-
-
-def test_force_zero_when_waiting_without_conflict():
-    params = PlannerParams()
-    grid = GridMap(width=5, height=5)
-    assert compute_force(ks("a", (1, 1)), None, ConflictKind.WAIT, params, grid,
-                         random.Random(0)) == (0.0, 0.0)
-
-
 def test_deadlock_ramp_amplifies_with_stuck():
     params = PlannerParams(ramp_cap=8)
     grid = GridMap(width=9, height=9)
@@ -220,8 +204,7 @@ def test_deadlock_ramp_amplifies_with_stuck():
     magnitudes = []
     for stuck in (1, 3, 6):
         i = ks("a", (4, 4), (4, 5), priority=2.0, stuck=stuck, has_job=True)
-        fx, fy = compute_force(i, j, ConflictKind.STATIC, params, grid,
-                               random.Random(0), deadlock=True)
+        fx, fy = compute_force(i, j, params, grid, random.Random(0), deadlock=True)
         magnitudes.append(abs(fx) + abs(fy))
     assert magnitudes == sorted(magnitudes)
     assert magnitudes[0] < magnitudes[-1]
@@ -234,8 +217,7 @@ def test_deadlock_ramp_caps():
     outs = set()
     for stuck in (3, 5, 50):
         i = ks("a", (4, 4), (4, 5), priority=2.0, stuck=stuck, has_job=True)
-        outs.add(compute_force(i, j, ConflictKind.STATIC, params, grid,
-                               random.Random(0), deadlock=True))
+        outs.add(compute_force(i, j, params, grid, random.Random(0), deadlock=True))
     assert len(outs) == 1
 
 
@@ -287,6 +269,14 @@ def test_quantize_tie_order_north_first():
     assert quantize_move((1.0, 1.0), Cell(2, 2), grid, set()) == Cell(2, 3)
 
 
+# ------------------------------------------------------------- zone resolution
+
+def rng_factory(seed):
+    def rng_for(agent):
+        return random.Random((seed, agent).__hash__())
+    return rng_for
+
+
 # ------------------------------------------------------------ deadlock detection
 
 def rotation_square(stuck=2, has_job=True, priority=1.5):
@@ -298,37 +288,37 @@ def rotation_square(stuck=2, has_job=True, priority=1.5):
     ]
 
 
+def deadlocked(states, threshold=2):
+    """The yielders of the "deadlock" entries resolve_zone_step logs."""
+    log = []
+    resolve_zone_step(states, GridMap(width=5, height=5),
+                      PlannerParams(deadlock_threshold=threshold), rng_factory(0), log=log)
+    return {yielder for tag, _keeper, yielder in log if tag == "deadlock"}
+
+
 def test_detects_rotation_cycle():
-    assert detect_deadlock(rotation_square(), threshold=2) == {"a", "b", "c", "d"}
+    assert deadlocked(rotation_square()) == {"a", "b", "c", "d"}
 
 
 def test_threshold_gates_detection():
-    assert detect_deadlock(rotation_square(stuck=1), threshold=2) == set()
+    assert deadlocked(rotation_square(stuck=1)) == set()
 
 
 def test_idle_agents_not_flagged():
-    assert detect_deadlock(rotation_square(has_job=False), threshold=2) == set()
+    assert deadlocked(rotation_square(has_job=False)) == set()
 
 
 def test_chain_without_cycle_not_flagged():
     states = [ks("a", (0, 0), (1, 0), stuck=5, has_job=True),
               ks("b", (1, 0), (2, 0), stuck=5, has_job=True),
               ks("c", (2, 0), (3, 0), stuck=5, has_job=True)]
-    assert detect_deadlock(states, threshold=2) == set()
+    assert deadlocked(states) == set()
 
 
 def test_two_agent_swap_cycle_detected():
     states = [ks("a", (0, 0), (1, 0), stuck=3, has_job=True),
               ks("b", (1, 0), (0, 0), stuck=3, has_job=True)]
-    assert detect_deadlock(states, threshold=2) == {"a", "b"}
-
-
-# ------------------------------------------------------------- zone resolution
-
-def rng_factory(seed):
-    def rng_for(agent):
-        return random.Random((seed, agent).__hash__())
-    return rng_for
+    assert deadlocked(states) == {"a", "b"}
 
 
 def test_resolution_keeps_higher_priority_intent():

@@ -300,6 +300,22 @@ def test_typed_fields_reject_other_types():
             scenario_from_dict(bad)
 
 
+# A candidacy takes two deliveries of at least max(1, least delay) bus
+# steps, so a shorter consensus timeout never elects a leader.
+@pytest.mark.parametrize("timeout, delay", [(0, 0), (1, 0), (1, 1), (5, 3), (3, [2, 4])])
+def test_timeout_too_short_for_an_election_is_a_config_error(timeout, delay):
+    with pytest.raises(ConfigError, match=r"consensus\.timeout_steps must be >= "):
+        scenario_from_dict(minimal(network={"delay_steps": delay},
+                                   consensus={"timeout_steps": timeout}))
+
+
+@pytest.mark.parametrize("timeout, delay", [(2, 0), (2, 1), (6, 3), (4, [2, 4])])
+def test_timeout_just_long_enough_for_an_election_parses(timeout, delay):
+    cfg = scenario_from_dict(minimal(network={"delay_steps": delay},
+                                     consensus={"timeout_steps": timeout}))
+    assert cfg.timeout_steps == timeout
+
+
 def test_overlap_wider_than_a_zone_parses():
     cfg = scenario_from_dict(minimal(partition={"rows": 2, "cols": 2, "overlap": 50}))
     assert cfg.overlap == 50
