@@ -188,7 +188,7 @@ class Simulation:
         for aid, start in sorted(config.agents):
             a = self.agents[aid] = AgentSim(id=aid, position=start)
             a.home = home_zone(start, self.partition)
-            a.subscribed = tuple(sorted(subscribed_zones(start, self.partition)))
+            a.subscribed = subscribed_zones(start, self.partition)
             self.bus.register(aid)
             self.bus.subscribe(aid, "super/election")
             self.bus.subscribe(aid, "super/mandates")
@@ -814,7 +814,7 @@ class Simulation:
                 a.mandate = None
                 a.goal = None
                 a.path = None
-        a.subscribed = tuple(sorted(subscribed_zones(a.position, self.partition)))
+        a.subscribed = subscribed_zones(a.position, self.partition)
 
     # Phase 8: completion checks at committed positions.
     def _phase_complete(self) -> None:

@@ -56,46 +56,65 @@ def _rect_cells(rects: list[list[int]]) -> set[Cell]:
             for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)}
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+# The keys each object of the file may hold.
+_SCENARIO_KEYS = frozenset({"map", "partition", "agents", "jobs", "network", "planner",
+                            "consensus", "balance", "seed", "max_ticks", "faults"})
+_MAP_KEYS = frozenset({"width", "height", "obstacles", "obstacle_rects"})
+_PARTITION_KEYS = frozenset({"rows", "cols", "overlap"})
+_AGENT_KEYS = frozenset({"id", "start"})
+_JOB_KEYS = frozenset({"spawn_tick", "location", "priority"})
+_NETWORK_KEYS = frozenset({"drop_prob", "delay_steps"})
+_PLANNER_KEYS = frozenset({"deadlock_threshold", "ramp_cap"})
+_CONSENSUS_KEYS = frozenset({"timeout_steps"})
+_BALANCE_KEYS = frozenset({"period"})
+_FAULT_KEYS = frozenset({"tick", "kind", "agent", "groups"})
+
+_FLOAT_MAX = sys.float_info.max
 
 
 # Typed field readers. Each names the field by its JSON path in its error.
+# `where` is that path with a "{}" for each of `idx`, the list indices, so a
+# per-item reader formats the path only when it raises.
 
-def _int(value: Any, where: str) -> int:
+def _require_keys(obj: dict, allowed: frozenset[str], where: str, *idx: int) -> None:
+    if not allowed.issuperset(obj):
+        raise ConfigError(f"{where.format(*idx)}: unknown keys {sorted(set(obj) - allowed)}")
+
+
+def _int(value: Any, where: str, *idx: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        raise ConfigError(f"{where.format(*idx)}: expected an integer, got {value!r}")
     return value
 
 
-def _number(value: Any, where: str) -> float:
+def _number(value: Any, where: str, *idx: int) -> float:
     """A finite float. ``json`` reads NaN and Infinity, which no trace may
     hold, and integers too large for a float."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not -sys.float_info.max <= value <= sys.float_info.max):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+            or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        raise ConfigError(f"{where.format(*idx)}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _list(value: Any, where: str) -> list | tuple:
+def _list(value: Any, where: str, *idx: int) -> list | tuple:
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{where}: expected a list, got {value!r}")
+        raise ConfigError(f"{where.format(*idx)}: expected a list, got {value!r}")
     return value
 
 
-def _object(value: Any, where: str) -> dict:
+def _object(value: Any, where: str, *idx: int) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected an object, got {value!r}")
+        raise ConfigError(f"{where.format(*idx)}: expected an object, got {value!r}")
     return value
 
 
-def _cell(value: Any, where: str) -> Cell:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
-        raise ConfigError(f"{where}: expected [x, y] integer pair, got {value!r}")
-    return Cell(*value)
+def _cell(value: Any, where: str, *idx: int) -> Cell:
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        x, y = value
+        if (isinstance(x, int) and isinstance(y, int)
+                and not isinstance(x, bool) and not isinstance(y, bool)):
+            return Cell(x, y)
+    raise ConfigError(f"{where.format(*idx)}: expected [x, y] integer pair, got {value!r}")
 
 
 def _groups(value: Any, where: str, known: set[str]) -> tuple[frozenset[str], ...]:
@@ -120,11 +139,9 @@ def _groups(value: Any, where: str, known: set[str]) -> tuple[frozenset[str], ..
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Strict parse; unknown keys anywhere are rejected."""
     _object(data, "scenario")
-    _require_keys(data, {"map", "partition", "agents", "jobs", "network", "planner",
-                         "consensus", "balance", "seed", "max_ticks", "faults"},
-                  "scenario")
+    _require_keys(data, _SCENARIO_KEYS, "scenario")
     m = _object(data.get("map"), "map")
-    _require_keys(m, {"width", "height", "obstacles", "obstacle_rects"}, "map")
+    _require_keys(m, _MAP_KEYS, "map")
     width = _int(m.get("width", 0), "map.width")
     height = _int(m.get("height", 0), "map.height")
     obstacles = {_cell(c, "map.obstacles")
@@ -144,7 +161,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"map: {exc}") from exc
 
     part = _object(data.get("partition", {}), "partition")
-    _require_keys(part, {"rows", "cols", "overlap"}, "partition")
+    _require_keys(part, _PARTITION_KEYS, "partition")
     rows = _int(part.get("rows", 1), "partition.rows")
     cols = _int(part.get("cols", 1), "partition.cols")
     overlap = _int(part.get("overlap", 1), "partition.overlap")
@@ -157,10 +174,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     seen_ids: set[str] = set()
     seen_cells: set[Cell] = set()
     for idx, a in enumerate(_list(data.get("agents", []), "agents")):
-        a = _object(a, f"agents[{idx}]")
-        _require_keys(a, {"id", "start"}, f"agents[{idx}]")
+        a = _object(a, "agents[{}]", idx)
+        _require_keys(a, _AGENT_KEYS, "agents[{}]", idx)
         aid = a.get("id")
-        start = _cell(a.get("start"), f"agents[{idx}].start")
+        start = _cell(a.get("start"), "agents[{}].start", idx)
         if not isinstance(aid, str) or not aid:
             raise ConfigError(f"agents[{idx}]: id must be a non-empty string")
         if aid in seen_ids:
@@ -175,19 +192,19 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     jobs: list[JobSpec] = []
     for idx, j in enumerate(_list(data.get("jobs", []), "jobs")):
-        j = _object(j, f"jobs[{idx}]")
-        _require_keys(j, {"spawn_tick", "location", "priority"}, f"jobs[{idx}]")
-        loc = _cell(j.get("location"), f"jobs[{idx}].location")
+        j = _object(j, "jobs[{}]", idx)
+        _require_keys(j, _JOB_KEYS, "jobs[{}]", idx)
+        loc = _cell(j.get("location"), "jobs[{}].location", idx)
         if not grid.in_bounds(loc):
             raise ConfigError(f"jobs[{idx}]: location {loc} out of bounds")
-        prio = _number(j.get("priority", 1.0), f"jobs[{idx}].priority")
+        prio = _number(j.get("priority", 1.0), "jobs[{}].priority", idx)
         if prio <= 0:
             raise ConfigError(f"jobs[{idx}]: priority must be > 0")
-        jobs.append(JobSpec(spawn_tick=_int(j.get("spawn_tick", 0), f"jobs[{idx}].spawn_tick"),
+        jobs.append(JobSpec(spawn_tick=_int(j.get("spawn_tick", 0), "jobs[{}].spawn_tick", idx),
                             location=loc, priority=prio))
 
     net = _object(data.get("network", {}), "network")
-    _require_keys(net, {"drop_prob", "delay_steps"}, "network")
+    _require_keys(net, _NETWORK_KEYS, "network")
     delay = net.get("delay_steps", 0)
     if isinstance(delay, (list, tuple)):
         if len(delay) != 2:
@@ -204,7 +221,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"network: {exc}") from exc
 
     pl = _object(data.get("planner", {}), "planner")
-    _require_keys(pl, {"deadlock_threshold", "ramp_cap"}, "planner")
+    _require_keys(pl, _PLANNER_KEYS, "planner")
     threshold = _int(pl.get("deadlock_threshold", 2), "planner.deadlock_threshold")
     ramp_cap = _int(pl.get("ramp_cap", 8), "planner.ramp_cap")
     try:
@@ -213,7 +230,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"planner: {exc}") from exc
 
     cons = _object(data.get("consensus", {}), "consensus")
-    _require_keys(cons, {"timeout_steps"}, "consensus")
+    _require_keys(cons, _CONSENSUS_KEYS, "consensus")
     timeout_steps = _int(cons.get("timeout_steps", 10), "consensus.timeout_steps")
     # An election closes timeout_steps bus steps after its solicit, and a
     # candidacy takes two deliveries (the solicit out, the candidacy back) of
@@ -224,7 +241,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                           f"least delivery time, got {timeout_steps}")
 
     bal = _object(data.get("balance", {}), "balance")
-    _require_keys(bal, {"period"}, "balance")
+    _require_keys(bal, _BALANCE_KEYS, "balance")
     period = _int(bal.get("period", 10), "balance.period")
     if period < 1:
         raise ConfigError("balance.period must be >= 1")
@@ -232,8 +249,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     faults: list[FaultEvent] = []
     known_ids = {aid for aid, _ in agents}
     for idx, f in enumerate(_list(data.get("faults", []), "faults")):
-        f = _object(f, f"faults[{idx}]")
-        _require_keys(f, {"tick", "kind", "agent", "groups"}, f"faults[{idx}]")
+        f = _object(f, "faults[{}]", idx)
+        _require_keys(f, _FAULT_KEYS, "faults[{}]", idx)
         kind = f.get("kind")
         if kind not in ("kill", "revive", "partition", "heal"):
             raise ConfigError(f"faults[{idx}]: unknown kind {kind!r}")
@@ -250,7 +267,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         groups = _groups(f.get("groups", []), f"faults[{idx}].groups", known_ids)
         if kind == "partition" and not groups:
             raise ConfigError(f"faults[{idx}].groups: a partition needs at least one group")
-        tick = _int(f.get("tick"), f"faults[{idx}].tick")
+        tick = _int(f.get("tick"), "faults[{}].tick", idx)
         if tick < 1:  # round 1 is the first round a fault can fire in
             raise ConfigError(f"faults[{idx}].tick: expected a round >= 1, got {tick}")
         faults.append(FaultEvent(tick=tick, kind=kind, agent=agent, groups=groups))

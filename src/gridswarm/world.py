@@ -1,6 +1,7 @@
 """Static grid world: obstacle map, overlapping zone decomposition, centroid geometry.
 
-Everything here is immutable after construction and safe to share.
+Everything here is immutable after construction and safe to share; lookup
+tables are filled in on first use and never change what a query returns.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 ZoneId = tuple[int, int]  # (row, col)
+Span = tuple[int, int]  # first and last zone index along one axis
 
 
 class Cell(NamedTuple):
@@ -126,6 +128,37 @@ class ZonePartition:
         return (max(0, x0 - k), max(0, y0 - k),
                 min(self.width - 1, x1 + k), min(self.height - 1, y1 + k))
 
+    # Per-axis tables, built on first use and cached on the instance. Zones
+    # tile the map in rows and columns, so a cell's home zone is its row's and
+    # its column's, and the zones whose expanded bounds hold it are a range of
+    # rows times a range of columns.
+
+    @cached_property
+    def home_tables(self) -> tuple[list[int], list[int]]:
+        """(zone row of each y, zone column of each x); the last row and
+        column absorb the remainder, as in `build_partition`."""
+        base_h, base_w = self.height // self.rows, self.width // self.cols
+        return ([min(y // base_h, self.rows - 1) for y in range(self.height)],
+                [min(x // base_w, self.cols - 1) for x in range(self.width)])
+
+    @cached_property
+    def span_tables(self) -> tuple[list[Span], list[Span],
+                                   dict[tuple[Span, Span], tuple[ZoneId, ...]]]:
+        """(first and last zone row whose expanded bounds hold each y, the same
+        for the columns of each x, and the memo of `subscribed_zones` by that
+        pair of ranges)."""
+        rows_of, cols_of = self.home_tables
+        return _axis_spans(rows_of, self.overlap), _axis_spans(cols_of, self.overlap), {}
+
+
+def _axis_spans(homes: list[int], overlap: int) -> list[Span]:
+    """A zone's expanded bounds hold a coordinate exactly when the zone meets
+    the window of half-width `overlap` around it: the zones from the home of
+    the window's low end to the home of its high end, clamped to the axis."""
+    last = len(homes) - 1
+    return [(homes[max(0, i - overlap)], homes[min(last, i + overlap)])
+            for i in range(len(homes))]
+
 
 def build_partition(grid: GridMap, rows: int, cols: int, overlap: int = 1) -> ZonePartition:
     """Tile the map into rows x cols zones.
@@ -155,27 +188,25 @@ def build_partition(grid: GridMap, rows: int, cols: int, overlap: int = 1) -> Zo
 
 def home_zone(cell: Cell, partition: ZonePartition) -> ZoneId:
     """The unique zone whose bounds contain `cell`."""
-    if not (0 <= cell.x < partition.width and 0 <= cell.y < partition.height):
-        raise InvalidPositionError(f"cell {cell} outside {partition.width}x{partition.height} map")
-    base_w = partition.width // partition.cols
-    base_h = partition.height // partition.rows
-    col = min(cell.x // base_w, partition.cols - 1)
-    row = min(cell.y // base_h, partition.rows - 1)
-    return (row, col)
-
-
-def subscribed_zones(cell: Cell, partition: ZonePartition) -> set[ZoneId]:
-    """Home zone plus every zone whose overlap-expanded region contains `cell`.
-
-    A zone's expanded region holds the cell exactly when the zone meets the
-    square of half-side `overlap` around it. Zones tile the map in rows and
-    columns, so those are the zones between the home zones of the square's
-    corners, clamped to the map, whatever the overlap.
-    """
-    home_zone(cell, partition)  # validates bounds
-    k = partition.overlap
     x, y = cell
-    r0, c0 = home_zone(Cell(max(0, x - k), max(0, y - k)), partition)
-    r1, c1 = home_zone(Cell(min(partition.width - 1, x + k),
-                            min(partition.height - 1, y + k)), partition)
-    return {(r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1)}
+    # Checked before indexing: a list would wrap a negative index.
+    if not (0 <= x < partition.width and 0 <= y < partition.height):
+        raise InvalidPositionError(f"cell {cell} outside {partition.width}x{partition.height} map")
+    rows_of, cols_of = partition.home_tables
+    return (rows_of[y], cols_of[x])
+
+
+def subscribed_zones(cell: Cell, partition: ZonePartition) -> tuple[ZoneId, ...]:
+    """Home zone plus every zone whose overlap-expanded region contains `cell`,
+    in zone (row-major) order. One tuple is shared by all cells with the same
+    row and column ranges."""
+    x, y = cell
+    if not (0 <= x < partition.width and 0 <= y < partition.height):
+        raise InvalidPositionError(f"cell {cell} outside {partition.width}x{partition.height} map")
+    row_spans, col_spans, memo = partition.span_tables
+    key = (row_spans[y], col_spans[x])
+    zones = memo.get(key)
+    if zones is None:
+        (r0, r1), (c0, c1) = key
+        zones = memo[key] = tuple((r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1))
+    return zones

@@ -300,6 +300,59 @@ def test_typed_fields_reject_other_types():
             scenario_from_dict(bad)
 
 
+# A bad agent or job at index 2, after two good ones, and the exact message:
+# the per-item readers word the item's path only when they raise.
+GOOD_AGENTS = [{"id": "a0", "start": [0, 0]}, {"id": "a1", "start": [7, 7]}]
+GOOD_JOBS = [{"spawn_tick": 0, "location": [4, 4], "priority": 1.5},
+             {"spawn_tick": 1, "location": [5, 5]}]
+BAD_ITEMS = {
+    "agent not an object": ("agents", ["a2"], "agents[2]: expected an object, got ['a2']"),
+    "agent unknown keys": ("agents", {"id": "a2", "start": [1, 1], "speed": 2, "cell": 0},
+                           "agents[2]: unknown keys ['cell', 'speed']"),
+    "agent start bool": ("agents", {"id": "a2", "start": [1, True]},
+                         "agents[2].start: expected [x, y] integer pair, got [1, True]"),
+    "agent start float": ("agents", {"id": "a2", "start": [1.0, 1]},
+                          "agents[2].start: expected [x, y] integer pair, got [1.0, 1]"),
+    "agent start length 3": ("agents", {"id": "a2", "start": [1, 1, 1]},
+                             "agents[2].start: expected [x, y] integer pair, got [1, 1, 1]"),
+    "job not an object": ("jobs", 7, "jobs[2]: expected an object, got 7"),
+    "job unknown keys": ("jobs", {"location": [1, 1], "zone": [0, 0]},
+                         "jobs[2]: unknown keys ['zone']"),
+    "job location": ("jobs", {"location": [1, "1"]},
+                     "jobs[2].location: expected [x, y] integer pair, got [1, '1']"),
+    "job priority nan": ("jobs", {"location": [1, 1], "priority": float("nan")},
+                         "jobs[2].priority: expected a finite number, got nan"),
+    "job priority bool": ("jobs", {"location": [1, 1], "priority": True},
+                          "jobs[2].priority: expected a finite number, got True"),
+    "job priority huge int": ("jobs", {"location": [1, 1], "priority": 10 ** 400},
+                              f"jobs[2].priority: expected a finite number, got {10 ** 400}"),
+    "job spawn_tick bool": ("jobs", {"location": [1, 1], "spawn_tick": False},
+                            "jobs[2].spawn_tick: expected an integer, got False"),
+    "job spawn_tick string": ("jobs", {"location": [1, 1], "spawn_tick": "3"},
+                              "jobs[2].spawn_tick: expected an integer, got '3'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ITEMS))
+def test_item_errors_give_the_item_path_exactly(case):
+    key, item, message = BAD_ITEMS[case]
+    items = {"agents": GOOD_AGENTS, "jobs": GOOD_JOBS}[key]
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_dict(minimal(**{key: copy.deepcopy(items) + [item]}))
+    assert str(exc.value) == message
+
+
+def test_fault_item_errors_give_the_item_path_exactly():
+    heal = {"tick": 1, "kind": "heal"}
+    for fault, message in (
+            (3, "faults[1]: expected an object, got 3"),
+            ({"tick": 2, "kind": "heal", "when": 1}, "faults[1]: unknown keys ['when']"),
+            ({"tick": "2", "kind": "heal"}, "faults[1].tick: expected an integer, got '2'")):
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_dict(minimal(faults=[heal, fault]))
+        assert str(exc.value) == message
+
+
 # A candidacy takes two deliveries of at least max(1, least delay) bus
 # steps, so a shorter consensus timeout never elects a leader.
 @pytest.mark.parametrize("timeout, delay", [(0, 0), (1, 0), (1, 1), (5, 3), (3, [2, 4])])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,29 +84,43 @@ def test_home_zone_matches_bounds():
             assert part.zone(z).contains(Cell(x, y))
 
 
+# Each side of the map, negative coordinates included: the lookup tables are
+# lists, which would wrap a negative index to the far edge.
+OFF_MAP = [Cell(4, 0), Cell(0, 3), Cell(-1, 0), Cell(0, -1), Cell(-1, -1), Cell(-4, 2)]
+
+
 def test_home_zone_out_of_bounds():
-    part = build_partition(GridMap(width=4, height=4), 2, 2)
-    with pytest.raises(InvalidPositionError):
-        home_zone(Cell(4, 0), part)
+    part = build_partition(GridMap(width=4, height=3), 2, 2)
+    for cell in OFF_MAP:
+        with pytest.raises(InvalidPositionError, match=re.escape(f"cell {cell} outside 4x3 map")):
+            home_zone(cell, part)
+
+
+def test_subscribed_zones_out_of_bounds():
+    part = build_partition(GridMap(width=4, height=3), 2, 2, overlap=1)
+    for cell in OFF_MAP:
+        with pytest.raises(InvalidPositionError, match=re.escape(f"cell {cell} outside 4x3 map")):
+            subscribed_zones(cell, part)
 
 
 def test_subscribed_zones_overlap_band():
     grid = GridMap(width=10, height=10)
     part = build_partition(grid, 1, 2, overlap=1)
     # interior of zone (0,0), far from the boundary at x=5
-    assert subscribed_zones(Cell(1, 5), part) == {(0, 0)}
+    assert subscribed_zones(Cell(1, 5), part) == ((0, 0),)
     # just inside the neighbor's expanded band
-    assert subscribed_zones(Cell(4, 5), part) == {(0, 0), (0, 1)}
-    assert subscribed_zones(Cell(5, 5), part) == {(0, 0), (0, 1)}
+    assert subscribed_zones(Cell(4, 5), part) == ((0, 0), (0, 1))
+    assert subscribed_zones(Cell(5, 5), part) == ((0, 0), (0, 1))
 
 
 @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 3), st.integers(0, 3))
 def test_subscribed_zones_grow_with_overlap(x, y, k1, k2):
-    """A wider overlap band never removes subscriptions."""
+    """A wider overlap band never removes subscriptions. (Sets: `<=` on
+    tuples would compare them lexicographically.)"""
     grid = GridMap(width=11, height=11)
     small = build_partition(grid, 2, 2, overlap=min(k1, k2))
     large = build_partition(grid, 2, 2, overlap=max(k1, k2))
-    assert subscribed_zones(Cell(x, y), small) <= subscribed_zones(Cell(x, y), large)
+    assert set(subscribed_zones(Cell(x, y), small)) <= set(subscribed_zones(Cell(x, y), large))
 
 
 @given(st.integers(1, 9), st.integers(1, 9),
@@ -131,20 +147,23 @@ def test_flat_views_built_on_first_use():
 
 
 def scan_subscribed(cell, part):
-    """Reference: every zone whose expanded bounds contain the cell."""
-    out = set()
+    """Reference: every zone whose expanded bounds contain the cell, in the
+    partition's zone order."""
+    out = []
     for z in part.zones:
         x0, y0, x1, y1 = part.expanded_bounds(z.id)
         if x0 <= cell.x <= x1 and y0 <= cell.y <= y1:
-            out.add(z.id)
-    return out
+            out.append(z.id)
+    return tuple(out)
 
 
 @settings(deadline=None)
 @given(st.data())
 def test_subscribed_zones_match_scan_over_all_zones(data):
     """Random partitions, remainder rows and columns included, at overlap 0,
-    1 and wider than a zone (the parser accepts overlaps such as 50)."""
+    1 and wider than a zone (the parser accepts overlaps such as 50): the home
+    zone is the one zone that contains the cell, and the subscribed zones
+    come in zone order."""
     w = data.draw(st.integers(1, 40))
     h = data.draw(st.integers(1, 40))
     rows = data.draw(st.integers(1, min(h, 7)))
@@ -153,14 +172,17 @@ def test_subscribed_zones_match_scan_over_all_zones(data):
     part = build_partition(GridMap(width=w, height=h), rows, cols, overlap)
     for _ in range(10):
         cell = Cell(data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1)))
+        assert [z.id for z in part.zones if z.contains(cell)] == [home_zone(cell, part)]
         assert subscribed_zones(cell, part) == scan_subscribed(cell, part)
 
 
 def test_subscribed_zones_overlap_wider_than_a_zone():
     # 4x4 zones of 5x5 cells (the last row and column take 6), overlap 7.
     part = build_partition(GridMap(width=21, height=21), 4, 4, overlap=7)
-    assert subscribed_zones(Cell(0, 0), part) == {(r, c) for r in range(2) for c in range(2)}
-    assert subscribed_zones(Cell(10, 10), part) == {(r, c) for r in range(4) for c in range(4)}
-    assert subscribed_zones(Cell(12, 3), part) == scan_subscribed(Cell(12, 3), part)
+    assert subscribed_zones(Cell(0, 0), part) == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert subscribed_zones(Cell(10, 10), part) == tuple(part.zone_ids())
+    for cell in (Cell(x, y) for y in range(21) for x in range(21)):
+        assert part.zone(home_zone(cell, part)).contains(cell)
+        assert subscribed_zones(cell, part) == scan_subscribed(cell, part)
     with pytest.raises(InvalidPositionError):
         subscribed_zones(Cell(21, 0), part)
