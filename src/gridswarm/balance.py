@@ -86,34 +86,18 @@ def plan_daisy_chain(deficits: dict[ZoneId, int], idle_by_zone: dict[ZoneId, lis
 
 
 def nearest_free_cell(grid: GridMap, zone: Zone) -> Optional[Cell]:
-    """The zone's free cell closest to its centroid (Euclidean, ties by y
-    then x); None if the zone has no free cell.
-
-    Searches square rings of growing radius, clipped to the zone, around the
-    cell nearest the centroid. Every cell on ring r is at least r - e from the
-    centroid along one axis, where e is the centroid's offset from the ring
-    centre, so the search stops at the first ring whose bound exceeds the
-    best distance found.
-    """
+    """The zone's free cell closest to its centroid (Euclidean; the first in
+    (y, x) order on a tie); None if the zone has no free cell."""
     x0, y0, x1, y1 = zone.bounds
     px, py = zone_centroid(zone)
     w = grid.width
     free = grid.free_flags
-    cx, cy = round(px), round(py)
-    e = max(abs(px - cx), abs(py - cy))
-    best: Optional[tuple[float, int, int]] = None
-    for r in range(max(cx - x0, x1 - cx, cy - y0, y1 - cy) + 1):
-        if best is not None and max(r - e, 0) ** 2 > best[0]:
-            break
-        for y in range(max(cy - r, y0), min(cy + r, y1) + 1):
-            # The ring's full rows at its top and bottom, its two end cells
-            # in every row between.
-            xs = (range(max(cx - r, x0), min(cx + r, x1) + 1)
-                  if abs(y - cy) == r else
-                  [x for x in (cx - r, cx + r) if x0 <= x <= x1])
-            for x in xs:
-                if free[y * w + x]:
-                    key = ((x - px) ** 2 + (y - py) ** 2, y, x)
-                    if best is None or key < best:
-                        best = key
-    return None if best is None else Cell(best[2], best[1])
+    best, best_d = None, float("inf")
+    for y in range(y0, y1 + 1):
+        dy = (y - py) ** 2
+        for x in range(x0, x1 + 1):
+            if free[y * w + x]:
+                d = (x - px) ** 2 + dy
+                if d < best_d:
+                    best, best_d = (x, y), d
+    return None if best is None else Cell(*best)

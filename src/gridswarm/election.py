@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .world import Cell, Zone, zone_centroid
@@ -19,19 +18,14 @@ class NoCandidatesError(ValueError):
     """Election solicited in a zone with no eligible agents."""
 
 
-@dataclass(frozen=True)
-class Candidacy:
-    agent: str
-    distance: float
-
-
 def centroid_distance(position: Cell, zone: Zone) -> float:
     gx, gy = zone_centroid(zone)
     return math.hypot(gx - position.x, gy - position.y)
 
 
-def elect_zone_leader(candidates: list[Candidacy]) -> str:
-    """Agent with minimum centroid distance; ties break to the lower id."""
-    if not candidates:
+def elect_zone_leader(distances: dict[str, float]) -> str:
+    """The candidate nearest the centroid, from a map of agent id to centroid
+    distance; ties break to the lower id."""
+    if not distances:
         raise NoCandidatesError("no candidates for zone leadership")
-    return min(candidates, key=lambda c: (c.distance, c.agent)).agent
+    return min(distances, key=lambda aid: (distances[aid], aid))

@@ -98,6 +98,7 @@ class LeaderRound:
     expected: set[str]
     states: dict[str, cons.StateRecord] = field(default_factory=dict)
     tick_acks: set[str] = field(default_factory=set)
+    # From the broadcast on: every solicited job id, in id order, to its bids.
     bids: dict[str, list[jobmod.Bid]] = field(default_factory=dict)
     # Bus steps waited: from 1 for the states, from 0 for the acks after the
     # broadcast, so the states half times out one step sooner.
@@ -105,8 +106,6 @@ class LeaderRound:
     probe_sent: bool = False
     confirm_ok: bool = False
     broadcast: bool = False
-    complete: bool = False
-    solicited: list[str] = field(default_factory=list)
 
 
 class ZoneTopics(NamedTuple):
@@ -291,9 +290,7 @@ class Simulation:
         for _ in range(max_steps):
             for env, recipients in self.bus.step_deliver():
                 self._deliver(env, recipients)
-            for lr in open_rounds:
-                self._leader_eval(lr)
-            open_rounds = [lr for lr in open_rounds if not lr.complete]
+            open_rounds = [lr for lr in open_rounds if not self._leader_eval(lr)]
             self._super_eval()
             if not open_rounds and not self.sup.elections and self.bus.pending() == 0:
                 break
@@ -360,18 +357,18 @@ class Simulation:
                 self._publish(aid, "super/inbox",
                               {"kind": "leader_loss", "zone": a.home})
 
-    def _leader_eval(self, lr: LeaderRound) -> None:
-        """One bus step of a round. Each half, states then acks, waits for its
-        members by one rule and marks the silent ones dead when it runs out."""
+    def _leader_eval(self, lr: LeaderRound) -> bool:
+        """One bus step of a round; True once the round is over. Each half,
+        states then acks, waits for its members by one rule and marks the
+        silent ones dead when it runs out."""
         if not self.agents[lr.leader].is_leader:  # demoted mid-round by a role broadcast
-            lr.complete = True
-            return
+            return True
         heard = lr.tick_acks if lr.broadcast else lr.states.keys()
         decision = cons.leader_tick_decision(
             heard | {lr.leader}, lr.expected, lr.waited, self.timeout)
         if isinstance(decision, cons.Wait):
             lr.waited += 1
-            return
+            return False
         if isinstance(decision, cons.MarkDeadAndAdvance):
             if not lr.broadcast and not lr.states:
                 # Zero contact: suspect own isolation before declaring a
@@ -382,12 +379,12 @@ class Simulation:
                                   {"kind": "suspect", "zone": lr.zone,
                                    "leader": lr.leader})
                 if not lr.confirm_ok:
-                    return
+                    return False
             self._mark_dead(lr, decision.missing)
         if lr.broadcast:
-            lr.complete = True
-        else:
-            self._leader_broadcast(lr)
+            return True
+        self._leader_broadcast(lr)
+        return False
 
     def _mark_dead(self, lr: LeaderRound, missing: Iterable[str]) -> None:
         for aid in sorted(missing):
@@ -409,7 +406,7 @@ class Simulation:
         snapshot = cons.make_snapshot(lr.tick, records)
         new_tick = lr.tick + 1
         pending = sorted(j for j, job in zs.pool.items() if job.assign_tick is None)
-        lr.solicited = pending
+        lr.bids = {job_id: [] for job_id in pending}
         roster = tuple(sorted(lr.expected))
         self._publish(lr.leader, self._zone_topics[lr.zone].global_tick,
                       {"kind": "tick", "new_tick": new_tick, "roster": roster,
@@ -430,7 +427,7 @@ class Simulation:
 
     def _bid(self, lr: LeaderRound, agent: str, job_id: str,
              cost: Optional[int]) -> None:
-        lr.bids.setdefault(job_id, []).append(jobmod.Bid(agent, job_id, cost))
+        lr.bids[job_id].append(jobmod.Bid(agent, job_id, cost))
         self.trace.emit(self.round, "Bid", agent, job=job_id, cost=cost, zone=lr.zone)
 
     # ---------------------------------------------------------- bus handlers
@@ -445,20 +442,20 @@ class Simulation:
             lr = self.leader_rounds.get(zone)
             if lr is None or lr.leader not in recipients:
                 return
-            if payload["kind"] == "state":
+            if kind == "tick_ack":
+                lr.tick_acks.add(env.sender)
+                for job_id, cost in payload["bids"]:
+                    if job_id in lr.bids:  # solicited in this round's broadcast
+                        self._bid(lr, env.sender, job_id, cost)
+            elif payload["kind"] == "state":
                 if env.sender in lr.expected:
                     lr.states[env.sender] = payload["record"]
-            elif payload["kind"] == "resync_req":
+            else:  # resync_req
                 zs = self.zones[zone]
                 if zs.snapshot is not None:
                     self._publish(lr.leader, self._zone_topics[zone].global_tick,
                                   {"kind": "resync_resp", "target": env.sender,
                                    "tick": zs.tick})
-            else:
-                lr.tick_acks.add(env.sender)
-                for job_id, cost in payload["bids"]:
-                    if job_id in lr.solicited:
-                        self._bid(lr, env.sender, job_id, cost)
             return
         for recipient in recipients:
             if recipient == SUPER:
@@ -503,8 +500,7 @@ class Simulation:
                 bids.append([job_id, self.costs.cost(a.position, loc)])
         self.trace.emit(self.round, "TickAck", a.id, zone=zone, committed_tick=new_tick,
                         digest=snapshot.digest())
-        self._publish(a.id, self._zone_topics[zone].tick_ack,
-                      {"kind": "tick_ack", "bids": bids})
+        self._publish(a.id, self._zone_topics[zone].tick_ack, {"bids": bids})
 
     def _handle_election_msg(self, a: AgentSim, payload: dict) -> None:
         kind = payload["kind"]
@@ -604,8 +600,7 @@ class Simulation:
                 self.sup.roles[zone] = None
                 continue
             winner = elec.elect_zone_leader(
-                [elec.Candidacy(agent=aid, distance=d)
-                 for aid, (d, _t) in st.candidacies.items()])
+                {aid: d for aid, (d, _t) in st.candidacies.items()})
             since = max(t for _d, t in st.candidacies.values())
             self.sup.roles[zone] = winner
             self._publish(SUPER, "super/election",
@@ -669,10 +664,9 @@ class Simulation:
             if leader is None:
                 continue
             zs = self.zones[zone]
-            for job_id in lr.solicited:
+            for job_id, offers in lr.bids.items():
                 # An agent assigned earlier in this loop holds a job: not idle.
-                bids = [b for b in lr.bids.get(job_id, [])
-                        if self.agents[b.agent].idle
+                bids = [b for b in offers if self.agents[b.agent].idle
                         and self.agents[b.agent].status is cons.Liveness.ALIVE]
                 best = jobmod.choose_assignee(bids)
                 if best is None:
@@ -721,7 +715,7 @@ class Simulation:
         for m in mandates:
             self.trace.emit(self.round, "Mandate", SUPER, mandate=m.id, agent=m.agent,
                             from_zone=m.from_zone, to_zone=m.to_zone)
-            self._publish(SUPER, "super/mandates", {"kind": "mandate", "mandate": m})
+            self._publish(SUPER, "super/mandates", {"mandate": m})
 
     # Phases 6-7: per-zone conflict resolution, then simultaneous movement.
     def _phase_plan(self) -> tuple[dict[str, Cell], set[str]]:

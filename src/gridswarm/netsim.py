@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
@@ -69,7 +70,7 @@ class Bus:
         self.now = 0
         self._rng = random.Random(derive_seed(seed, "bus"))
         self._registered: set[str] = set()
-        self._subs: dict[str, set[str]] = {}
+        self._subs: defaultdict[str, set[str]] = defaultdict(set)
         self._sorted_subs: dict[str, tuple[str, ...]] = {}
         self._queue: list[tuple[int, str, str, int, Envelope, tuple[str, ...]]] = []
         self._seq: dict[tuple[str, str], int] = {}
@@ -80,11 +81,11 @@ class Bus:
         self._registered.add(agent)
 
     def subscribe(self, agent: str, topic: str) -> None:
-        self._subs.setdefault(topic, set()).add(agent)
+        self._subs[topic].add(agent)
         self._sorted_subs.pop(topic, None)
 
     def unsubscribe(self, agent: str, topic: str) -> None:
-        self._subs.get(topic, set()).discard(agent)
+        self._subs[topic].discard(agent)
         self._sorted_subs.pop(topic, None)
 
     def subscribers(self, topic: str) -> tuple[str, ...]:

@@ -4,8 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from gridswarm.election import (Candidacy, NoCandidatesError, centroid_distance,
-                                elect_zone_leader)
+from gridswarm.election import NoCandidatesError, centroid_distance, elect_zone_leader
 from gridswarm.world import Cell, GridMap, build_partition
 
 
@@ -17,19 +16,18 @@ def test_centroid_distance():
 
 
 def test_election_picks_minimum_distance():
-    winner = elect_zone_leader([Candidacy("a", 3.0), Candidacy("b", 1.0),
-                                Candidacy("c", 2.0)])
+    winner = elect_zone_leader({"a": 3.0, "b": 1.0, "c": 2.0})
     assert winner == "b"
 
 
 def test_election_tie_breaks_to_lower_id():
-    winner = elect_zone_leader([Candidacy("y", 1.0), Candidacy("x", 1.0)])
+    winner = elect_zone_leader({"y": 1.0, "x": 1.0})
     assert winner == "x"
 
 
 def test_election_requires_candidates():
     with pytest.raises(NoCandidatesError):
-        elect_zone_leader([])
+        elect_zone_leader({})
 
 
 @given(st.lists(st.tuples(st.text("ab", min_size=1, max_size=4),
@@ -37,9 +35,9 @@ def test_election_requires_candidates():
                 min_size=1, max_size=8),
        st.randoms(use_true_random=False))
 def test_election_invariant_under_candidate_order(entries, rng):
-    """Shuffling the candidacy list never changes the winner."""
-    candidates = [Candidacy(agent, dist) for agent, dist in entries]
+    """Shuffling the order candidacies arrive in never changes the winner."""
+    candidates = dict(entries)
     first = elect_zone_leader(candidates)
-    shuffled = list(candidates)
+    shuffled = list(candidates.items())
     rng.shuffle(shuffled)
-    assert elect_zone_leader(shuffled) == first
+    assert elect_zone_leader(dict(shuffled)) == first

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from gridswarm.engine import SUPER, LeaderRound, Simulation, run_scenario
+from gridswarm.jobs import spawn_job
 from gridswarm.netsim import zone_topic
 from gridswarm.scenario import bench_scenario, random_scenario, scenario_from_dict
 from gridswarm.trace import parse_trace, verify_trace
@@ -533,6 +534,28 @@ def test_leader_demoted_mid_round_reads_no_member_messages():
     assert lr.states == {}
 
 
+def test_ack_bids_only_on_jobs_the_round_solicited():
+    sim = Simulation(two_zone(agents=FOUR_AGENTS, jobs=[]))
+    zone = run_until(sim, "a00", lambda s: s.zones[(0, 0)].snapshot is not None)
+    sim.zones[zone].pool["j900"] = spawn_job(sim.grid, "j900", (1, 1), 1.0, sim.round)
+    lr = LeaderRound(zone=zone, leader="a00", tick=sim.zones[zone].tick,
+                     expected={"a00", "a01", "a03"})
+    for aid in ("a01", "a03"):
+        sim._publish(aid, zone_topic(zone, "db_update"),
+                     {"kind": "state", "record": sim._record_for(sim.agents[aid])})
+        sim.agents[aid].powered = False  # ignores the broadcast and sends no ack
+    sim.leader_rounds = {zone: lr}
+    sim._pump(1)
+    assert lr.broadcast
+    bids_before = len(events_of(sim.trace, "Bid"))
+    sim._publish("a01", zone_topic(zone, "tick_ack"),
+                 {"kind": "tick_ack", "bids": [["j900", 2], ["j999", 1]]})
+    sim._pump(1)
+    assert lr.tick_acks == {"a01"}
+    assert [(e["actor"], e["job"]) for e in events_of(sim.trace, "Bid")[bids_before:]] == [
+        ("a01", "j900")]
+
+
 @pytest.mark.parametrize("half", ["states", "acks"])
 def test_wait_rule_marks_a_silent_member_dead_at_the_timeout(half):
     """With timeout T, a member whose state never arrives is marked dead on
@@ -559,7 +582,7 @@ def test_wait_rule_marks_a_silent_member_dead_at_the_timeout(half):
         assert steps == {"broadcast": timeout, "dead": timeout}
     else:
         assert steps == {"broadcast": 1, "dead": 1 + timeout + 1}
-    assert lr.complete and lr.tick_acks == {"a01"}
+    assert sim._leader_eval(lr) and lr.tick_acks == {"a01"}
     assert [e["agent"] for e in events_of(sim.trace, "MarkDead")] == ["a03"]
 
 
