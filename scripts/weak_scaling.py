@@ -13,7 +13,9 @@ One run is one untraced ``run_scenario`` call, timed with ``perf_counter``
 from after the scenario is parsed to the end of the run. Every (checkout, k)
 set of runs happens in a fresh interpreter; with ``--against``, the two
 checkouts alternate k by k. For each k the output holds every run's wall
-time, their median, the rounds and the median microseconds per agent-round.
+time, their median, the rounds, the median microseconds per agent-round and
+the peak resident set size of the set's interpreter (``ru_maxrss``, which
+Linux reports in KiB).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,7 +51,8 @@ def scale_scenario(k: int) -> dict:
 
 
 def time_runs(k: int, runs: int) -> dict:
-    """Run scenario k `runs` times in this interpreter; wall times and rounds."""
+    """Run scenario k `runs` times in this interpreter; wall times, rounds and
+    the interpreter's peak resident set size in MB after the runs."""
     from gridswarm.engine import run_scenario
     from gridswarm.scenario import scenario_from_dict
 
@@ -57,12 +61,14 @@ def time_runs(k: int, runs: int) -> dict:
     for _ in range(runs):
         config = scenario_from_dict(data)
         start = time.perf_counter()
-        metrics, _ = run_scenario(config)
+        metrics, trace = run_scenario(config)
         walls.append(time.perf_counter() - start)
         rounds.add(metrics.rounds)
+        del trace  # outside the timed region; the next run's peak holds one trace only
     if len(rounds) != 1:
         raise SystemExit(f"k={k}: rounds differ between runs: {sorted(rounds)}")
-    return {"k": k, "agents": len(data["agents"]), "rounds": rounds.pop(), "walls_s": walls}
+    return {"k": k, "agents": len(data["agents"]), "rounds": rounds.pop(), "walls_s": walls,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
 def summarize(row: dict) -> dict:
@@ -109,7 +115,8 @@ def main(argv: list[str] | None = None) -> int:
             result[name].append(row)
             print(f"{name:<7} k={k:<3} agents={row['agents']:<5} rounds={row['rounds']:<4} "
                   f"wall={row['wall_s']:.3f} s  {row['ms_per_round']:.1f} ms/round  "
-                  f"{row['us_per_agent_round']:.1f} us/agent-round", flush=True)
+                  f"{row['us_per_agent_round']:.1f} us/agent-round  "
+                  f"peak RSS {row['peak_rss_mb']:.1f} MB", flush=True)
     if args.out:
         args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0

@@ -29,6 +29,75 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     "ConflictResolved": ("zone", "kind_detail", "keeper", "yielder", "tick_used"),
 }
 
+_q = json.encoder.encode_basestring_ascii
+
+
+def _qn(value: Optional[str]) -> str:
+    return "null" if value is None else _q(value)
+
+
+# Each kind's line from its row (kind, tick, actor, *values): the compact JSON
+# of {"tick", "kind", "actor", **fields} as json.dumps writes it. Cells are
+# two ints, strings go through json's ASCII escaping, and a field that may be
+# null is written by _qn or a conditional. The priority is a float, written
+# by its repr as json does.
+_LINES: dict[str, Callable[[tuple], str]] = {
+    "StatePublish": lambda r: (
+        '{"tick":%d,"kind":"StatePublish","actor":%s,"zone":[%d,%d],"position":[%d,%d],'
+        '"intent":[%d,%d],"job":%s,"agent_tick":%d}\n'
+        % (r[1], _q(r[2]), *r[3], *r[4], *r[5], _qn(r[6]), r[7])),
+    "TickBroadcast": lambda r: (
+        '{"tick":%d,"kind":"TickBroadcast","actor":%s,"zone":[%d,%d],"new_tick":%d,'
+        '"roster":[%s],"digest":%s}\n'
+        % (r[1], _q(r[2]), *r[3], r[4], ",".join(map(_q, r[5])), _q(r[6]))),
+    "TickAck": lambda r: (
+        '{"tick":%d,"kind":"TickAck","actor":%s,"zone":[%d,%d],"committed_tick":%d,'
+        '"digest":%s}\n'
+        % (r[1], _q(r[2]), *r[3], r[4], _q(r[5]))),
+    "MarkDead": lambda r: (
+        '{"tick":%d,"kind":"MarkDead","actor":%s,"zone":[%d,%d],"agent":%s,'
+        '"released_job":%s}\n'
+        % (r[1], _q(r[2]), *r[3], _q(r[4]), _qn(r[5]))),
+    "Resync": lambda r: (
+        '{"tick":%d,"kind":"Resync","actor":%s,"zone":[%d,%d],"resync_tick":%d}\n'
+        % (r[1], _q(r[2]), *r[3], r[4])),
+    "Election": lambda r: (
+        '{"tick":%d,"kind":"Election","actor":%s,"zone":[%d,%d],"leader":%s,'
+        '"since_tick":%d,"reason":%s}\n'
+        % (r[1], _q(r[2]), *r[3], _q(r[4]), r[5], _q(r[6]))),
+    "JobSpawn": lambda r: (
+        '{"tick":%d,"kind":"JobSpawn","actor":%s,"job":%s,"location":[%d,%d],"priority":%r,'
+        '"zone":%s,"rejected":%s}\n'
+        % (r[1], _q(r[2]), _q(r[3]), *r[4], r[5],
+           "null" if r[6] is None else "[%d,%d]" % tuple(r[6]),
+           "true" if r[7] else "false")),
+    "Bid": lambda r: (
+        '{"tick":%d,"kind":"Bid","actor":%s,"job":%s,"cost":%s,"zone":[%d,%d]}\n'
+        % (r[1], _q(r[2]), _q(r[3]), "null" if r[4] is None else "%d" % r[4], *r[5])),
+    "Assign": lambda r: (
+        '{"tick":%d,"kind":"Assign","actor":%s,"job":%s,"agent":%s,"cost":%d,'
+        '"zone":[%d,%d]}\n'
+        % (r[1], _q(r[2]), _q(r[3]), _q(r[4]), r[5], *r[6])),
+    "Move": lambda r: (
+        '{"tick":%d,"kind":"Move","actor":%s,"src":[%d,%d],"dst":[%d,%d]}\n'
+        % (r[1], _q(r[2]), *r[3], *r[4])),
+    "Complete": lambda r: (
+        '{"tick":%d,"kind":"Complete","actor":%s,"job":%s,"agent":%s,"zone":[%d,%d]}\n'
+        % (r[1], _q(r[2]), _q(r[3]), _q(r[4]), *r[5])),
+    "LoadReport": lambda r: (
+        '{"tick":%d,"kind":"LoadReport","actor":%s,"zone":[%d,%d],"pending":%d,"idle":%d,'
+        '"total":%d}\n'
+        % (r[1], _q(r[2]), *r[3], r[4], r[5], r[6])),
+    "Mandate": lambda r: (
+        '{"tick":%d,"kind":"Mandate","actor":%s,"mandate":%s,"agent":%s,"from_zone":[%d,%d],'
+        '"to_zone":[%d,%d]}\n'
+        % (r[1], _q(r[2]), _q(r[3]), _q(r[4]), *r[5], *r[6])),
+    "ConflictResolved": lambda r: (
+        '{"tick":%d,"kind":"ConflictResolved","actor":%s,"zone":[%d,%d],"kind_detail":%s,'
+        '"keeper":%s,"yielder":%s,"tick_used":%d}\n'
+        % (r[1], _q(r[2]), *r[3], _q(r[4]), _q(r[5]), _q(r[6]), r[7])),
+}
+
 # Every key an event of each kind must carry, checked once per parsed line.
 _REQUIRED: dict[str, frozenset[str]] = {
     kind: frozenset(("tick", "kind", "actor") + fields)
@@ -60,26 +129,37 @@ class TraceFormatError(ValueError):
 
 
 class TraceWriter:
-    """Collects events in canonical order and serializes them byte-exactly."""
+    """Collects events in canonical order and serializes them byte-exactly.
+
+    Each event is kept as one row, ``(kind, tick, actor, *values)``, with the
+    values in EVENT_FIELDS order, and ``dump`` writes it through its kind's
+    format in ``_LINES``."""
 
     def __init__(self) -> None:
-        self.events: list[dict] = []
+        self.rows: list[tuple] = []
 
     def emit(self, tick: int, kind: str, actor: str, **payload: Any) -> None:
         """Append one event; `payload` must hold exactly the kind's fields,
-        in the order of EVENT_FIELDS."""
+        in the order of EVENT_FIELDS.
+
+        The values are not checked, so they must have the schema's types (see
+        ``_LINES``): ints, cells of two ints, strings, a float priority, a
+        bool ``rejected``, and None only where the schema allows it. ``%d``
+        writes a bool as 1 or 0 and truncates a float, so a value of another
+        type gives a line that differs from its JSON form."""
         fields = EVENT_FIELDS.get(kind)
         if fields is None:
             raise ValueError(f"unknown event kind {kind!r}")
         if tuple(payload) != fields:
             raise ValueError(f"{kind}: payload fields {list(payload)} are not {list(fields)}")
-        self.events.append({"tick": tick, "kind": kind, "actor": actor, **payload})
+        self.rows.append((kind, tick, actor, *payload.values()))
 
     def lines(self) -> list[str]:
-        return list(map(compact_json, self.events))
+        return self.dump().splitlines()
 
     def dump(self) -> str:
-        return "".join([compact_json(e) + "\n" for e in self.events])
+        lines = _LINES
+        return "".join([lines[row[0]](row) for row in self.rows])
 
     def digest(self) -> str:
         return trace_digest(self.dump())
@@ -148,6 +228,14 @@ def _cell(value: Any) -> tuple[int, int]:
     raise TypeError(f"a cell must be two integers, got {value!r}")
 
 
+def _ids(event: dict) -> tuple[str, str]:
+    """The job and agent of an Assign or Complete; TypeError unless strings."""
+    job, agent = event["job"], event["agent"]
+    if type(job) is not str or type(agent) is not str:
+        raise TypeError(f"a job and an agent must be strings, got {job!r} and {agent!r}")
+    return job, agent
+
+
 def _check_safety(tick: int, positions: dict[str, tuple], moves: set[tuple],
                   violations: list[str]) -> None:
     """Vertex and edge-swap violations at the end of `tick`. The sorted scans
@@ -176,7 +264,9 @@ def verify_trace(trace: str) -> list[str]:
     (jumps only across a resync), job/agent assignment exclusivity, leader
     uniqueness, and that assignments and mandates come from the right actors.
     A text is read one line at a time and checked one tick at a time, so its
-    ticks must not decrease.
+    ticks must not decrease. A value of the wrong type in a field the checks
+    read is a TraceFormatError: cells are two integers, zone-ticks integers
+    (not bools), digests strings, and the ids the checks key on strings.
     """
     violations: list[str] = []
     positions: dict[str, tuple] = {}
@@ -208,11 +298,15 @@ def verify_trace(trace: str) -> list[str]:
                 moves.add((actor, src, dst))
             elif kind in ("TickAck", "TickBroadcast"):
                 t = e["committed_tick"] if kind == "TickAck" else e["new_tick"]
+                digest = e["digest"]
+                if type(t) is not int or type(digest) is not str:
+                    raise TypeError(f"a zone-tick must be an integer and a digest a string, "
+                                    f"got {t!r} and {digest!r}")
                 key = (_cell(e["zone"]), t)
                 seen = snapshots.get(key)
                 if seen is None:
-                    snapshots[key] = e["digest"]
-                elif seen != e["digest"]:
+                    snapshots[key] = digest
+                elif seen != digest:
                     violations.append(
                         f"tick {tick}: snapshot disagreement in zone {e['zone']} at zone-tick {t}")
                 last = committed.get(actor)
@@ -226,35 +320,43 @@ def verify_trace(trace: str) -> list[str]:
                 committed[actor] = t
                 resynced_since[actor] = False
             elif kind == "Resync":
+                t = e["resync_tick"]
+                if type(t) is not int:
+                    raise TypeError(f"a zone-tick must be an integer, got {t!r}")
                 resynced_since[actor] = True
-                committed[actor] = e["resync_tick"]
+                committed[actor] = t
             elif kind == "MarkDead":
-                released = e.get("released_job")
+                agent, released = e["agent"], e["released_job"]
+                if type(agent) is not str or not (released is None or type(released) is str):
+                    raise TypeError(f"an agent must be a string and a released job a string "
+                                    f"or null, got {agent!r} and {released!r}")
                 if released is not None:
                     job_assignee[released] = None
-                agent_job[e["agent"]] = None
-                resynced_since[e["agent"]] = True  # rejoin may jump
+                agent_job[agent] = None
+                resynced_since[agent] = True  # rejoin may jump
             elif kind == "Election":
                 zone = _cell(e["zone"])
                 new_leader = e["leader"]
+                if type(new_leader) is not str:
+                    raise TypeError(f"a leader must be a string, got {new_leader!r}")
                 for other_zone, lead in list(leaders.items()):
                     if lead == new_leader and other_zone != zone:
                         del leaders[other_zone]
                 leaders[zone] = new_leader
             elif kind == "Assign":
+                job, agent = _ids(e)
                 if leaders.get(_cell(e["zone"])) != actor:
-                    violations.append(
-                        f"tick {tick}: assignment of {e['job']} by non-leader {actor}")
-                if job_assignee.get(e["job"]) is not None:
-                    violations.append(f"tick {tick}: job {e['job']} double-assigned")
-                if agent_job.get(e["agent"]) is not None:
-                    violations.append(
-                        f"tick {tick}: agent {e['agent']} holds two assignments")
-                job_assignee[e["job"]] = e["agent"]
-                agent_job[e["agent"]] = e["job"]
+                    violations.append(f"tick {tick}: assignment of {job} by non-leader {actor}")
+                if job_assignee.get(job) is not None:
+                    violations.append(f"tick {tick}: job {job} double-assigned")
+                if agent_job.get(agent) is not None:
+                    violations.append(f"tick {tick}: agent {agent} holds two assignments")
+                job_assignee[job] = agent
+                agent_job[agent] = job
             elif kind == "Complete":
-                job_assignee[e["job"]] = None
-                agent_job[e["agent"]] = None
+                job, agent = _ids(e)
+                job_assignee[job] = None
+                agent_job[agent] = None
             elif kind == "Mandate":
                 if actor != "super":
                     violations.append(

@@ -13,6 +13,12 @@ from gridswarm.trace import (EVENT_FIELDS, TraceFormatError, TraceWriter, compac
                              make_compact_encoder, parse_trace, trace_digest, verify_trace)
 
 
+def as_event(row):
+    """The event of a TraceWriter row as the dict its line encodes."""
+    kind, tick, actor, *values = row
+    return {"tick": tick, "kind": kind, "actor": actor, **dict(zip(EVENT_FIELDS[kind], values))}
+
+
 def writer_with(*events):
     w = TraceWriter()
     for tick, kind, actor, payload in events:
@@ -37,7 +43,7 @@ def test_field_order_is_fixed():
     for payload in ({"dst": [1, 0], "src": [0, 0]}, {"src": [0, 0]}):
         with pytest.raises(ValueError, match="Move: payload fields"):
             w.emit(4, "Move", "a", **payload)
-    assert len(w.events) == 1
+    assert len(w.rows) == 1
 
 
 def test_digest_changes_with_content():
@@ -112,6 +118,21 @@ WRONG_TYPE = [
     '{"tick":4,"kind":"Election","actor":"a7","zone":null,"leader":"a7","since_tick":0,'
     '"reason":"bootstrap"}',
     '{"tick":4,"kind":"Assign","actor":"a7","job":"j0","agent":"a7","cost":1,"zone":[0]}',
+    # The ones below used to verify with no error, or with a violation that
+    # printed the wrong value.
+    '{"tick":4,"kind":"TickAck","actor":"a7","zone":[0,0],"committed_tick":2.0,"digest":"d"}',
+    '{"tick":4,"kind":"TickAck","actor":"a7","zone":[0,0],"committed_tick":true,"digest":"d"}',
+    '{"tick":4,"kind":"TickAck","actor":"a7","zone":[0,0],"committed_tick":2,"digest":[1]}',
+    '{"tick":4,"kind":"TickBroadcast","actor":"a7","zone":[0,0],"new_tick":2,"roster":[],'
+    '"digest":null}',
+    '{"tick":4,"kind":"Resync","actor":"a7","zone":[0,0],"resync_tick":"x"}',
+    '{"tick":4,"kind":"MarkDead","actor":"a7","zone":[0,0],"agent":3,"released_job":null}',
+    '{"tick":4,"kind":"MarkDead","actor":"a7","zone":[0,0],"agent":"a3","released_job":0}',
+    '{"tick":4,"kind":"Complete","actor":"a7","job":"j0","agent":null,"zone":[0,0]}',
+    '{"tick":4,"kind":"Complete","actor":"a7","job":["j0"],"agent":"a7","zone":[0,0]}',
+    '{"tick":4,"kind":"Election","actor":"a7","zone":[0,0],"leader":5,"since_tick":0,'
+    '"reason":"bootstrap"}',
+    '{"tick":4,"kind":"Assign","actor":"a7","job":"j0","agent":{},"cost":1,"zone":[0,0]}',
 ]
 
 
@@ -124,6 +145,15 @@ def test_value_of_the_wrong_type_is_a_format_error(line):
         verify_trace(text)
     assert err.value.line_no == 2
     assert isinstance(err.value.__cause__, (TypeError, ValueError))
+
+
+@pytest.mark.parametrize("value", ["null", "1.0", "false"])
+def test_first_commit_of_the_wrong_type_is_a_format_error(value):
+    # With no commit before it, no comparison saw the value.
+    text = ('{"tick":1,"kind":"TickAck","actor":"a7","zone":[0,0],'
+            f'"committed_tick":{value},"digest":"d"}}\n')
+    with pytest.raises(TraceFormatError, match="line 1: TickAck event at tick 1 by 'a7'"):
+        verify_trace(text)
 
 
 def test_tick_lower_than_the_one_before_is_a_format_error():
@@ -155,8 +185,10 @@ def test_actors_of_mixed_types_are_a_format_error():
 def test_every_emitted_kind_parses_back():
     w = TraceWriter()
     for kind, fields in EVENT_FIELDS.items():
-        w.emit(0, kind, "a", **{name: None for name in fields})
-    assert [e["kind"] for e in parse_trace(w.dump())] == list(EVENT_FIELDS)
+        w.emit(0, kind, "a", **{name: SAMPLE[FIELD_TYPES[name]] for name in fields})
+    events = parse_trace(w.dump())
+    assert [e["kind"] for e in events] == list(EVENT_FIELDS)
+    assert events == [json.loads(json.dumps(as_event(row))) for row in w.rows]
     with pytest.raises(TraceFormatError, match="actor"):
         parse_trace('{"tick":0,"kind":"Resync","zone":[0,0],"resync_tick":0}\n')
     with pytest.raises(TraceFormatError, match="unknown event kind"):
@@ -332,7 +364,7 @@ def test_compact_form_matches_json_dumps():
                      {"job": "j\u2028\u00e9", "location": [2, 2], "priority": 1.5,
                       "zone": [0, 0], "rejected": False}),
                     (1, "Move", "a", {"src": [0, 0], "dst": [1, 0]}))
-    lines = [json.dumps(e, separators=(",", ":")) for e in w.events]
+    lines = [json.dumps(as_event(row), separators=(",", ":")) for row in w.rows]
     assert w.lines() == lines
     assert w.dump() == "".join(line + "\n" for line in lines)
     assert TraceWriter().dump() == ""
@@ -403,6 +435,57 @@ def test_line_numbers_hold_across_slices():
     assert err.value.line_no == len(text.splitlines()) + 1
 
 
+# --- each kind's line format against json.dumps --------------------------------
+
+# The type of every field in EVENT_FIELDS, and the fields that may be null.
+FIELD_TYPES = {
+    "zone": "cell", "position": "cell", "intent": "cell", "location": "cell", "src": "cell",
+    "dst": "cell", "from_zone": "cell", "to_zone": "cell",
+    "agent_tick": "int", "new_tick": "int", "committed_tick": "int", "resync_tick": "int",
+    "since_tick": "int", "cost": "int", "pending": "int", "idle": "int", "total": "int",
+    "tick_used": "int",
+    "job": "str", "digest": "str", "agent": "str", "released_job": "str", "leader": "str",
+    "reason": "str", "mandate": "str", "kind_detail": "str", "keeper": "str", "yielder": "str",
+    "roster": "roster", "priority": "float", "rejected": "bool",
+}
+NULLABLE = {("StatePublish", "job"), ("MarkDead", "released_job"), ("JobSpawn", "zone"),
+            ("Bid", "cost")}
+SAMPLE = {"cell": (1, 2), "int": 3, "str": 'a"\\0', "roster": ("a", "b"), "float": 1.5,
+          "bool": True}
+
+_ints = st.integers() | st.sampled_from([0, -1, 2**63, -(2**64) - 1, 10**300])
+_text = (st.text(st.characters(exclude_categories=())) | st.text()
+         | st.sampled_from(["", "\u2028", "\u2029", "\x00\x1f\x7f\"\\", "\ud800", "\udfff\U0001f600",
+                            "\u00e9\u4e2d", "a\nb\r\tc"]))
+TYPE_STRATEGIES = {
+    "cell": st.tuples(_ints, _ints) | st.lists(_ints, min_size=2, max_size=2),
+    "int": _ints,
+    "str": _text,
+    "roster": st.lists(_text, max_size=4) | st.lists(_text, max_size=4).map(tuple),
+    "float": (st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1e300, 1.5, 0.1])),
+    "bool": st.booleans(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVENT_FIELDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_each_kind_is_written_as_json_dumps_writes_it(kind, data):
+    tick, actor = data.draw(_ints), data.draw(_text)
+    payload = {}
+    for name in EVENT_FIELDS[kind]:
+        values = TYPE_STRATEGIES[FIELD_TYPES[name]]
+        if (kind, name) in NULLABLE:
+            values = st.none() | values
+        payload[name] = data.draw(values, label=name)
+    w = TraceWriter()
+    w.emit(tick, kind, actor, **payload)
+    expected = json.dumps({"tick": tick, "kind": kind, "actor": actor, **payload},
+                          separators=(",", ":"))
+    assert w.dump() == expected + "\n"
+
+
 # --- the trace boundary under generated input --------------------------------
 
 _VALID_EVENTS = [
@@ -465,16 +548,20 @@ def test_parse_trace_matches_per_line_json_loads(text):
 
 
 def test_emitted_events_are_untracked_after_a_full_collection():
-    """Events hold only exact tuples and atoms, so a full collection untracks
-    them and later collections need not walk the trace."""
+    """Event rows hold only exact tuples and atoms, so full collections
+    untrack them and later collections need not walk the trace. A collection
+    looks at each tuple once, in the order the collector lists them, and a
+    row seen before a cell or roster it holds stays tracked until the next
+    one; rows hold tuples of atoms only, so two full collections suffice."""
     scenario = random_scenario(8, max_agents=12, max_jobs=8, drop_prob=0.1, delay=1,
                                max_ticks=120)
     scenario["faults"] = [{"tick": 3, "kind": "kill", "agent": "a00"},
                           {"tick": 10, "kind": "revive", "agent": "a00"}]
     _, writer = run_scenario(scenario_from_dict(scenario))
-    assert {e["kind"] for e in writer.events} == set(EVENT_FIELDS)
+    assert {row[0] for row in writer.rows} == set(EVENT_FIELDS)
     gc.collect()
-    assert [e for e in writer.events if gc.is_tracked(e)] == []
+    gc.collect()
+    assert [row for row in writer.rows if gc.is_tracked(row)] == []
 
 
 @functools.lru_cache(maxsize=None)
