@@ -14,7 +14,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .planner import rank
-from .trace import compact_json
+from .trace import _q, _qn
 from .world import Cell
 
 
@@ -33,6 +33,12 @@ class StateRecord(NamedTuple):
     tick: int
 
 
+# A record as json.dumps writes the NamedTuple, after a comma, formatted the way
+# trace._LINES writes rows: agent, two cells, job or null, the finite priority
+# by its repr, and the tick.
+_RECORD = ",[%s,[%d,%d],[%d,%d],%s,%r,%d]"
+
+
 @dataclass(frozen=True)
 class ZoneSnapshot:
     tick: int
@@ -42,8 +48,10 @@ class ZoneSnapshot:
     def digest(self) -> str:
         # Every roster member acknowledges the same snapshot, so compute once.
         if self._digest is None:
-            # JSON writes NamedTuples as arrays: [tick, [agent, [x, y], ...], ...].
-            blob = compact_json((self.tick, *self.records))
+            # json.dumps((tick, *records), separators=(",", ":")).
+            blob = "[%d%s]" % (self.tick, "".join([
+                _RECORD % (_q(agent), *position, *intent, _qn(job), priority, tick)
+                for agent, position, intent, job, priority, tick in self.records]))
             object.__setattr__(self, "_digest", hashlib.sha256(blob.encode()).hexdigest()[:16])
         return self._digest
 

@@ -10,6 +10,7 @@ and completion checks. Every run is a pure function of (config, seed).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple, Optional
 
@@ -25,6 +26,7 @@ from .world import Cell, ZoneId, build_partition, home_zone, subscribed_zones
 
 SUPER = "super"
 CONTROLLER = "controller"
+TO_SUPER = ("super/loads", "super/inbox")  # the topics only the super-leader reads
 
 
 @dataclass
@@ -169,8 +171,6 @@ class Simulation:
         self._zone_topics = {z: ZoneTopics(*(zone_topic(z, kind) for kind in ZoneTopics._fields))
                              for z in self.zones}
         # (zone, kind) of every topic; the kind is also its message-count class.
-        # A topic reaches only its readers: zone global_tick the home agents,
-        # db_update and tick_ack the leader, super/inbox the super-leader.
         self._topics: dict[str, tuple[Optional[ZoneId], str]] = {
             topic: (z, kind) for z, topics in self._zone_topics.items()
             for kind, topic in zip(ZoneTopics._fields, topics)}
@@ -181,8 +181,8 @@ class Simulation:
 
         self.bus.register(SUPER)
         self.bus.register(CONTROLLER)
-        self.bus.subscribe(SUPER, "super/loads")
-        self.bus.subscribe(SUPER, "super/inbox")
+        for topic in TO_SUPER:
+            self.bus.subscribe(SUPER, topic)
         self.agents: dict[str, AgentSim] = {}
         for aid, start in sorted(config.agents):
             a = self.agents[aid] = AgentSim(id=aid, position=start)
@@ -221,11 +221,8 @@ class Simulation:
     def _active_leader(self, zone: ZoneId) -> Optional[AgentSim]:
         # A `role` message sets the zone's leader only on an agent that takes
         # office there, and _demote clears it: it leads from inside the zone.
-        lid = self.zones[zone].leader
-        if lid is None:
-            return None
-        a = self.agents[lid]
-        return a if a.powered and a.status is cons.Liveness.ALIVE else None
+        a = self.agents.get(self.zones[zone].leader)
+        return a if a is not None and a.powered and a.status is cons.Liveness.ALIVE else None
 
     @staticmethod
     def _next_cell(a: AgentSim) -> Cell:
@@ -234,9 +231,7 @@ class Simulation:
 
     @staticmethod
     def _drop_job(a: AgentSim) -> None:
-        a.job = None
-        a.goal = None
-        a.path = None
+        a.job = a.goal = a.path = None
 
     def _commit(self, a: AgentSim, tick: int) -> None:
         """`a` commits zone-tick `tick` in this round."""
@@ -345,9 +340,7 @@ class Simulation:
                 leader.solo_rounds += 1
                 if leader.solo_rounds >= 2 and leader.is_leader:
                     self._demote(leader)
-                    self._publish(lr.leader, "super/inbox",
-                                  {"kind": "stepdown", "zone": zone,
-                                   "leader": lr.leader})
+                    self._publish(lr.leader, "super/inbox", {"kind": "stepdown", "zone": zone})
         # Cross-round staleness drives leader-loss reporting; _commit resets it.
         for aid, a in self.agents.items():
             if not a.powered or a.is_leader or a.committed_round == self.round:
@@ -375,9 +368,7 @@ class Simulation:
                 # whole zone dead; the super-leader acts as the arbiter.
                 if not lr.probe_sent:
                     lr.probe_sent = True
-                    self._publish(lr.leader, "super/inbox",
-                                  {"kind": "suspect", "zone": lr.zone,
-                                   "leader": lr.leader})
+                    self._publish(lr.leader, "super/inbox", {"kind": "suspect", "zone": lr.zone})
                 if not lr.confirm_ok:
                     return False
             self._mark_dead(lr, decision.missing)
@@ -425,55 +416,73 @@ class Simulation:
                         new_tick=new_tick, roster=roster,
                         digest=snapshot.digest())
 
-    def _bid(self, lr: LeaderRound, agent: str, job_id: str,
-             cost: Optional[int]) -> None:
+    def _bid(self, lr: LeaderRound, agent: str, job_id: str, cost: Optional[int]) -> None:
         lr.bids[job_id].append(jobmod.Bid(agent, job_id, cost))
         self.trace.emit(self.round, "Bid", agent, job=job_id, cost=cost, zone=lr.zone)
 
     # ---------------------------------------------------------- bus handlers
 
     def _deliver(self, env: Envelope, recipients: tuple[str, ...]) -> None:
-        """Hand one envelope to its recipients in order."""
+        """Hand one envelope to its readers, in id order. A message's kind
+        names its readers:
+        - state, resync_req, tick ack, suspect_ok: the zone's round leader
+        - tick: every recipient
+        - resync_resp: its target; mandate: its agent, ``m.agent``
+        - solicit: the zone's home agents; role: those of them that win or lead
+        - super/loads and super/inbox: the super-leader
+        They are picked on arrival, as an agent can change home in flight, and
+        an agent reads only if powered and among the sorted `recipients`,
+        fixed at publish without the sender and whoever a partition cut off."""
+        if env.topic in TO_SUPER:
+            self._handle_super(env)
+            return
         zone, kind = self._topics[env.topic]
         payload = env.payload
-        if kind in ("db_update", "tick_ack"):
-            # Read by the round's leader alone; it stores records only from
-            # its roster.
-            lr = self.leader_rounds.get(zone)
-            if lr is None or lr.leader not in recipients:
-                return
-            if kind == "tick_ack":
-                lr.tick_acks.add(env.sender)
-                for job_id, cost in payload["bids"]:
-                    if job_id in lr.bids:  # solicited in this round's broadcast
-                        self._bid(lr, env.sender, job_id, cost)
-            elif payload["kind"] == "state":
-                if env.sender in lr.expected:
-                    lr.states[env.sender] = payload["record"]
-            else:  # resync_req
-                zs = self.zones[zone]
-                if zs.snapshot is not None:
-                    self._publish(lr.leader, self._zone_topics[zone].global_tick,
-                                  {"kind": "resync_resp", "target": env.sender,
-                                   "tick": zs.tick})
-            return
-        for recipient in recipients:
-            if recipient == SUPER:
-                self._handle_super(env)
-                continue
-            a = self.agents[recipient]
-            if not a.powered:
+        msg = payload.get("kind")
+        if msg == "tick":
+            ids = recipients
+        elif msg == "resync_resp":
+            ids = (payload["target"],)
+        elif kind == "super_mandates":
+            ids = (payload["mandate"].agent,)
+        elif msg in ("solicit", "role"):
+            ids = [a.id for a in self._homed(payload["zone"])
+                   if msg == "solicit" or a.is_leader or a.id == payload["leader"]]
+        else:  # db_update, tick_ack and suspect_ok
+            lr = self.leader_rounds.get(payload["zone"] if zone is None else zone)
+            ids = () if lr is None else (lr.leader,)
+        for aid in ids:
+            a = self.agents[aid]
+            if not a.powered or (msg != "tick" and not _among(aid, recipients)):
                 continue
             if kind == "global_tick":
                 self._handle_global_tick(a, zone, payload)
             elif kind == "super_election":
                 self._handle_election_msg(a, payload)
             elif kind == "super_mandates":
-                self._handle_mandate_msg(a, payload)
+                self._handle_mandate_msg(a, payload["mandate"])
+            else:
+                self._handle_round_msg(lr, kind, env)
+
+    def _handle_round_msg(self, lr: LeaderRound, kind: str, env: Envelope) -> None:
+        """The round's leader reads an ack, a state or a resync request."""
+        if kind == "tick_ack":
+            lr.tick_acks.add(env.sender)
+            for job_id, cost in env.payload["bids"]:
+                if job_id in lr.bids:  # solicited in this round's broadcast
+                    self._bid(lr, env.sender, job_id, cost)
+        elif env.payload["kind"] == "state":
+            if env.sender in lr.expected:
+                lr.states[env.sender] = env.payload["record"]
+        else:  # resync_req
+            zs = self.zones[lr.zone]
+            if zs.snapshot is not None:
+                self._publish(lr.leader, self._zone_topics[lr.zone].global_tick,
+                              {"kind": "resync_resp", "target": env.sender, "tick": zs.tick})
 
     def _handle_global_tick(self, a: AgentSim, zone: ZoneId, payload: dict) -> None:
         if payload["kind"] == "resync_resp":
-            if payload["target"] != a.id or a.status is cons.Liveness.ALIVE:
+            if a.status is cons.Liveness.ALIVE:
                 return
             a.status = cons.Liveness.ALIVE
             self._commit(a, payload["tick"])
@@ -503,52 +512,40 @@ class Simulation:
         self._publish(a.id, self._zone_topics[zone].tick_ack, {"bids": bids})
 
     def _handle_election_msg(self, a: AgentSim, payload: dict) -> None:
-        kind = payload["kind"]
+        kind, zone = payload["kind"], payload["zone"]
         if kind == "solicit":
-            zone = payload["zone"]
-            if a.home != zone or a.status is not cons.Liveness.ALIVE:
-                return
-            dist = elec.centroid_distance(a.position, self.partition.zone(zone))
-            self._publish(a.id, "super/inbox",
-                          {"kind": "candidacy", "zone": zone,
-                           "election": payload["election"], "agent": a.id,
-                           "distance": dist, "tick": a.local_tick})
-        elif kind == "role":
-            zone = payload["zone"]
-            leader_id = payload["leader"]
-            if a.id == leader_id:
-                if a.home != zone or a.status is not cons.Liveness.ALIVE:
-                    return
-                a.is_leader = True
-                a.solo_rounds = 0
-                zs = self.zones[zone]
-                zs.leader = a.id
-                zs.tick = max(zs.tick, payload["since_tick"])
-                if zs.tick > a.local_tick:
-                    self.trace.emit(self.round, "Resync", a.id, zone=zone,
-                                    resync_tick=zs.tick)
-                a.local_tick = max(a.local_tick, zs.tick)
-                topics = self._zone_topics[zone]
-                self.bus.subscribe(a.id, topics.db_update)
-                self.bus.subscribe(a.id, topics.tick_ack)
-            elif a.is_leader and a.home == zone:
-                self._demote(a)
+            if a.status is cons.Liveness.ALIVE:
+                dist = elec.centroid_distance(a.position, self.partition.zone(zone))
+                self._publish(a.id, "super/inbox",
+                              {"kind": "candidacy", "zone": zone,
+                               "election": payload["election"], "distance": dist,
+                               "tick": a.local_tick})
         elif kind == "suspect_ok":
-            lr = self.leader_rounds.get(payload["zone"])
-            if lr is not None and lr.leader == a.id:
-                lr.confirm_ok = True
+            self.leader_rounds[zone].confirm_ok = True
+        elif a.id != payload["leader"]:  # a role naming another: the leader steps down
+            self._demote(a)
+        elif a.status is cons.Liveness.ALIVE:  # the role's winner takes office
+            a.is_leader = True
+            a.solo_rounds = 0
+            zs = self.zones[zone]
+            zs.leader = a.id
+            zs.tick = max(zs.tick, payload["since_tick"])
+            if zs.tick > a.local_tick:
+                self.trace.emit(self.round, "Resync", a.id, zone=zone, resync_tick=zs.tick)
+                a.local_tick = zs.tick
+            topics = self._zone_topics[zone]
+            self.bus.subscribe(a.id, topics.db_update)
+            self.bus.subscribe(a.id, topics.tick_ack)
 
-    def _handle_mandate_msg(self, a: AgentSim, payload: dict) -> None:
-        m: bal.MigrationMandate = payload["mandate"]
-        if (m.agent != a.id or not a.idle or a.status is not cons.Liveness.ALIVE
-                or a.home != m.from_zone):
-            return  # not ours; or busy, dead, or already moved: mandate lapses
+    def _handle_mandate_msg(self, a: AgentSim, m: bal.MigrationMandate) -> None:
+        if not a.idle or a.status is not cons.Liveness.ALIVE or a.home != m.from_zone:
+            return  # busy, dead, or already moved: the mandate lapses
         a.mandate = m
         # Inside the target zone, so _after_move clears it on arrival.
         a.goal = bal.nearest_free_cell(self.grid, self.partition.zone(m.to_zone))
         a.path = None
 
-    def _handle_super(self, env) -> None:
+    def _handle_super(self, env: Envelope) -> None:
         payload = env.payload
         kind, zone = payload["kind"], payload["zone"]
         if kind == "job_notice":
@@ -568,17 +565,16 @@ class Simulation:
             if zone not in self.sup.elections:
                 self._start_election(zone, elec.ElectionReason.LEADER_DEAD)
         elif kind == "stepdown":
-            if self.sup.roles.get(zone) == payload["leader"]:
+            if self.sup.roles.get(zone) == env.sender:
                 self.sup.roles[zone] = None
             if zone not in self.sup.elections:
                 self._start_election(zone, elec.ElectionReason.LEADER_MIGRATED)
         elif kind == "candidacy":
             st = self.sup.elections.get(zone)
             if st is not None and st.election_id == payload["election"]:
-                st.candidacies[payload["agent"]] = (payload["distance"],
-                                                   payload["tick"])
+                st.candidacies[env.sender] = (payload["distance"], payload["tick"])
         elif kind == "suspect":
-            if self.sup.roles.get(zone) == payload["leader"]:
+            if self.sup.roles.get(zone) == env.sender:
                 self._publish(SUPER, "super/election", {"kind": "suspect_ok", "zone": zone})
 
     def _start_election(self, zone: ZoneId, reason: elec.ElectionReason) -> None:
@@ -798,16 +794,13 @@ class Simulation:
         if new_home != a.home:
             if a.is_leader:
                 self._demote(a)
-                self._publish(a.id, "super/inbox",
-                              {"kind": "stepdown", "zone": a.home, "leader": a.id})
+                self._publish(a.id, "super/inbox", {"kind": "stepdown", "zone": a.home})
             self.bus.unsubscribe(a.id, self._zone_topics[a.home].global_tick)
             self.bus.subscribe(a.id, self._zone_topics[new_home].global_tick)
             a.home = new_home
             if a.mandate is not None and new_home == a.mandate.to_zone:
                 self.metrics.migrations += 1
-                a.mandate = None
-                a.goal = None
-                a.path = None
+                a.mandate = a.goal = a.path = None
         a.subscribed = subscribed_zones(a.position, self.partition)
 
     # Phase 8: completion checks at committed positions.
@@ -828,6 +821,12 @@ class Simulation:
             leader = zs.leader or aid
             self.trace.emit(self.round, "Complete", leader, job=job.id, agent=aid, zone=zone)
             self._drop_job(a)
+
+
+def _among(aid: str, recipients: tuple[str, ...]) -> bool:
+    """Whether `aid` is one of the sorted `recipients`."""
+    i = bisect_left(recipients, aid)
+    return i < len(recipients) and recipients[i] == aid
 
 
 def run_scenario(config: ScenarioConfig | dict) -> tuple[Metrics, TraceWriter]:

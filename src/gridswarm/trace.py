@@ -103,21 +103,6 @@ _REQUIRED: dict[str, frozenset[str]] = {
     kind: frozenset(("tick", "kind", "actor") + fields)
     for kind, fields in EVENT_FIELDS.items()}
 
-
-def make_compact_encoder(c_make_encoder: Any = json.encoder.c_make_encoder) -> Callable[[Any], str]:
-    """An encoder byte-identical to json.dumps(value, separators=(",", ":")),
-    with no check for circular references. ``JSONEncoder.encode`` builds a new
-    C encoder on every call; this one is built once. The C encoder returns a
-    list of chunks on Python 3.10-3.11 and a tuple on 3.12+; join takes both."""
-    if c_make_encoder is None:
-        return json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-    encode = c_make_encoder(None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-                            None, ":", ",", False, False, True)
-    return lambda value: "".join(encode(value, 0))
-
-
-# The canonical compact form of a trace line and of a snapshot digest's input.
-compact_json = make_compact_encoder()
 _scan = json.JSONDecoder().scan_once
 _SLICE = 1 << 16  # characters of trace text split into lines at a time
 

@@ -1,8 +1,10 @@
 import hashlib
 import json
 
-from gridswarm.consensus import (Advance, MarkDeadAndAdvance, StateRecord,
-                                 Wait, leader_tick_decision, make_snapshot,
+from hypothesis import given, settings, strategies as st
+
+from gridswarm.consensus import (Advance, MarkDeadAndAdvance, StateRecord, Wait,
+                                 ZoneSnapshot, leader_tick_decision, make_snapshot,
                                  resolve_overlap_tick, tick_gap_requires_resync)
 from gridswarm.world import Cell
 
@@ -33,6 +35,21 @@ def test_snapshot_digest_cache_matches_fresh_digest():
     blob = json.dumps([3, ["a", [0, 0], [0, 0], None, 1.0, 5], ["b", [1, 0], [1, 0], "j1", 1.0, 5]],
                       separators=(",", ":"))
     assert first == hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+_ints = st.integers() | st.sampled_from([0, -1, 2**63, -(2**64) - 1, 10**300])
+_text = st.text() | st.sampled_from(["", "\u2028", "\x00\x1f\x7f\"\\", "\ud800", "\u00e9\u4e2d"])
+_cells = st.tuples(_ints, _ints)
+_records = st.builds(StateRecord, _text, _cells, _cells, st.none() | _text,
+                     st.floats(allow_nan=False, allow_infinity=False), _ints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tick=_ints, records=st.lists(_records, max_size=5).map(tuple))
+def test_snapshot_digest_input_is_written_as_json_dumps_writes_it(tick, records):
+    blob = json.dumps((tick, *records), separators=(",", ":"))
+    digest = ZoneSnapshot(tick=tick, records=records).digest()
+    assert digest == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def test_snapshot_records_sorted_by_agent():

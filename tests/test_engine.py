@@ -5,12 +5,15 @@ from pathlib import Path
 
 import pytest
 
+from gridswarm.balance import MigrationMandate
+from gridswarm.consensus import Liveness
+from gridswarm.election import ElectionReason
 from gridswarm.engine import SUPER, LeaderRound, Simulation, run_scenario
 from gridswarm.jobs import spawn_job
 from gridswarm.netsim import zone_topic
 from gridswarm.scenario import bench_scenario, random_scenario, scenario_from_dict
 from gridswarm.trace import parse_trace, verify_trace
-from gridswarm.world import subscribed_zones
+from gridswarm.world import Cell, subscribed_zones
 
 
 def two_zone(agents=None, jobs=None, faults=None, max_ticks=120, seed=9,
@@ -584,6 +587,101 @@ def test_wait_rule_marks_a_silent_member_dead_at_the_timeout(half):
         assert steps == {"broadcast": 1, "dead": 1 + timeout + 1}
     assert sim._leader_eval(lr) and lr.tick_acks == {"a01"}
     assert [e["agent"] for e in events_of(sim.trace, "MarkDead")] == ["a03"]
+
+
+# Reader rule: each message is read only by the agents its kind names, picked
+# on arrival from the recipients fixed at publish, and only while powered.
+
+def bootstrapped():
+    """a00 leads zone (0, 0) over a01 and a03; a02 leads zone (0, 1)."""
+    sim = Simulation(two_zone(agents=FOUR_AGENTS, jobs=[]))
+    run_until(sim, "a00", lambda s: True)
+    return sim
+
+
+def send_to_a01(sim, message):
+    """Publish `message`, addressed to a01 or to its zone (0, 0)."""
+    if message == "solicit":
+        sim._start_election((0, 0), ElectionReason.LEADER_DEAD)
+    elif message == "role":
+        sim._publish(SUPER, "super/election",
+                     {"kind": "role", "zone": (0, 0), "leader": "a01", "since_tick": 0})
+    elif message == "mandate":
+        sim._publish(SUPER, "super/mandates",
+                     {"mandate": MigrationMandate("m900", "a01", (0, 0), (0, 1))})
+    else:  # resync_resp
+        sim.agents["a01"].status = Liveness.RECOVERING
+        sim._publish("a00", zone_topic((0, 0), "global_tick"),
+                     {"kind": "resync_resp", "target": "a01", "tick": 7})
+
+
+def assert_a01_read_nothing(sim, message):
+    a01 = sim.agents["a01"]
+    assert not a01.is_leader and sim.zones[(0, 0)].leader != "a01"
+    assert a01.mandate is None and a01.goal is None
+    assert a01.status is (Liveness.RECOVERING if message == "resync_resp" else Liveness.ALIVE)
+    if message == "solicit":
+        assert "a01" not in sim.sup.elections[(0, 0)].candidacies
+
+
+@pytest.mark.parametrize("message", ["role", "mandate"])
+def test_a_reader_cut_off_at_publish_reads_nothing_after_the_heal(message):
+    sim = bootstrapped()
+    sim.bus.set_partition([["a01"]])
+    send_to_a01(sim, message)
+    sim.bus.set_partition(())
+    sim._pump(2)
+    assert_a01_read_nothing(sim, message)
+
+
+@pytest.mark.parametrize("message", ["solicit", "role", "mandate"])
+def test_an_agent_that_left_its_zone_in_flight_does_not_read_for_it(message):
+    sim = bootstrapped()
+    send_to_a01(sim, message)
+    a01 = sim.agents["a01"]
+    a01.position = Cell(7, 1)
+    sim._after_move(a01)
+    assert a01.home == (0, 1)
+    sim._pump(2)
+    assert_a01_read_nothing(sim, message)
+    if message == "solicit":
+        assert sorted(sim.sup.elections[(0, 0)].candidacies) == ["a00", "a03"]
+
+
+@pytest.mark.parametrize("message", ["solicit", "role", "mandate", "resync_resp"])
+def test_a_powered_off_reader_reads_nothing(message):
+    sim = bootstrapped()
+    send_to_a01(sim, message)
+    sim.agents["a01"].powered = False
+    sim._pump(2)
+    assert_a01_read_nothing(sim, message)
+
+
+def test_a_resync_reply_resyncs_only_its_target():
+    sim = bootstrapped()
+    resyncs = len(events_of(sim.trace, "Resync"))
+    sim.agents["a03"].status = Liveness.RECOVERING
+    send_to_a01(sim, "resync_resp")
+    sim._pump(1)
+    assert sim.agents["a01"].status is Liveness.ALIVE and sim.agents["a01"].local_tick == 7
+    assert sim.agents["a03"].status is Liveness.RECOVERING
+    assert [(e["actor"], e["resync_tick"]) for e in events_of(sim.trace, "Resync")[resyncs:]] == [
+        ("a01", 7)]
+
+
+@pytest.mark.parametrize("cut_off", [False, True], ids=["reachable", "cut_off"])
+def test_suspect_ok_reaches_only_the_rounds_leader(cut_off):
+    sim = bootstrapped()
+    sim.leader_rounds = {
+        zone: LeaderRound(zone=zone, leader=zs.leader, tick=zs.tick,
+                          expected={m.id for m in sim._members(zone)})
+        for zone, zs in sim.zones.items()}
+    sim.bus.set_partition([["a00"]] if cut_off else [])
+    sim._publish(SUPER, "super/election", {"kind": "suspect_ok", "zone": (0, 0)})
+    sim.bus.set_partition(())
+    sim._pump(1)
+    assert [z for z, lr in sim.leader_rounds.items() if lr.confirm_ok] == (
+        [] if cut_off else [(0, 0)])
 
 
 @pytest.mark.xfail(strict=True, reason="the super-leader publishes each role "

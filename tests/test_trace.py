@@ -1,7 +1,6 @@
 import functools
 import gc
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from gridswarm import trace
 from gridswarm.engine import run_scenario
 from gridswarm.scenario import random_scenario, scenario_from_dict
-from gridswarm.trace import (EVENT_FIELDS, TraceFormatError, TraceWriter, compact_json,
-                             make_compact_encoder, parse_trace, trace_digest, verify_trace)
+from gridswarm.trace import (EVENT_FIELDS, TraceFormatError, TraceWriter, parse_trace,
+                             trace_digest, verify_trace)
 
 
 def as_event(row):
@@ -370,43 +369,6 @@ def test_compact_form_matches_json_dumps():
     assert TraceWriter().dump() == ""
 
 
-def _fallback(value):
-    """The fallback encoder as it runs where the json C accelerator is missing."""
-    with mock.patch.multiple(json.encoder, c_make_encoder=None,
-                             encode_basestring_ascii=json.encoder.py_encode_basestring_ascii):
-        return make_compact_encoder(None)(value)
-
-
-ENCODERS = {"c": compact_json, "fallback": _fallback}
-
-_json_like = st.recursive(
-    st.none() | st.booleans()
-    | st.integers() | st.sampled_from([2**63, -(2**64) - 1, 10**300])
-    | st.floats() | st.sampled_from([-0.0, 1e300, 5e-324, float("nan"), float("-inf")])
-    | st.text() | st.sampled_from(["\u2028", "\u2029", "\x00\x1f\x7f\"\\", "\ud800\U0001f600", "\u00e9"]),
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
-    max_leaves=12)
-
-
-@pytest.mark.parametrize("encoder", sorted(ENCODERS))
-@settings(max_examples=300, deadline=None)
-@given(value=_json_like)
-def test_compact_json_matches_json_dumps(encoder, value):
-    assert ENCODERS[encoder](value) == json.dumps(value, separators=(",", ":"))
-
-
-@pytest.mark.parametrize("encoder", sorted(ENCODERS))
-@pytest.mark.parametrize("value", [{1, 2}, b"x", [0, object()], {"a": {(1, 2): 0}}],
-                         ids=["set", "bytes", "object", "tuple_key"])
-def test_compact_json_raises_what_json_dumps_raises(encoder, value):
-    with pytest.raises(TypeError) as expected:
-        json.dumps(value, separators=(",", ":"))
-    with pytest.raises(TypeError) as got:
-        ENCODERS[encoder](value)
-    assert str(got.value) == str(expected.value)
-
-
 # Every line boundary str.splitlines() knows.
 TERMINATORS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
                "\u2029")
@@ -497,7 +459,7 @@ _VALID_EVENTS = [
     {"tick": 3, "kind": "Mandate", "actor": "super", "mandate": "m0", "agent": "a",
      "from_zone": [0, 0], "to_zone": [0, 1]},
 ]
-VALID_LINES = ([compact_json(e) for e in _VALID_EVENTS]
+VALID_LINES = ([json.dumps(e, separators=(",", ":")) for e in _VALID_EVENTS]
                + [json.dumps(e) for e in _VALID_EVENTS]  # with spaces after separators
                # A raw U+2028 inside a string: splitlines() breaks the line there.
                + [json.dumps(_VALID_EVENTS[1] | {"job": "x\u2028y"}, ensure_ascii=False),
