@@ -426,7 +426,7 @@ class Simulation:
         """Hand one envelope to its readers, in id order. A message's kind
         names its readers:
         - state, resync_req, tick ack, suspect_ok: the zone's round leader
-        - tick: every recipient
+        - tick: the recipients whose home is the zone
         - resync_resp: its target; mandate: its agent, ``m.agent``
         - solicit: the zone's home agents; role: those of them that win or lead
         - super/loads and super/inbox: the super-leader
@@ -440,7 +440,7 @@ class Simulation:
         payload = env.payload
         msg = payload.get("kind")
         if msg == "tick":
-            ids = recipients
+            ids = [aid for aid in recipients if self.agents[aid].home == zone]
         elif msg == "resync_resp":
             ids = (payload["target"],)
         elif kind == "super_mandates":
@@ -491,7 +491,7 @@ class Simulation:
             self.trace.emit(self.round, "Resync", a.id, zone=zone,
                             resync_tick=payload["tick"])
             return
-        if zone != a.home or a.is_leader or a.status is not cons.Liveness.ALIVE:
+        if a.is_leader or a.status is not cons.Liveness.ALIVE:
             return  # a recovering agent rejoins through the resync path
         new_tick = payload["new_tick"]
         if a.id not in payload["roster"] or cons.tick_gap_requires_resync(
@@ -744,8 +744,8 @@ class Simulation:
             if not members or len(group) < 2:
                 continue
             log: list = []
-            result = plan.resolve_zone_step(group, self.grid, self.cfg.planner,
-                                            self._force_rng, log=log, blocked=off)
+            result = plan.resolve_zone_step(group, self.grid, self._force_rng,
+                                            log=log, blocked=off)
             for aid in members & movable:
                 proposals[aid] = result[aid]
             for kind, keeper, yielder in log:

@@ -7,9 +7,10 @@ both intend the same cell, so the resolver finds every conflicting pair and
 every blocker in one pass over the agents intending each cell, joined with
 the cell map. Of a conflicting pair, the agent that `rank` puts second
 (lower priority, ties to the higher id) recomputes its intent from a
-piecewise force law, and agents stuck in a blocking cycle ramp their force
-exponentially with their stuck counter until the cycle breaks. The same rank
-orders the final reservation pass.
+piecewise force law, and agents stuck `DEADLOCK_THRESHOLD` rounds in a
+blocking cycle ramp their force exponentially with their stuck counter (the
+exponent capped at `RAMP_CAP`) until the cycle breaks. The same rank orders
+the final reservation pass.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
-from functools import cmp_to_key
 from itertools import combinations
 from typing import Callable, Collection, Container, NamedTuple, Optional
 
@@ -43,26 +42,8 @@ class KinematicState(NamedTuple):
     has_job: bool = False
 
 
-@dataclass(frozen=True)
-class PlannerParams:
-    deadlock_threshold: int = 2
-    ramp_cap: int = 8
-
-    def __post_init__(self) -> None:
-        if self.deadlock_threshold < 1 or self.ramp_cap < 1:
-            raise ValueError("thresholds must be >= 1")
-
-
-class OpCounter:
-    """Counts elementary conflict-resolution operations for scaling checks."""
-
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n = 0
-
-    def tick(self, k: int = 1) -> None:
-        self.n += k
+DEADLOCK_THRESHOLD = 2
+RAMP_CAP = 8
 
 
 def manhattan(a: Cell, b: Cell) -> int:
@@ -161,8 +142,8 @@ def random_safe_vector(state: KinematicState, grid: GridMap, rng: random.Random,
     return (float(pick.x - state.current.x), float(pick.y - state.current.y))
 
 
-def compute_force(i: KinematicState, j: KinematicState, params: PlannerParams,
-                  grid: GridMap, rng: random.Random, deadlock: bool = False,
+def compute_force(i: KinematicState, j: KinematicState, grid: GridMap,
+                  rng: random.Random, deadlock: bool = False,
                   blocked: Container[Cell] = ()) -> tuple[float, float]:
     """Piecewise force on agent `i`, which gives way to `j` in a conflict.
 
@@ -171,7 +152,7 @@ def compute_force(i: KinematicState, j: KinematicState, params: PlannerParams,
     to priority**stuck (exponent capped). The scale is arbitrary:
     quantize_move reads only the sign and order of dot products.
     """
-    p_i = i.priority ** min(i.stuck, params.ramp_cap) if deadlock else i.priority
+    p_i = i.priority ** min(i.stuck, RAMP_CAP) if deadlock else i.priority
     jdx, jdy = _unit_dir(j)
     rx, ry = random_safe_vector(i, grid, rng, blocked=blocked)
     return (p_i * jdx + j.priority * rx, p_i * jdy + j.priority * ry)
@@ -229,11 +210,11 @@ def _contacts(info: dict[str, KinematicState], occ: dict[Cell, str]
     return blockers, sorted(pairs)
 
 
-def _matured_cycles(blockers: dict[str, KinematicState], threshold: int) -> set[str]:
-    """Agents with a job whose stuck counter has reached `threshold` inside a
-    cycle of the blocking map (agent -> the state of the agent on the cell it
-    intends). Intents are single cells and positions are distinct, so the
-    map is a functional graph and cycles are found by pointer chasing."""
+def _matured_cycles(blockers: dict[str, KinematicState]) -> set[str]:
+    """Agents with a job whose stuck counter has reached `DEADLOCK_THRESHOLD`
+    inside a cycle of the blocking map (agent -> the state of the agent on the
+    cell it intends). Intents are single cells and positions are distinct, so
+    the map is a functional graph and cycles are found by pointer chasing."""
     on_cycle: set[str] = set()
     seen: set[str] = set()
     for node in blockers:
@@ -246,7 +227,7 @@ def _matured_cycles(blockers: dict[str, KinematicState], threshold: int) -> set[
             on_cycle.update(trail[trail.index(node):])
     # Every agent on a cycle blocks the one before it, so its state is a value.
     return {b.agent for b in blockers.values()
-            if b.agent in on_cycle and b.stuck >= threshold and b.has_job}
+            if b.agent in on_cycle and b.stuck >= DEADLOCK_THRESHOLD and b.has_job}
 
 
 def reserve_moves(order: list[tuple[str, Cell]], proposal: dict[str, Cell],
@@ -284,9 +265,7 @@ def rank(priority: float, agent: str) -> tuple[float, str]:
 
 
 def resolve_zone_step(states: list[KinematicState], grid: GridMap,
-                      params: PlannerParams,
                       rng_for: Callable[[str], random.Random],
-                      counter: Optional[OpCounter] = None,
                       log: Optional[list] = None,
                       blocked: Collection[Cell] = ()) -> dict[str, Cell]:
     """Resolve one tick of movement for a set of co-located agents.
@@ -297,7 +276,6 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
     the force law; agents in matured blocking cycles use the deadlock
     branch; anything still unsafe waits.
     """
-    ops = counter or OpCounter()
     info = {s.agent: s for s in states}
     proposal = {s.agent: s.intent for s in states}
     occ = {s.current: s.agent for s in states}
@@ -308,23 +286,20 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
             raise ValueError(f"agent {s.agent} at {s.current} is off the map")
     taken = occ.keys() | blocked if blocked else occ  # no yielder steps onto these
     blockers, pairs = _contacts(info, occ)
-    deadlocked = _matured_cycles(blockers, params.deadlock_threshold)
-    ops.tick(len(states))
+    deadlocked = _matured_cycles(blockers)
 
     def give_way(yielder: KinematicState, keeper: KinematicState, deadlock: bool,
                  tag: ConflictKind | str) -> None:
-        force = compute_force(yielder, keeper, params, grid, rng_for(yielder.agent),
+        force = compute_force(yielder, keeper, grid, rng_for(yielder.agent),
                               deadlock=deadlock, blocked=blocked)
         # taken still holds the yielder's own cell; quantize_move never tests it.
         proposal[yielder.agent] = quantize_move(force, yielder.current, grid, taken)
-        ops.tick(4)
         if log is not None:
             log.append((tag, keeper.agent, yielder.agent))
 
     for ai, aj in pairs:
         si, sj = info[ai], info[aj]
         kind = classify_conflict(si, sj)
-        ops.tick()
         if kind in (ConflictKind.VERTEX, ConflictKind.EDGE, ConflictKind.STATIC):
             keeper, yielder = ((si, sj) if rank(si.priority, ai) < rank(sj.priority, aj)
                                else (sj, si))
@@ -335,15 +310,9 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
     for agent in sorted(deadlocked):
         give_way(info[agent], blockers[agent], True, "deadlock")
 
-    # Final reservation pass, in rank order. The rank is unique per agent, so
-    # counting the comparisons leaves the order as it is.
-    def counted(a: KinematicState, b: KinematicState) -> int:
-        ops.tick()
-        return -1 if rank(a.priority, a.agent) < rank(b.priority, b.agent) else 1
-
-    by_rank = cmp_to_key(counted) if counter else lambda s: rank(s.priority, s.agent)
-    order = [(s.agent, s.current) for s in sorted(states, key=by_rank)]
-    ops.tick(len(order))
+    # Final reservation pass, in rank order.
+    order = [(s.agent, s.current)
+             for s in sorted(states, key=lambda s: rank(s.priority, s.agent))]
     final = reserve_moves(order, proposal, occ, grid, blocked)
 
     # Safety: distinct targets and no swaps.

@@ -10,7 +10,6 @@ from typing import Any, Optional
 
 from .jobs import CostField
 from .netsim import BusConfig, derive_seed
-from .planner import PlannerParams
 from .world import Cell, GridMap, build_partition
 
 
@@ -42,7 +41,6 @@ class ScenarioConfig:
     agents: tuple[tuple[str, Cell], ...]
     jobs: tuple[JobSpec, ...]
     network: BusConfig
-    planner: PlannerParams
     timeout_steps: int
     balance_period: int
     seed: int
@@ -64,7 +62,6 @@ _PARTITION_KEYS = frozenset({"rows", "cols", "overlap"})
 _AGENT_KEYS = frozenset({"id", "start"})
 _JOB_KEYS = frozenset({"spawn_tick", "location", "priority"})
 _NETWORK_KEYS = frozenset({"drop_prob", "delay_steps"})
-_PLANNER_KEYS = frozenset({"deadlock_threshold", "ramp_cap"})
 _CONSENSUS_KEYS = frozenset({"timeout_steps"})
 _BALANCE_KEYS = frozenset({"period"})
 _FAULT_KEYS = frozenset({"tick", "kind", "agent", "groups"})
@@ -220,14 +217,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from exc
 
-    pl = _object(data.get("planner", {}), "planner")
-    _require_keys(pl, _PLANNER_KEYS, "planner")
-    threshold = _int(pl.get("deadlock_threshold", 2), "planner.deadlock_threshold")
-    ramp_cap = _int(pl.get("ramp_cap", 8), "planner.ramp_cap")
-    try:
-        planner = PlannerParams(deadlock_threshold=threshold, ramp_cap=ramp_cap)
-    except ValueError as exc:
-        raise ConfigError(f"planner: {exc}") from exc
+    # The planner has no settings, but a file may still hold an empty object.
+    _require_keys(_object(data.get("planner", {}), "planner"), frozenset(), "planner")
 
     cons = _object(data.get("consensus", {}), "consensus")
     _require_keys(cons, _CONSENSUS_KEYS, "consensus")
@@ -279,9 +270,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     return ScenarioConfig(grid=grid, rows=rows, cols=cols, overlap=overlap,
                           agents=tuple(agents), jobs=tuple(jobs), network=network,
-                          planner=planner, timeout_steps=timeout_steps,
-                          balance_period=period, seed=_int(data.get("seed", 0), "seed"),
-                          max_ticks=max_ticks, faults=tuple(faults))
+                          timeout_steps=timeout_steps, balance_period=period,
+                          seed=_int(data.get("seed", 0), "seed"), max_ticks=max_ticks,
+                          faults=tuple(faults))
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -325,7 +316,6 @@ def _scenario_dict(width: int, height: int, rects: list[list[int]], rows: int,
         "agents": [{"id": f"a{i:02d}", "start": list(c)} for i, c in enumerate(starts)],
         "jobs": jobs,
         "network": network,
-        "planner": {},
         "consensus": {"timeout_steps": 10},
         "balance": {"period": 10},
         "seed": seed,

@@ -247,7 +247,8 @@ def verify_trace(trace: str) -> list[str]:
     Checks: pairwise-distinct positions per tick, no edge swaps, per-zone
     snapshot agreement per committed tick, per-agent tick monotonicity
     (jumps only across a resync), job/agent assignment exclusivity, leader
-    uniqueness, and that assignments and mandates come from the right actors.
+    uniqueness, that assignments and mandates come from the right actors, and
+    that a job is completed by the agent that holds it.
     A text is read one line at a time and checked one tick at a time, so its
     ticks must not decrease. A value of the wrong type in a field the checks
     read is a TraceFormatError: cells are two integers, zone-ticks integers
@@ -340,6 +341,9 @@ def verify_trace(trace: str) -> list[str]:
                 agent_job[agent] = job
             elif kind == "Complete":
                 job, agent = _ids(e)
+                if job_assignee.get(job) != agent:
+                    violations.append(
+                        f"tick {tick}: completion of {job} by {agent}, which does not hold it")
                 job_assignee[job] = None
                 agent_job[agent] = None
             elif kind == "Mandate":

@@ -9,13 +9,15 @@ import math
 import random
 import time
 from collections import deque
+from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
 
+from gridswarm import planner
 from gridswarm.engine import run_scenario
-from gridswarm.planner import (ConflictKind, KinematicState, OpCounter,
-                               PlannerParams, classify_conflict, plan_path,
+from gridswarm.planner import (DEADLOCK_THRESHOLD, RAMP_CAP, ConflictKind,
+                               KinematicState, classify_conflict, plan_path, rank,
                                resolve_zone_step)
 from gridswarm.scenario import bench_scenario, random_scenario, scenario_from_dict
 from gridswarm.trace import parse_trace, verify_trace
@@ -209,9 +211,9 @@ def test_criterion_07_astar_oracle():
 
 
 def test_criterion_08_deadlock_liveness():
-    params = PlannerParams(deadlock_threshold=2, ramp_cap=8)
     grid = GridMap(width=5, height=5)
-    budget = params.deadlock_threshold + params.ramp_cap
+    budget = DEADLOCK_THRESHOLD + RAMP_CAP
+    assert budget == 10
     failed_seeds = []
     for seed in range(100):
         positions = {"a": Cell(1, 1), "b": Cell(2, 1),
@@ -226,7 +228,7 @@ def test_criterion_08_deadlock_liveness():
                       for aid in sorted(positions)]
             def rng_for(agent, _seed=seed):
                 return random.Random(f"{_seed}:{agent}")
-            final = resolve_zone_step(states, grid, params, rng_for)
+            final = resolve_zone_step(states, grid, rng_for)
             if any(final[aid] != positions[aid] for aid in positions):
                 moved = True
                 break
@@ -238,7 +240,17 @@ def test_criterion_08_deadlock_liveness():
            not failed_seeds, f"100 seeds, stuck: {failed_seeds}")
 
 
-def test_criterion_09_resolution_scaling():
+def test_criterion_09_resolution_scaling(monkeypatch):
+    """Ops of one resolver call, counted from outside it: two per agent (the
+    contact scan and the reservation pass), one per pair classified, four per
+    logged give-way and one per comparison of the rank sort."""
+    classified = []
+
+    def counted_classify(i, j):
+        classified.append(None)
+        return classify_conflict(i, j)
+
+    monkeypatch.setattr(planner, "classify_conflict", counted_classify)
     points = []
     for g in (8, 64, 512):
         side = max(4, math.isqrt(2 * g) + 1)
@@ -255,10 +267,18 @@ def test_criterion_09_resolution_scaling():
                                              intent=intent, priority=1.0 + placed % 3,
                                              stuck=placed % 4, has_job=True))
                 placed += 1
-        counter = OpCounter()
-        resolve_zone_step(states, grid, PlannerParams(),
-                          lambda a: random.Random(a), counter)
-        points.append((g * math.log2(g), counter.n))
+        classified.clear()
+        log = []
+        resolve_zone_step(states, grid, lambda a: random.Random(a), log=log)
+        compared = []
+
+        def by_rank(a, b):
+            compared.append(None)
+            return -1 if rank(a.priority, a.agent) < rank(b.priority, b.agent) else 1
+
+        sorted(states, key=cmp_to_key(by_rank))
+        ops = 2 * len(states) + len(classified) + 4 * len(log) + len(compared)
+        points.append((g * math.log2(g), ops))
     xs = [math.log(b) for b, _ in points]
     ys = [math.log(o) for _, o in points]
     mx, my = sum(xs) / 3, sum(ys) / 3

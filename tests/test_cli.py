@@ -81,6 +81,17 @@ def test_verify_clean_and_dirty(tmp_path, scenario_file, capsys):
     assert "vertex violation" in capsys.readouterr().out
 
 
+def test_verify_flags_a_completion_by_an_agent_without_the_job(tmp_path, capsys):
+    dirty = tmp_path / "dirty.jsonl"
+    dirty.write_text(
+        '{"tick":0,"kind":"Election","actor":"super","zone":[0,0],"leader":"a0",'
+        '"since_tick":0,"reason":"bootstrap"}\n'
+        '{"tick":1,"kind":"Assign","actor":"a0","job":"j0","agent":"a1","cost":2,"zone":[0,0]}\n'
+        '{"tick":4,"kind":"Complete","actor":"a0","job":"j0","agent":"a2","zone":[0,0]}\n')
+    assert main(["verify", "--trace", str(dirty)]) == 1
+    assert "tick 4: completion of j0 by a2, which does not hold it" in capsys.readouterr().out
+
+
 def test_seed_override_changes_nothing_on_lossless_run(scenario_file, capsys):
     # the seed feeds drop/delay/force draws; on this scenario runs stay green
     assert main(["run", "--scenario", scenario_file, "--seed", "99"]) == 0

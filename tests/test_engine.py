@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from gridswarm.balance import MigrationMandate
-from gridswarm.consensus import Liveness
+from gridswarm.consensus import Liveness, make_snapshot
 from gridswarm.election import ElectionReason
 from gridswarm.engine import SUPER, LeaderRound, Simulation, run_scenario
 from gridswarm.jobs import spawn_job
@@ -609,6 +609,11 @@ def send_to_a01(sim, message):
     elif message == "mandate":
         sim._publish(SUPER, "super/mandates",
                      {"mandate": MigrationMandate("m900", "a01", (0, 0), (0, 1))})
+    elif message == "tick":
+        tick = sim.zones[(0, 0)].tick
+        sim._publish("a00", zone_topic((0, 0), "global_tick"),
+                     {"kind": "tick", "new_tick": tick + 1, "roster": ("a00", "a01", "a03"),
+                      "snapshot": make_snapshot(tick, {}), "solicit": []})
     else:  # resync_resp
         sim.agents["a01"].status = Liveness.RECOVERING
         sim._publish("a00", zone_topic((0, 0), "global_tick"),
@@ -620,6 +625,8 @@ def assert_a01_read_nothing(sim, message):
     assert not a01.is_leader and sim.zones[(0, 0)].leader != "a01"
     assert a01.mandate is None and a01.goal is None
     assert a01.status is (Liveness.RECOVERING if message == "resync_resp" else Liveness.ALIVE)
+    if message == "tick":
+        assert a01.local_tick == sim.zones[(0, 0)].tick
     if message == "solicit":
         assert "a01" not in sim.sup.elections[(0, 0)].candidacies
 
@@ -634,7 +641,7 @@ def test_a_reader_cut_off_at_publish_reads_nothing_after_the_heal(message):
     assert_a01_read_nothing(sim, message)
 
 
-@pytest.mark.parametrize("message", ["solicit", "role", "mandate"])
+@pytest.mark.parametrize("message", ["solicit", "role", "mandate", "tick"])
 def test_an_agent_that_left_its_zone_in_flight_does_not_read_for_it(message):
     sim = bootstrapped()
     send_to_a01(sim, message)
@@ -665,6 +672,18 @@ def test_a_resync_reply_resyncs_only_its_target():
     sim._pump(1)
     assert sim.agents["a01"].status is Liveness.ALIVE and sim.agents["a01"].local_tick == 7
     assert sim.agents["a03"].status is Liveness.RECOVERING
+    assert [(e["actor"], e["resync_tick"]) for e in events_of(sim.trace, "Resync")[resyncs:]] == [
+        ("a01", 7)]
+
+
+def test_a_second_resync_reply_does_not_recommit_an_older_tick():
+    sim = bootstrapped()
+    resyncs = len(events_of(sim.trace, "Resync"))
+    send_to_a01(sim, "resync_resp")
+    sim._publish("a00", zone_topic((0, 0), "global_tick"),
+                 {"kind": "resync_resp", "target": "a01", "tick": 5})
+    sim._pump(2)
+    assert sim.agents["a01"].status is Liveness.ALIVE and sim.agents["a01"].local_tick == 7
     assert [(e["actor"], e["resync_tick"]) for e in events_of(sim.trace, "Resync")[resyncs:]] == [
         ("a01", 7)]
 

@@ -5,10 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridswarm.planner import (ConflictKind, KinematicState, OpCounter,
-                               PlannerParams, classify_conflict, compute_force,
-                               manhattan, plan_path, quantize_move,
-                               random_safe_vector, resolve_zone_step)
+from gridswarm.planner import (RAMP_CAP, ConflictKind, KinematicState,
+                               classify_conflict, compute_force, manhattan,
+                               plan_path, quantize_move, random_safe_vector,
+                               resolve_zone_step)
 from gridswarm.world import Cell, GridMap
 
 
@@ -198,26 +198,24 @@ def test_classify_symmetric_for_blocking_kinds(ci, ii, cj, ij):
 # ---------------------------------------------------------------- force algebra
 
 def test_deadlock_ramp_amplifies_with_stuck():
-    params = PlannerParams(ramp_cap=8)
     grid = GridMap(width=9, height=9)
     j = ks("b", (4, 5), (5, 5))  # blocker moving east
     magnitudes = []
     for stuck in (1, 3, 6):
         i = ks("a", (4, 4), (4, 5), priority=2.0, stuck=stuck, has_job=True)
-        fx, fy = compute_force(i, j, params, grid, random.Random(0), deadlock=True)
+        fx, fy = compute_force(i, j, grid, random.Random(0), deadlock=True)
         magnitudes.append(abs(fx) + abs(fy))
     assert magnitudes == sorted(magnitudes)
     assert magnitudes[0] < magnitudes[-1]
 
 
 def test_deadlock_ramp_caps():
-    params = PlannerParams(ramp_cap=3)
     grid = GridMap(width=9, height=9)
     j = ks("b", (4, 5), (5, 5))
     outs = set()
-    for stuck in (3, 5, 50):
+    for stuck in (RAMP_CAP, RAMP_CAP + 4, 50):
         i = ks("a", (4, 4), (4, 5), priority=2.0, stuck=stuck, has_job=True)
-        outs.add(compute_force(i, j, params, grid, random.Random(0), deadlock=True))
+        outs.add(compute_force(i, j, grid, random.Random(0), deadlock=True))
     assert len(outs) == 1
 
 
@@ -288,11 +286,10 @@ def rotation_square(stuck=2, has_job=True, priority=1.5):
     ]
 
 
-def deadlocked(states, threshold=2):
+def deadlocked(states):
     """The yielders of the "deadlock" entries resolve_zone_step logs."""
     log = []
-    resolve_zone_step(states, GridMap(width=5, height=5),
-                      PlannerParams(deadlock_threshold=threshold), rng_factory(0), log=log)
+    resolve_zone_step(states, GridMap(width=5, height=5), rng_factory(0), log=log)
     return {yielder for tag, _keeper, yielder in log if tag == "deadlock"}
 
 
@@ -325,7 +322,7 @@ def test_resolution_keeps_higher_priority_intent():
     grid = GridMap(width=6, height=6)
     states = [ks("hi", (1, 2), (2, 2), priority=3.0),
               ks("lo", (3, 2), (2, 2), priority=1.0)]
-    final = resolve_zone_step(states, grid, PlannerParams(), rng_factory(0))
+    final = resolve_zone_step(states, grid, rng_factory(0))
     assert final["hi"] == Cell(2, 2)
     assert final["lo"] != Cell(2, 2)
 
@@ -333,7 +330,7 @@ def test_resolution_keeps_higher_priority_intent():
 def test_resolution_priority_tie_keeps_lower_id():
     grid = GridMap(width=6, height=6)
     states = [ks("b", (1, 2), (2, 2)), ks("a", (3, 2), (2, 2))]
-    final = resolve_zone_step(states, grid, PlannerParams(), rng_factory(0))
+    final = resolve_zone_step(states, grid, rng_factory(0))
     assert final["a"] == Cell(2, 2)
     assert final["b"] != Cell(2, 2)
 
@@ -341,7 +338,7 @@ def test_resolution_priority_tie_keeps_lower_id():
 def test_resolution_never_swaps():
     grid = GridMap(width=6, height=1)
     states = [ks("a", (2, 0), (3, 0)), ks("b", (3, 0), (2, 0))]
-    final = resolve_zone_step(states, grid, PlannerParams(), rng_factory(1))
+    final = resolve_zone_step(states, grid, rng_factory(1))
     assert not (final["a"] == Cell(3, 0) and final["b"] == Cell(2, 0))
 
 
@@ -354,8 +351,7 @@ def test_yielder_vacates_corridor_cell():
     parked = ks("p", (2, 0))
     moved_somewhere = set()
     for seed in range(10):
-        final = resolve_zone_step([mover, parked], grid, PlannerParams(),
-                                  rng_factory(seed))
+        final = resolve_zone_step([mover, parked], grid, rng_factory(seed))
         # the mover holds until the cell is free; the parked agent clears it
         assert final["p"] != Cell(2, 0)
         moved_somewhere.add(final["p"])
@@ -368,54 +364,16 @@ def test_resolution_is_deterministic():
     grid = GridMap(width=8, height=8)
     states = [ks("a", (1, 1), (2, 1), 2.0), ks("b", (2, 1), (2, 2), 1.0),
               ks("c", (3, 1), (2, 1), 1.5), ks("d", (2, 2), (2, 1), 1.0)]
-    r1 = resolve_zone_step(states, grid, PlannerParams(), rng_factory(5))
-    r2 = resolve_zone_step(states, grid, PlannerParams(), rng_factory(5))
+    r1 = resolve_zone_step(states, grid, rng_factory(5))
+    r2 = resolve_zone_step(states, grid, rng_factory(5))
     assert r1 == r2
-
-
-def test_op_counter_accumulates():
-    grid = GridMap(width=8, height=8)
-    states = [ks("a", (1, 1), (2, 1)), ks("b", (2, 1), (3, 1))]
-    counter = OpCounter()
-    resolve_zone_step(states, grid, PlannerParams(), rng_factory(0), counter)
-    assert counter.n > 0
 
 
 def test_resolution_rejects_agents_off_the_map():
     grid = GridMap(width=4, height=4)
     for cell in ((-1, 0), (4, 2), (0, -3), (1, 6)):
         with pytest.raises(ValueError, match="off the map"):
-            resolve_zone_step([ks("a", (1, 1)), ks("b", cell)], grid,
-                              PlannerParams(), rng_factory(0))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_resolution_same_with_and_without_op_counter(data):
-    """Counting the rank sort's comparisons changes neither the moves nor
-    the conflict log; agents stand anywhere, map edges included."""
-    w = data.draw(st.integers(2, 9))
-    h = data.draw(st.integers(2, 9))
-    grid = GridMap(width=w, height=h)
-    cells = [Cell(x, y) for x in range(w) for y in range(h)]
-    currents = data.draw(st.lists(st.sampled_from(cells), min_size=2,
-                                  max_size=min(12, len(cells)), unique=True))
-    states = [KinematicState(
-        agent=f"a{idx:02d}", current=cur,
-        intent=data.draw(st.sampled_from([cur] + grid.free_neighbors(cur))),
-        priority=data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
-        stuck=data.draw(st.integers(0, 5)), has_job=data.draw(st.booleans()))
-        for idx, cur in enumerate(currents)]
-    seed = data.draw(st.integers(0, 99))
-    plain_log, counted_log = [], []
-    plain = resolve_zone_step(states, grid, PlannerParams(), rng_factory(seed),
-                              log=plain_log)
-    counter = OpCounter()
-    counted = resolve_zone_step(states, grid, PlannerParams(), rng_factory(seed),
-                                counter, log=counted_log)
-    assert plain == counted
-    assert plain_log == counted_log
-    assert counter.n > 0
+            resolve_zone_step([ks("a", (1, 1)), ks("b", cell)], grid, rng_factory(0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -441,7 +399,7 @@ def test_resolution_log_matches_classifying_every_pair(data):
         stuck=data.draw(st.integers(0, 4)), has_job=data.draw(st.booleans()))
         for idx, cur in enumerate(currents)]
     log = []
-    resolve_zone_step(states, grid, PlannerParams(), rng_factory(data.draw(st.integers(0, 99))),
+    resolve_zone_step(states, grid, rng_factory(data.draw(st.integers(0, 99))),
                       log=log, blocked=blocked)
     expected = []
     for i, j in combinations(sorted(states, key=lambda s: s.agent), 2):
@@ -461,10 +419,10 @@ def test_deadlocked_agent_steps_aside_from_a_blocked_cell():
     blocked = {Cell(0, 3)}
     walled = GridMap(width=4, height=4, obstacles=frozenset(blocked))
     for seed in range(3):
-        moves = resolve_zone_step(states, GridMap(width=4, height=4), PlannerParams(),
+        moves = resolve_zone_step(states, GridMap(width=4, height=4),
                                   rng_factory(seed), blocked=blocked)
         assert moves["b"] == Cell(1, 2)
-        assert moves == resolve_zone_step(states, walled, PlannerParams(), rng_factory(seed))
+        assert moves == resolve_zone_step(states, walled, rng_factory(seed))
 
 
 @settings(max_examples=120, deadline=None)
@@ -493,10 +451,9 @@ def test_resolution_with_blocked_cells_matches_a_map_with_them_as_obstacles(data
     walled = GridMap(width=grid.width, height=grid.height,
                      obstacles=grid.obstacles | blocked)
     log, walled_log = [], []
-    moves = resolve_zone_step(states, grid, PlannerParams(), rng_factory(seed),
+    moves = resolve_zone_step(states, grid, rng_factory(seed),
                               log=log, blocked=blocked)
-    assert moves == resolve_zone_step(states, walled, PlannerParams(),
-                                      rng_factory(seed), log=walled_log)
+    assert moves == resolve_zone_step(states, walled, rng_factory(seed), log=walled_log)
     assert log == walled_log
     assert not set(moves.values()) & blocked
 
@@ -520,7 +477,7 @@ def test_resolution_safety_property(data):
             priority=data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
             stuck=data.draw(st.integers(0, 5)),
             has_job=data.draw(st.booleans())))
-    final = resolve_zone_step(states, grid, PlannerParams(),
+    final = resolve_zone_step(states, grid,
                               rng_factory(data.draw(st.integers(0, 99))))
     assert set(final) == {s.agent for s in states}
     assert len(set(final.values())) == len(final)

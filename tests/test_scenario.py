@@ -53,6 +53,16 @@ def test_planner_force_scale_key_is_unknown():
         scenario_from_dict(minimal(planner={"f": 1.0}))
 
 
+@pytest.mark.parametrize("key", ["deadlock_threshold", "ramp_cap"])
+def test_planner_constants_are_unknown_keys(key):
+    """The planner has no settings: its object may only be empty or absent."""
+    with pytest.raises(ConfigError, match=rf"planner: unknown keys \['{key}'\]"):
+        scenario_from_dict(minimal(planner={key: 2}))
+    no_planner = minimal()
+    del no_planner["planner"]
+    assert scenario_from_dict(no_planner) == scenario_from_dict(minimal())
+
+
 def test_reserved_agent_ids_rejected():
     for bad in ("super", "controller"):
         with pytest.raises(ConfigError):
@@ -290,7 +300,7 @@ def test_typed_fields_reject_other_types():
                 minimal(jobs=[{"location": [4, 4], "priority": "high"}]),
                 minimal(network={"delay_steps": [0, "2"]}),
                 minimal(network={"drop_prob": None}),
-                minimal(planner={"ramp_cap": 2.5}),
+                minimal(planner=[]),
                 minimal(consensus={"timeout_steps": "10"}),
                 minimal(balance=[]),
                 minimal(faults=[["kill"]]),

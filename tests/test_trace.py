@@ -304,6 +304,35 @@ def test_verifier_flags_mandate_from_wrong_actor():
     assert any("super-leader" in v for v in verify_trace(w.dump()))
 
 
+def complete(tick, job, agent):
+    return (tick, "Complete", "lead", {"job": job, "agent": agent, "zone": [0, 0]})
+
+
+def test_verifier_flags_completion_by_an_agent_marked_dead():
+    w = writer_with(
+        election(0, [0, 0], "lead"),
+        (1, "Assign", "lead", {"job": "j0", "agent": "a", "cost": 2, "zone": [0, 0]}),
+        (2, "MarkDead", "lead", {"zone": [0, 0], "agent": "a", "released_job": "j0"}),
+        complete(3, "j0", "a"),
+    )
+    assert verify_trace(w.dump()) == ["tick 3: completion of j0 by a, which does not hold it"]
+
+
+def test_verifier_flags_a_run_completion_moved_to_another_agent():
+    """The last Complete of a clean run, rewritten to name an agent that does
+    not hold the job, is the run's one violation."""
+    scenario = random_scenario(0)
+    _, tr = run_scenario(scenario_from_dict(scenario))
+    lines = tr.dump().splitlines()
+    n = max(i for i, line in enumerate(lines) if '"kind":"Complete"' in line)
+    event = json.loads(lines[n])
+    other = next(a["id"] for a in scenario["agents"] if a["id"] != event["agent"])
+    lines[n] = json.dumps({**event, "agent": other}, separators=(",", ":"))
+    assert verify_trace(tr.dump()) == []
+    assert verify_trace("\n".join(lines) + "\n") == [
+        f"tick {event['tick']}: completion of {event['job']} by {other}, which does not hold it"]
+
+
 def move(tick, actor, src, dst):
     return (tick, "Move", actor, {"src": src, "dst": dst})
 
@@ -339,6 +368,12 @@ PINNED = {
                     move(1, "a", [0, 0], [1, 0]), move(1, "c", [5, 0], [1, 0])),
         ["tick 1: vertex violation at [1, 0] between a and c",
          "tick 1: edge swap between a and b across [0, 0]-[1, 0]"]),
+    "completion_by_a_non_holder": (
+        writer_with(election(0, [0, 0], "lead"),
+                    (1, "Assign", "lead", {"job": "j0", "agent": "a", "cost": 2, "zone": [0, 0]}),
+                    complete(2, "j0", "b"), complete(3, "j1", "a")),
+        ["tick 2: completion of j0 by b, which does not hold it",
+         "tick 3: completion of j1 by a, which does not hold it"]),
     "snapshot_disagreement": (
         writer_with((1, "TickBroadcast", "lead", {"zone": [0, 0], "new_tick": 1,
                                                   "roster": ["a", "b"], "digest": "aaaa"}),
