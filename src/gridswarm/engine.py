@@ -425,7 +425,8 @@ class Simulation:
     def _deliver(self, env: Envelope, recipients: tuple[str, ...]) -> None:
         """Hand one envelope to its readers, in id order. A message's kind
         names its readers:
-        - state, resync_req, tick ack, suspect_ok: the zone's round leader
+        - db_update and tick_ack, the bulk of the traffic, and suspect_ok:
+          the zone's round leader
         - tick: the recipients whose home is the zone
         - resync_resp: its target; mandate: its agent, ``m.agent``
         - solicit: the zone's home agents; role: those of them that win or lead
@@ -433,10 +434,16 @@ class Simulation:
         They are picked on arrival, as an agent can change home in flight, and
         an agent reads only if powered and among the sorted `recipients`,
         fixed at publish without the sender and whoever a partition cut off."""
+        zone, kind = self._topics[env.topic]
+        if kind == "db_update" or kind == "tick_ack":
+            lr = self.leader_rounds.get(zone)
+            if (lr is not None and self.agents[lr.leader].powered
+                    and _among(lr.leader, recipients)):
+                self._handle_round_msg(lr, kind, env)
+            return
         if env.topic in TO_SUPER:
             self._handle_super(env)
             return
-        zone, kind = self._topics[env.topic]
         payload = env.payload
         msg = payload.get("kind")
         if msg == "tick":
@@ -448,8 +455,8 @@ class Simulation:
         elif msg in ("solicit", "role"):
             ids = [a.id for a in self._homed(payload["zone"])
                    if msg == "solicit" or a.is_leader or a.id == payload["leader"]]
-        else:  # db_update, tick_ack and suspect_ok
-            lr = self.leader_rounds.get(payload["zone"] if zone is None else zone)
+        else:  # suspect_ok
+            lr = self.leader_rounds.get(payload["zone"])
             ids = () if lr is None else (lr.leader,)
         for aid in ids:
             a = self.agents[aid]
@@ -459,10 +466,8 @@ class Simulation:
                 self._handle_global_tick(a, zone, payload)
             elif kind == "super_election":
                 self._handle_election_msg(a, payload)
-            elif kind == "super_mandates":
-                self._handle_mandate_msg(a, payload["mandate"])
             else:
-                self._handle_round_msg(lr, kind, env)
+                self._handle_mandate_msg(a, payload["mandate"])
 
     def _handle_round_msg(self, lr: LeaderRound, kind: str, env: Envelope) -> None:
         """The round's leader reads an ack, a state or a resync request."""
@@ -587,6 +592,8 @@ class Simulation:
                        "election": self.sup.next_election})
 
     def _super_eval(self) -> None:
+        if not self.sup.elections:
+            return
         for zone in sorted(self.sup.elections):
             st = self.sup.elections[zone]
             if self.bus.now < st.deadline:

@@ -3,8 +3,11 @@
 Replaces a real middleware transport with an in-process queue that supports
 named topics, per-message delay, seeded probabilistic drop, and partition
 injection. Each publish is one queue entry carrying its recipients, worked out
-once at publish time. Delivery is totally ordered by (deliver_at, sender,
-topic, seq, recipient) so identical seeds replay identically.
+once at publish time, and each (sender, topic) keeps one record of its last
+seq and deliver_at. A ranged delay is drawn from `getrandbits` by the rule
+`random.randint` follows, so the stream of draws is the same. Delivery is
+totally ordered by (deliver_at, sender, topic, seq, recipient) so identical
+seeds replay identically.
 """
 
 from __future__ import annotations
@@ -73,9 +76,16 @@ class Bus:
         self._subs: defaultdict[str, set[str]] = defaultdict(set)
         self._sorted_subs: dict[str, tuple[str, ...]] = {}
         self._queue: list[tuple[int, str, str, int, Envelope, tuple[str, ...]]] = []
-        self._seq: dict[tuple[str, str], int] = {}
-        self._last_deliver_at: dict[tuple[str, str], int] = {}
+        # Per (sender, topic): [last seq, last deliver_at].
+        self._last: dict[tuple[str, str], list[int]] = {}
         self._group: dict[str, int] = {}
+        # (lo, n, k): a delay is lo plus a draw below n of k bits; k = 0 is fixed.
+        d = config.delay_steps
+        if isinstance(d, int):
+            self._delay = (d, 1, 0)
+        else:
+            n = d[1] - d[0] + 1
+            self._delay = (d[0], n, n.bit_length())
 
     def register(self, agent: str) -> None:
         self._registered.add(agent)
@@ -108,31 +118,42 @@ class Bus:
                 self._group[a] = idx
         # Unlisted actors form the implicit rest group (-1).
 
-    def reachable(self, a: str, b: str) -> bool:
-        return self._group.get(a, -1) == self._group.get(b, -1)
-
     def publish(self, sender: str, topic: str, payload: Any) -> bool:
         """Queue `payload` for every current subscriber other than the sender
-        and those a partition cuts off; False if dropped."""
+        and those a partition cuts off; False if dropped. The drop is drawn
+        first, then a ranged delay; one [seq, deliver_at] record per
+        (sender, topic) numbers the publish and keeps its delivery FIFO."""
         if sender not in self._registered:
             raise UnknownSenderError(sender)
-        config = self.config
-        if config.drop_prob > 0 and self._rng.random() < config.drop_prob:
+        drop_prob = self.config.drop_prob
+        if drop_prob > 0 and self._rng.random() < drop_prob:
             return False
         key = (sender, topic)
-        seq = self._seq.get(key, 0) + 1
-        self._seq[key] = seq
-        d = config.delay_steps
-        deliver_at = self.now + (d if isinstance(d, int) else self._rng.randint(d[0], d[1]))
+        last = self._last.get(key)
+        if last is None:
+            last = self._last[key] = [0, 0]
+        seq = last[0] = last[0] + 1
+        delay, n, k = self._delay
+        if k:
+            # randint(lo, hi) draws exactly so: k bits, again while r >= n,
+            # so a one-value range still consumes a draw.
+            getrandbits = self._rng.getrandbits
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            delay += r
+        deliver_at = self.now + delay
         # Clamp so per-(sender, topic) delivery stays FIFO under random delay.
-        last = self._last_deliver_at.get(key, 0)
-        if deliver_at < last:
-            deliver_at = last
-        self._last_deliver_at[key] = deliver_at
+        if deliver_at < last[1]:
+            deliver_at = last[1]
+        else:
+            last[1] = deliver_at
         recipients = self._sorted_subs.get(topic) or self.subscribers(topic)
-        if self._group:
+        group = self._group
+        if group:
+            mine = group.get(sender, -1)
             recipients = tuple(sub for sub in recipients
-                               if sub != sender and self.reachable(sender, sub))
+                               if sub != sender and group.get(sub, -1) == mine)
         elif sender in self._subs.get(topic, ()):
             i = recipients.index(sender)
             recipients = recipients[:i] + recipients[i + 1:]

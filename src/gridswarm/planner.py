@@ -10,7 +10,9 @@ the cell map. Of a conflicting pair, the agent that `rank` puts second
 piecewise force law, and agents stuck `DEADLOCK_THRESHOLD` rounds in a
 blocking cycle ramp their force exponentially with their stuck counter (the
 exponent capped at `RAMP_CAP`) until the cycle breaks. The same rank orders
-the final reservation pass.
+the final reservation pass. A group where no agent intends another's cell
+or shares an intent skips it: each intent stands unless the map or `blocked`
+forbids it.
 """
 
 from __future__ import annotations
@@ -274,18 +276,27 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
     none enters a cell in `blocked`, and no pair swaps cells. The member of
     a conflicting pair that `rank` puts second recomputes its intent from
     the force law; agents in matured blocking cycles use the deadlock
-    branch; anything still unsafe waits.
+    branch; anything still unsafe waits. A group where no agent intends
+    another's cell or shares an intent skips the reservation pass: each
+    agent keeps its intent if that is its own cell or a free map cell
+    outside `blocked`, and waits otherwise.
     """
     info = {s.agent: s for s in states}
-    proposal = {s.agent: s.intent for s in states}
     occ = {s.current: s.agent for s in states}
     if len(occ) != len(states):
         raise ValueError("agents must occupy distinct cells")
     for s in states:
         if not grid.in_bounds(s.current):
             raise ValueError(f"agent {s.agent} at {s.current} is off the map")
-    taken = occ.keys() | blocked if blocked else occ  # no yielder steps onto these
     blockers, pairs = _contacts(info, occ)
+    if not pairs:
+        # No one intends another's cell or shares an intent, so no one gives
+        # way and the reservation pass would test each intent on its own.
+        return {s.agent: s.intent if s.intent == s.current or (
+                    grid.is_free(s.intent) and s.intent not in blocked) else s.current
+                for s in states}
+    proposal = {s.agent: s.intent for s in states}
+    taken = occ.keys() | blocked if blocked else occ  # no yielder steps onto these
     deadlocked = _matured_cycles(blockers)
 
     def give_way(yielder: KinematicState, keeper: KinematicState, deadlock: bool,

@@ -98,6 +98,40 @@ def test_fifo_per_sender_topic_under_random_delay():
     assert [e.payload for _, e in got] == list(range(20))
 
 
+def test_one_value_delay_range_still_draws():
+    # randint(3, 3) consumes one getrandbits(1) draw or more; the bus must
+    # consume the same, or every later drop and delay would shift.
+    seed, n = 5, 40
+    bus = make_bus(delay_steps=(3, 3), seed=seed)
+    bus.subscribe("b", "t")
+    ref = random.Random(derive_seed(seed, "bus"))
+    for i in range(n):
+        bus.publish("a", "t", i)
+        ref.randint(3, 3)
+    assert bus._rng.getstate() == ref.getstate()
+    got = drain(bus, 3)
+    assert [e.deliver_at for _, e in got] == [3] * n
+
+
+def test_drop_and_delay_draws_follow_random_then_randint():
+    # Each publish draws random() for the drop and, if kept, randint(lo, hi)
+    # for the delay. Distinct topics keep the FIFO clamp out of the way.
+    seed, n = 11, 200
+    bus = make_bus(drop_prob=0.3, delay_steps=(0, 2), seed=seed)
+    ref = random.Random(derive_seed(seed, "bus"))
+    expected, kept = {}, []
+    for i in range(n):
+        topic = f"t{i}"
+        bus.subscribe("b", topic)
+        kept.append(bus.publish("a", topic, i))
+        if ref.random() >= 0.3:
+            expected[i] = ref.randint(0, 2)
+    assert kept == [i in expected for i in range(n)]
+    got = drain(bus, 3)
+    assert {e.payload: e.deliver_at for _, e in got} == expected
+    assert set(expected.values()) == {0, 1, 2}
+
+
 def test_drop_determinism():
     def run(seed):
         bus = make_bus(drop_prob=0.5, seed=seed)

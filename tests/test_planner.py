@@ -5,10 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridswarm.planner import (RAMP_CAP, ConflictKind, KinematicState,
+from gridswarm.planner import (RAMP_CAP, ConflictKind, KinematicState, _contacts,
                                classify_conflict, compute_force, manhattan,
                                plan_path, quantize_move, random_safe_vector,
-                               resolve_zone_step)
+                               rank, reserve_moves, resolve_zone_step)
 from gridswarm.world import Cell, GridMap
 
 
@@ -490,3 +490,61 @@ def test_resolution_safety_property(data):
             other = occ.get(target)
             if other is not None:
                 assert final[other] != cur_of[agent]  # no swap
+
+
+def no_rng(agent):
+    raise AssertionError(f"a contact-free group drew a force rng for {agent}")
+
+
+def contacts_of(states):
+    return _contacts({s.agent: s for s in states}, {s.current: s.agent for s in states})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_contact_free_group_keeps_the_reservation_pass_result(data):
+    """With no candidate pair (no agent intends another's cell or shares
+    an intent) the resolver returns what the reservation pass in rank order
+    gives over the unchanged intents, logs nothing and draws no force rng. Intents may point at obstacles, off the map or at
+    blocked cells."""
+    w = data.draw(st.integers(1, 6))
+    h = data.draw(st.integers(1, 6))
+    cells = [Cell(x, y) for y in range(h) for x in range(w)]
+    obstacles = frozenset(data.draw(st.lists(st.sampled_from(cells), unique=True)))
+    grid = GridMap(width=w, height=h, obstacles=obstacles)
+    currents = data.draw(st.lists(st.sampled_from(cells), min_size=1,
+                                  max_size=min(8, len(cells)), unique=True))
+    rest = [c for c in cells if c not in currents]
+    blocked = set(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else set()
+    states = [KinematicState(
+        agent=f"a{idx}", current=cur,
+        intent=data.draw(st.sampled_from(
+            [cur] + [Cell(cur.x + dx, cur.y + dy)
+                     for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0))])),
+        priority=data.draw(st.sampled_from([1.0, 1.5, 2.0])),
+        stuck=data.draw(st.integers(0, 4)), has_job=data.draw(st.booleans()))
+        for idx, cur in enumerate(currents)]
+    # Drop the second agent of a candidate pair until no pair is left.
+    while contacts_of(states)[1]:
+        drop = contacts_of(states)[1][0][1]
+        states = [s for s in states if s.agent != drop]
+    order = [(s.agent, s.current)
+             for s in sorted(states, key=lambda s: rank(s.priority, s.agent))]
+    expected = reserve_moves(order, {s.agent: s.intent for s in states},
+                             {s.current: s.agent for s in states}, grid, blocked)
+    log = []
+    assert resolve_zone_step(states, grid, no_rng, log=log, blocked=blocked) == expected
+    assert log == []
+
+
+def test_contact_free_agent_waits_before_a_powered_off_agent():
+    """a heads for the cell of a powered-off agent, which the engine passes
+    in `blocked`, and b stands apart: no pair, and a waits."""
+    states = [ks("a", (1, 1), (2, 1)), ks("b", (4, 4), (4, 3))]
+    assert contacts_of(states)[1] == []
+    log = []
+    moves = resolve_zone_step(states, GridMap(width=5, height=5), no_rng,
+                              log=log, blocked={Cell(2, 1)})
+    assert moves == {"a": Cell(1, 1), "b": Cell(4, 3)}
+    assert log == []
+
