@@ -62,7 +62,7 @@ class Metrics:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentSim:
     id: str
     position: Cell
@@ -92,7 +92,7 @@ class AgentSim:
         return 1.0 if self.job is None else self.job.priority
 
 
-@dataclass
+@dataclass(slots=True)
 class LeaderRound:
     zone: ZoneId
     leader: str
@@ -117,7 +117,7 @@ class ZoneTopics(NamedTuple):
     tick_ack: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ZoneState:
     leader: Optional[str] = None
     tick: int = 0
@@ -125,7 +125,7 @@ class ZoneState:
     pool: dict[str, jobmod.Job] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class ElectionState:
     election_id: int
     reason: elec.ElectionReason
@@ -195,11 +195,6 @@ class Simulation:
 
     # ------------------------------------------------------------------ utils
 
-    def _publish(self, sender: str, topic: str, payload: dict) -> None:
-        cls = self._topics[topic][1]
-        if self.bus.publish(sender, topic, payload):
-            self.metrics.messages[cls] = self.metrics.messages.get(cls, 0) + 1
-
     def _demote(self, a: AgentSim) -> None:
         """Step `a` down from leading its home zone."""
         a.is_leader = False
@@ -256,6 +251,10 @@ class Simulation:
             self._run_round()
         self.metrics.rounds = self.round
         self.metrics.completed = self._all_jobs_done()
+        messages = self.metrics.messages
+        for topic, count in self.bus.published().items():
+            cls = self._topics[topic][1]
+            messages[cls] = messages.get(cls, 0) + count
         self.metrics.job_waits = {
             j.id: tuple(None if t is None else t - j.spawn_tick
                         for t in (j.assign_tick, j.completion_tick))
@@ -312,6 +311,8 @@ class Simulation:
             expected = {m.id for m in self._members(zone)}
             rounds[zone] = LeaderRound(zone=zone, leader=leader.id,
                                        tick=self.zones[zone].tick, expected=expected)
+        publish = self.bus.publish
+        zone_topics = self._zone_topics
         for aid, a in self.agents.items():
             if not a.powered:
                 continue
@@ -320,12 +321,11 @@ class Simulation:
                 self.trace.emit(self.round, "StatePublish", aid, zone=a.home,
                                 position=tuple(a.position), intent=tuple(rec.intent),
                                 job=rec.job, agent_tick=a.local_tick)
+                state = {"kind": "state", "record": rec}  # one payload for every zone
                 for z in a.subscribed:
-                    self._publish(aid, self._zone_topics[z].db_update,
-                                  {"kind": "state", "record": rec})
+                    publish(aid, zone_topics[z].db_update, state)
             else:
-                self._publish(aid, self._zone_topics[a.home].db_update,
-                              {"kind": "resync_req"})
+                publish(aid, zone_topics[a.home].db_update, {"kind": "resync_req"})
         self._pump(3 * self.timeout + 6)
         for zone in self.zones:
             lr = rounds.get(zone)
@@ -340,15 +340,15 @@ class Simulation:
                 leader.solo_rounds += 1
                 if leader.solo_rounds >= 2 and leader.is_leader:
                     self._demote(leader)
-                    self._publish(lr.leader, "super/inbox", {"kind": "stepdown", "zone": zone})
+                    self.bus.publish(lr.leader, "super/inbox", {"kind": "stepdown", "zone": zone})
         # Cross-round staleness drives leader-loss reporting; _commit resets it.
         for aid, a in self.agents.items():
             if not a.powered or a.is_leader or a.committed_round == self.round:
                 continue
             a.stale_rounds += 1
             if a.stale_rounds >= 2 and a.stale_rounds % 2 == 0:
-                self._publish(aid, "super/inbox",
-                              {"kind": "leader_loss", "zone": a.home})
+                self.bus.publish(aid, "super/inbox",
+                                 {"kind": "leader_loss", "zone": a.home})
 
     def _leader_eval(self, lr: LeaderRound) -> bool:
         """One bus step of a round; True once the round is over. Each half,
@@ -368,7 +368,8 @@ class Simulation:
                 # whole zone dead; the super-leader acts as the arbiter.
                 if not lr.probe_sent:
                     lr.probe_sent = True
-                    self._publish(lr.leader, "super/inbox", {"kind": "suspect", "zone": lr.zone})
+                    self.bus.publish(lr.leader, "super/inbox",
+                                     {"kind": "suspect", "zone": lr.zone})
                 if not lr.confirm_ok:
                     return False
             self._mark_dead(lr, decision.missing)
@@ -399,10 +400,10 @@ class Simulation:
         pending = sorted(j for j, job in zs.pool.items() if job.assign_tick is None)
         lr.bids = {job_id: [] for job_id in pending}
         roster = tuple(sorted(lr.expected))
-        self._publish(lr.leader, self._zone_topics[lr.zone].global_tick,
-                      {"kind": "tick", "new_tick": new_tick, "roster": roster,
-                       "snapshot": snapshot,
-                       "solicit": [(j, zs.pool[j].location) for j in pending]})
+        self.bus.publish(lr.leader, self._zone_topics[lr.zone].global_tick,
+                         {"kind": "tick", "new_tick": new_tick,
+                          "roster": frozenset(lr.expected), "snapshot": snapshot,
+                          "solicit": [(j, zs.pool[j].location) for j in pending]})
         if leader.idle:
             for job_id in pending:
                 self._bid(lr, lr.leader, job_id,
@@ -447,8 +448,9 @@ class Simulation:
         payload = env.payload
         msg = payload.get("kind")
         if msg == "tick":
-            ids = [aid for aid in recipients if self.agents[aid].home == zone]
-        elif msg == "resync_resp":
+            self._handle_tick(zone, payload, recipients)
+            return
+        if msg == "resync_resp":
             ids = (payload["target"],)
         elif kind == "super_mandates":
             ids = (payload["mandate"].agent,)
@@ -460,7 +462,7 @@ class Simulation:
             ids = () if lr is None else (lr.leader,)
         for aid in ids:
             a = self.agents[aid]
-            if not a.powered or (msg != "tick" and not _among(aid, recipients)):
+            if not a.powered or not _among(aid, recipients):
                 continue
             if kind == "global_tick":
                 self._handle_global_tick(a, zone, payload)
@@ -482,49 +484,58 @@ class Simulation:
         else:  # resync_req
             zs = self.zones[lr.zone]
             if zs.snapshot is not None:
-                self._publish(lr.leader, self._zone_topics[lr.zone].global_tick,
-                              {"kind": "resync_resp", "target": env.sender, "tick": zs.tick})
+                self.bus.publish(lr.leader, self._zone_topics[lr.zone].global_tick,
+                                 {"kind": "resync_resp", "target": env.sender, "tick": zs.tick})
+
+    def _handle_tick(self, zone: ZoneId, payload: dict, recipients: tuple[str, ...]) -> None:
+        """The zone's home agents among `recipients` read one tick broadcast,
+        in id order, from one read of it. A powered member that is alive and
+        not a leader asks to resync if it is off the roster or missed a tick,
+        and otherwise commits a newer tick and acks it, with bids if idle."""
+        new_tick = payload["new_tick"]
+        roster: frozenset[str] = payload["roster"]
+        solicit = payload["solicit"]
+        digest = payload["snapshot"].digest()
+        topics = self._zone_topics[zone]
+        publish = self.bus.publish
+        alive = cons.Liveness.ALIVE
+        for aid in recipients:
+            a = self.agents[aid]
+            # A recovering agent rejoins through the resync path.
+            if a.home != zone or not a.powered or a.is_leader or a.status is not alive:
+                continue
+            if aid not in roster or cons.tick_gap_requires_resync(a.local_tick, new_tick):
+                a.status = cons.Liveness.RECOVERING
+                publish(aid, topics.db_update, {"kind": "resync_req"})
+                continue
+            if new_tick <= a.local_tick:
+                continue
+            self._commit(a, new_tick)
+            bids = ([[job_id, self.costs.cost(a.position, loc)] for job_id, loc in solicit]
+                    if a.idle else [])
+            self.trace.emit(self.round, "TickAck", aid, zone=zone, committed_tick=new_tick,
+                            digest=digest)
+            publish(aid, topics.tick_ack, {"bids": bids})
 
     def _handle_global_tick(self, a: AgentSim, zone: ZoneId, payload: dict) -> None:
-        if payload["kind"] == "resync_resp":
-            if a.status is cons.Liveness.ALIVE:
-                return
-            a.status = cons.Liveness.ALIVE
-            self._commit(a, payload["tick"])
-            # Rejoins the leader's expected set from the next round on; it has
-            # not published state this round, so gating on it would stall.
-            self.trace.emit(self.round, "Resync", a.id, zone=zone,
-                            resync_tick=payload["tick"])
+        """`a`, the target of a resync reply, rejoins at its tick."""
+        if a.status is cons.Liveness.ALIVE:
             return
-        if a.is_leader or a.status is not cons.Liveness.ALIVE:
-            return  # a recovering agent rejoins through the resync path
-        new_tick = payload["new_tick"]
-        if a.id not in payload["roster"] or cons.tick_gap_requires_resync(
-                a.local_tick, new_tick):
-            a.status = cons.Liveness.RECOVERING
-            self._publish(a.id, self._zone_topics[zone].db_update, {"kind": "resync_req"})
-            return
-        if new_tick <= a.local_tick:
-            return
-        self._commit(a, new_tick)
-        snapshot: cons.ZoneSnapshot = payload["snapshot"]
-        bids = []
-        if a.idle:
-            for job_id, loc in payload["solicit"]:
-                bids.append([job_id, self.costs.cost(a.position, loc)])
-        self.trace.emit(self.round, "TickAck", a.id, zone=zone, committed_tick=new_tick,
-                        digest=snapshot.digest())
-        self._publish(a.id, self._zone_topics[zone].tick_ack, {"bids": bids})
+        a.status = cons.Liveness.ALIVE
+        self._commit(a, payload["tick"])
+        # Rejoins the leader's expected set from the next round on; it has
+        # not published state this round, so gating on it would stall.
+        self.trace.emit(self.round, "Resync", a.id, zone=zone, resync_tick=payload["tick"])
 
     def _handle_election_msg(self, a: AgentSim, payload: dict) -> None:
         kind, zone = payload["kind"], payload["zone"]
         if kind == "solicit":
             if a.status is cons.Liveness.ALIVE:
                 dist = elec.centroid_distance(a.position, self.partition.zone(zone))
-                self._publish(a.id, "super/inbox",
-                              {"kind": "candidacy", "zone": zone,
-                               "election": payload["election"], "distance": dist,
-                               "tick": a.local_tick})
+                self.bus.publish(a.id, "super/inbox",
+                                 {"kind": "candidacy", "zone": zone,
+                                  "election": payload["election"], "distance": dist,
+                                  "tick": a.local_tick})
         elif kind == "suspect_ok":
             self.leader_rounds[zone].confirm_ok = True
         elif a.id != payload["leader"]:  # a role naming another: the leader steps down
@@ -580,16 +591,16 @@ class Simulation:
                 st.candidacies[env.sender] = (payload["distance"], payload["tick"])
         elif kind == "suspect":
             if self.sup.roles.get(zone) == env.sender:
-                self._publish(SUPER, "super/election", {"kind": "suspect_ok", "zone": zone})
+                self.bus.publish(SUPER, "super/election", {"kind": "suspect_ok", "zone": zone})
 
     def _start_election(self, zone: ZoneId, reason: elec.ElectionReason) -> None:
         self.sup.next_election += 1
         self.sup.elections[zone] = ElectionState(
             election_id=self.sup.next_election, reason=reason,
             deadline=self.bus.now + self.timeout)
-        self._publish(SUPER, "super/election",
-                      {"kind": "solicit", "zone": zone,
-                       "election": self.sup.next_election})
+        self.bus.publish(SUPER, "super/election",
+                         {"kind": "solicit", "zone": zone,
+                          "election": self.sup.next_election})
 
     def _super_eval(self) -> None:
         if not self.sup.elections:
@@ -606,9 +617,9 @@ class Simulation:
                 {aid: d for aid, (d, _t) in st.candidacies.items()})
             since = max(t for _d, t in st.candidacies.values())
             self.sup.roles[zone] = winner
-            self._publish(SUPER, "super/election",
-                          {"kind": "role", "zone": zone, "leader": winner,
-                           "since_tick": since})
+            self.bus.publish(SUPER, "super/election",
+                             {"kind": "role", "zone": zone, "leader": winner,
+                              "since_tick": since})
             self.trace.emit(self.round, "Election", SUPER, zone=zone, leader=winner,
                             since_tick=since, reason=st.reason.value)
 
@@ -655,8 +666,8 @@ class Simulation:
             self.trace.emit(self.round, "JobSpawn", CONTROLLER, job=job_id,
                             location=tuple(job.location), priority=job.priority,
                             zone=zone, rejected=False)
-            self._publish(CONTROLLER, "super/loads",
-                          {"kind": "job_notice", "zone": zone})
+            self.bus.publish(CONTROLLER, "super/loads",
+                             {"kind": "job_notice", "zone": zone})
 
     # Phase 4: leaders assign solicited jobs from bus-delivered bids.
     def _phase_assign(self) -> None:
@@ -696,9 +707,9 @@ class Simulation:
             pending = sum(1 for j in self.zones[zone].pool.values()
                           if j.assign_tick is None)
             idle_ids = [m.id for m in members if m.idle and m.mandate is None and m.powered]
-            self._publish(leader.id, "super/loads",
-                          {"kind": "load", "zone": zone, "pending": pending,
-                           "total": len(members), "idle_ids": idle_ids})
+            self.bus.publish(leader.id, "super/loads",
+                             {"kind": "load", "zone": zone, "pending": pending,
+                              "total": len(members), "idle_ids": idle_ids})
         # The super-leader plans on the loads delivered so far (previous
         # period's reports); this period's reports arrive next round. Chains
         # are staffed only from zones heard from this period; stale rosters
@@ -718,7 +729,7 @@ class Simulation:
         for m in mandates:
             self.trace.emit(self.round, "Mandate", SUPER, mandate=m.id, agent=m.agent,
                             from_zone=m.from_zone, to_zone=m.to_zone)
-            self._publish(SUPER, "super/mandates", {"mandate": m})
+            self.bus.publish(SUPER, "super/mandates", {"mandate": m})
 
     # Phases 6-7: per-zone conflict resolution, then simultaneous movement.
     def _phase_plan(self) -> tuple[dict[str, Cell], set[str]]:
@@ -801,7 +812,7 @@ class Simulation:
         if new_home != a.home:
             if a.is_leader:
                 self._demote(a)
-                self._publish(a.id, "super/inbox", {"kind": "stepdown", "zone": a.home})
+                self.bus.publish(a.id, "super/inbox", {"kind": "stepdown", "zone": a.home})
             self.bus.unsubscribe(a.id, self._zone_topics[a.home].global_tick)
             self.bus.subscribe(a.id, self._zone_topics[new_home].global_tick)
             a.home = new_home

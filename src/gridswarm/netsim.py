@@ -4,16 +4,17 @@ Replaces a real middleware transport with an in-process queue that supports
 named topics, per-message delay, seeded probabilistic drop, and partition
 injection. Each publish is one queue entry carrying its recipients, worked out
 once at publish time, and each (sender, topic) keeps one record of its last
-seq and deliver_at. A ranged delay is drawn from `getrandbits` by the rule
-`random.randint` follows, so the stream of draws is the same. Delivery is
-totally ordered by (deliver_at, sender, topic, seq, recipient) so identical
-seeds replay identically.
+seq and deliver_at; that seq also counts the publishes not dropped. A ranged
+delay is drawn from `getrandbits` by the rule `random.randint` follows, so the
+stream of draws is the same. The queue is one list per delivery step, sorted
+once when it falls due, which gives the order a heap over every queued publish
+would. Delivery is totally ordered by (deliver_at, sender, topic, seq,
+recipient) so identical seeds replay identically.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -75,7 +76,9 @@ class Bus:
         self._registered: set[str] = set()
         self._subs: defaultdict[str, set[str]] = defaultdict(set)
         self._sorted_subs: dict[str, tuple[str, ...]] = {}
-        self._queue: list[tuple[int, str, str, int, Envelope, tuple[str, ...]]] = []
+        # Per deliver_at: (sender, topic, seq, envelope, recipients) of each publish.
+        self._queue: defaultdict[int, list[tuple]] = defaultdict(list)
+        self._pending = 0
         # Per (sender, topic): [last seq, last deliver_at].
         self._last: dict[tuple[str, str], list[int]] = {}
         self._group: dict[str, int] = {}
@@ -158,23 +161,36 @@ class Bus:
             i = recipients.index(sender)
             recipients = recipients[:i] + recipients[i + 1:]
         if recipients:
-            # (deliver_at, sender, topic, seq) is unique per publish, so the
-            # heap never compares envelopes.
-            heapq.heappush(self._queue, (deliver_at, sender, topic, seq,
-                                         Envelope(seq, sender, topic, deliver_at, payload),
-                                         recipients))
+            self._queue[deliver_at].append(
+                (sender, topic, seq, Envelope(seq, sender, topic, deliver_at, payload), recipients))
+            self._pending += 1
         return True
+
+    def published(self) -> dict[str, int]:
+        """Publishes not dropped so far, per topic: each (sender, topic)'s
+        last seq, summed over the senders."""
+        out: dict[str, int] = {}
+        for (_, topic), (seq, _) in self._last.items():
+            out[topic] = out.get(topic, 0) + seq
+        return out
 
     def pending(self) -> int:
         """Queued publishes that still have recipients to reach."""
-        return len(self._queue)
+        return self._pending
 
     def step_deliver(self) -> list[tuple[Envelope, tuple[str, ...]]]:
         """Advance one step and return every due envelope with its recipients
         (sorted), in canonical order."""
-        self.now += 1
+        self.now = now = self.now + 1
+        queue = self._queue
         out: list[tuple[Envelope, tuple[str, ...]]] = []
-        while self._queue and self._queue[0][0] <= self.now:
-            _, _, _, _, env, recipients = heapq.heappop(self._queue)
-            out.append((env, recipients))
+        # Keys run from the last step to now plus the longest delay, so the
+        # scan is short; due lists are taken in deliver_at order.
+        for deliver_at in sorted(t for t in queue if t <= now):
+            batch = queue.pop(deliver_at)
+            # (sender, topic, seq) is unique per publish, so the sort never
+            # compares envelopes.
+            batch.sort()
+            out += [(env, recipients) for _, _, _, env, recipients in batch]
+        self._pending -= len(out)
         return out

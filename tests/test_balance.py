@@ -28,9 +28,9 @@ def test_deficit_computation_with_carry():
         "agents": [], "jobs": [], "seed": 0, "max_ticks": 10}))
     for zone, pending, idle_ids in [((0, 0), 5, ["a1"]), ((0, 1), 0, ["a2", "a3"]),
                                     ((0, 0), 2, ["a1"])]:
-        sim._publish(CONTROLLER, "super/loads",
-                     {"kind": "load", "zone": zone, "pending": pending,
-                      "total": len(idle_ids), "idle_ids": idle_ids})
+        sim.bus.publish(CONTROLLER, "super/loads",
+                        {"kind": "load", "zone": zone, "pending": pending,
+                         "total": len(idle_ids), "idle_ids": idle_ids})
         sim._pump(1)
     assert sim.sup.deficits == {(0, 0): 1, (0, 1): -2}
     assert [e["idle"] for e in parse_trace(sim.trace.dump())

@@ -10,7 +10,7 @@ from gridswarm.consensus import Liveness, make_snapshot
 from gridswarm.election import ElectionReason
 from gridswarm.engine import SUPER, LeaderRound, Simulation, run_scenario
 from gridswarm.jobs import spawn_job
-from gridswarm.netsim import zone_topic
+from gridswarm.netsim import Bus, Envelope, zone_topic
 from gridswarm.scenario import bench_scenario, random_scenario, scenario_from_dict
 from gridswarm.trace import parse_trace, verify_trace
 from gridswarm.world import Cell, subscribed_zones
@@ -259,6 +259,40 @@ def test_message_counts_by_topic_class():
     assert metrics.messages.get("super_election", 0) > 0
 
 
+def topic_class(topic):
+    """A topic's message-count class: the kind of a zone topic, else the
+    super-leader topic's name, with super/inbox counted as super_election."""
+    if topic.startswith("zone/"):
+        return topic.rsplit("/", 1)[1]
+    return "super_election" if topic == "super/inbox" else topic.replace("/", "_")
+
+
+@pytest.mark.parametrize("network", [{}, {"drop_prob": 0.1, "delay": [0, 2]}],
+                         ids=["lossless", "lossy"])
+def test_message_counts_are_the_publishes_not_dropped(monkeypatch, network):
+    counted, dropped = {}, []
+    publish = Bus.publish
+
+    def counting(self, sender, topic, payload):
+        kept = publish(self, sender, topic, payload)
+        if kept:
+            cls = topic_class(topic)
+            counted[cls] = counted.get(cls, 0) + 1
+        else:
+            dropped.append(topic)
+        return kept
+
+    monkeypatch.setattr(Bus, "publish", counting)
+    for seed in range(10):
+        sc = random_scenario(seed, **network)
+        sc["faults"] = [{"tick": 3, "kind": "kill", "agent": "a00"},
+                        {"tick": 13, "kind": "revive", "agent": "a00"}]
+        counted.clear()
+        metrics, _ = run_scenario(scenario_from_dict(sc))
+        assert metrics.messages == counted, seed
+    assert bool(dropped) == bool(network)
+
+
 def test_flat_metrics_serializable():
     import json
     metrics, _ = run_scenario(two_zone())
@@ -503,8 +537,8 @@ def test_isolated_leader_steps_down_after_two_unanswered_probes():
 def test_role_naming_another_agent_demotes_the_leader():
     sim = Simulation(two_zone())
     zone = run_until(sim, "a00", lambda s: True)
-    sim._publish(SUPER, "super/election",
-                 {"kind": "role", "zone": zone, "leader": "a01", "since_tick": 0})
+    sim.bus.publish(SUPER, "super/election",
+                    {"kind": "role", "zone": zone, "leader": "a01", "since_tick": 0})
     sim._pump(1)
     assert_stepped_down(sim, "a00", zone)
     assert sim.agents["a01"].is_leader and sim.zones[zone].leader == "a01"
@@ -520,20 +554,21 @@ def test_leader_demoted_mid_round_reads_no_member_messages():
     zone = run_until(sim, "a00", lambda s: s.zones[(0, 0)].snapshot is not None)
     lr = LeaderRound(zone=zone, leader="a00", tick=sim.zones[zone].tick,
                      expected={"a00", "a01", "a03"})
-    sim._publish(SUPER, "super/election",
-                 {"kind": "role", "zone": zone, "leader": "a01", "since_tick": 0})
+    sim.bus.publish(SUPER, "super/election",
+                    {"kind": "role", "zone": zone, "leader": "a01", "since_tick": 0})
     sim.leader_rounds = {zone: lr}
     sim._pump(1)
     assert_stepped_down(sim, "a00", zone)
-    ticks_published = sim.metrics.messages.get("global_tick", 0)
+    ticks = zone_topic(zone, "global_tick")
+    ticks_published = sim.bus.published()[ticks]
     member = sim.agents["a03"]
-    sim._publish("a03", zone_topic(zone, "db_update"),
-                 {"kind": "state", "record": sim._record_for(member)})
-    sim._publish("a03", zone_topic(zone, "db_update"),
-                 {"kind": "resync_req"})
+    sim.bus.publish("a03", zone_topic(zone, "db_update"),
+                    {"kind": "state", "record": sim._record_for(member)})
+    sim.bus.publish("a03", zone_topic(zone, "db_update"),
+                    {"kind": "resync_req"})
     sim._pump(3)
     # The demoted leader neither answers with a resync_resp nor stores state.
-    assert sim.metrics.messages.get("global_tick", 0) == ticks_published
+    assert sim.bus.published()[ticks] == ticks_published
     assert lr.states == {}
 
 
@@ -544,15 +579,15 @@ def test_ack_bids_only_on_jobs_the_round_solicited():
     lr = LeaderRound(zone=zone, leader="a00", tick=sim.zones[zone].tick,
                      expected={"a00", "a01", "a03"})
     for aid in ("a01", "a03"):
-        sim._publish(aid, zone_topic(zone, "db_update"),
-                     {"kind": "state", "record": sim._record_for(sim.agents[aid])})
+        sim.bus.publish(aid, zone_topic(zone, "db_update"),
+                        {"kind": "state", "record": sim._record_for(sim.agents[aid])})
         sim.agents[aid].powered = False  # ignores the broadcast and sends no ack
     sim.leader_rounds = {zone: lr}
     sim._pump(1)
     assert lr.broadcast
     bids_before = len(events_of(sim.trace, "Bid"))
-    sim._publish("a01", zone_topic(zone, "tick_ack"),
-                 {"kind": "tick_ack", "bids": [["j900", 2], ["j999", 1]]})
+    sim.bus.publish("a01", zone_topic(zone, "tick_ack"),
+                    {"kind": "tick_ack", "bids": [["j900", 2], ["j999", 1]]})
     sim._pump(1)
     assert lr.tick_acks == {"a01"}
     assert [(e["actor"], e["job"]) for e in events_of(sim.trace, "Bid")[bids_before:]] == [
@@ -570,8 +605,8 @@ def test_wait_rule_marks_a_silent_member_dead_at_the_timeout(half):
     lr = LeaderRound(zone=zone, leader="a00", tick=sim.zones[zone].tick,
                      expected={"a00", "a01", "a03"})
     for aid in ["a01", "a03"] if half == "acks" else ["a01"]:
-        sim._publish(aid, zone_topic(zone, "db_update"),
-                     {"kind": "state", "record": sim._record_for(sim.agents[aid])})
+        sim.bus.publish(aid, zone_topic(zone, "db_update"),
+                        {"kind": "state", "record": sim._record_for(sim.agents[aid])})
     sim.agents["a03"].powered = False  # publishes and acknowledges nothing more
     sim.leader_rounds = {zone: lr}
     steps = {}
@@ -589,6 +624,64 @@ def test_wait_rule_marks_a_silent_member_dead_at_the_timeout(half):
     assert [e["agent"] for e in events_of(sim.trace, "MarkDead")] == ["a03"]
 
 
+# Zone (0, 0) holds a00, its leader, and one member per reader case of a tick;
+# a09 leads zone (0, 1).
+TICK_READERS = [{"id": "a00", "start": [2, 3]}, {"id": "a01", "start": [4, 1]},
+                {"id": "a02", "start": [1, 4]}, {"id": "a03", "start": [0, 0]},
+                {"id": "a04", "start": [5, 5]}, {"id": "a05", "start": [3, 0]},
+                {"id": "a06", "start": [0, 5]}, {"id": "a07", "start": [5, 0]},
+                {"id": "a08", "start": [1, 1]}, {"id": "a09", "start": [9, 3]}]
+
+
+def test_one_tick_envelope_is_read_by_each_reader_case(monkeypatch):
+    sim = Simulation(two_zone(agents=TICK_READERS, jobs=[]))
+    zone = run_until(sim, "a00", lambda s: s.round == 3)
+    tick = sim.zones[zone].tick
+    homed = sim.bus.subscribers(zone_topic(zone, "global_tick"))
+    assert homed == tuple(f"a{i:02d}" for i in range(9))
+    assert {sim.agents[aid].local_tick for aid in homed} == {tick}
+    a = sim.agents
+    a["a02"].job = spawn_job(sim.grid, "j901", (0, 2), 1.0, sim.round)  # busy
+    a["a03"].powered = False
+    a["a04"].status = Liveness.RECOVERING
+    a["a05"].position = Cell(7, 1)  # its home changes in flight
+    sim._after_move(a["a05"])
+    a["a07"].local_tick = tick - 1  # missed a tick
+    a["a08"].local_tick = tick + 1  # already at the tick
+    before = {aid: (a[aid].local_tick, a[aid].committed_round) for aid in homed}
+    published = []
+    publish = sim.bus.publish
+
+    def recording(sender, topic, payload):
+        published.append((sender, topic, payload))
+        return publish(sender, topic, payload)
+
+    monkeypatch.setattr(sim.bus, "publish", recording)
+    sim.round += 1
+    acks = len(events_of(sim.trace, "TickAck"))
+    snapshot = make_snapshot(tick, {})
+    # a06 is missing from the roster. The recipients include the leader, as
+    # when a tick from a former leader reaches the new one.
+    payload = {"kind": "tick", "new_tick": tick + 1, "snapshot": snapshot,
+               "roster": frozenset(homed) - {"a06"}, "solicit": [("j900", Cell(5, 2))]}
+    sim._deliver(Envelope(1, SUPER, zone_topic(zone, "global_tick"), sim.bus.now, payload),
+                 homed)
+    assert [(e["actor"], e["zone"], e["committed_tick"], e["digest"])
+            for e in events_of(sim.trace, "TickAck")[acks:]] == [
+        ("a01", [0, 0], tick + 1, snapshot.digest()),
+        ("a02", [0, 0], tick + 1, snapshot.digest())]
+    ack, resync = zone_topic(zone, "tick_ack"), zone_topic(zone, "db_update")
+    assert published == [("a01", ack, {"bids": [["j900", 2]]}),  # by Manhattan distance
+                         ("a02", ack, {"bids": []}),
+                         ("a06", resync, {"kind": "resync_req"}),
+                         ("a07", resync, {"kind": "resync_req"})]
+    committed = {"a01", "a02"}
+    assert {aid: (a[aid].local_tick, a[aid].committed_round) for aid in homed} == {
+        aid: (tick + 1, sim.round) if aid in committed else before[aid] for aid in homed}
+    assert [aid for aid in homed if a[aid].status is Liveness.RECOVERING] == [
+        "a04", "a06", "a07"]
+
+
 # Reader rule: each message is read only by the agents its kind names, picked
 # on arrival from the recipients fixed at publish, and only while powered.
 
@@ -604,20 +697,20 @@ def send_to_a01(sim, message):
     if message == "solicit":
         sim._start_election((0, 0), ElectionReason.LEADER_DEAD)
     elif message == "role":
-        sim._publish(SUPER, "super/election",
-                     {"kind": "role", "zone": (0, 0), "leader": "a01", "since_tick": 0})
+        sim.bus.publish(SUPER, "super/election",
+                        {"kind": "role", "zone": (0, 0), "leader": "a01", "since_tick": 0})
     elif message == "mandate":
-        sim._publish(SUPER, "super/mandates",
-                     {"mandate": MigrationMandate("m900", "a01", (0, 0), (0, 1))})
+        sim.bus.publish(SUPER, "super/mandates",
+                        {"mandate": MigrationMandate("m900", "a01", (0, 0), (0, 1))})
     elif message == "tick":
         tick = sim.zones[(0, 0)].tick
-        sim._publish("a00", zone_topic((0, 0), "global_tick"),
-                     {"kind": "tick", "new_tick": tick + 1, "roster": ("a00", "a01", "a03"),
-                      "snapshot": make_snapshot(tick, {}), "solicit": []})
+        sim.bus.publish("a00", zone_topic((0, 0), "global_tick"),
+                        {"kind": "tick", "new_tick": tick + 1, "roster": ("a00", "a01", "a03"),
+                         "snapshot": make_snapshot(tick, {}), "solicit": []})
     else:  # resync_resp
         sim.agents["a01"].status = Liveness.RECOVERING
-        sim._publish("a00", zone_topic((0, 0), "global_tick"),
-                     {"kind": "resync_resp", "target": "a01", "tick": 7})
+        sim.bus.publish("a00", zone_topic((0, 0), "global_tick"),
+                        {"kind": "resync_resp", "target": "a01", "tick": 7})
 
 
 def assert_a01_read_nothing(sim, message):
@@ -680,8 +773,8 @@ def test_a_second_resync_reply_does_not_recommit_an_older_tick():
     sim = bootstrapped()
     resyncs = len(events_of(sim.trace, "Resync"))
     send_to_a01(sim, "resync_resp")
-    sim._publish("a00", zone_topic((0, 0), "global_tick"),
-                 {"kind": "resync_resp", "target": "a01", "tick": 5})
+    sim.bus.publish("a00", zone_topic((0, 0), "global_tick"),
+                    {"kind": "resync_resp", "target": "a01", "tick": 5})
     sim._pump(2)
     assert sim.agents["a01"].status is Liveness.ALIVE and sim.agents["a01"].local_tick == 7
     assert [(e["actor"], e["resync_tick"]) for e in events_of(sim.trace, "Resync")[resyncs:]] == [
@@ -696,7 +789,7 @@ def test_suspect_ok_reaches_only_the_rounds_leader(cut_off):
                           expected={m.id for m in sim._members(zone)})
         for zone, zs in sim.zones.items()}
     sim.bus.set_partition([["a00"]] if cut_off else [])
-    sim._publish(SUPER, "super/election", {"kind": "suspect_ok", "zone": (0, 0)})
+    sim.bus.publish(SUPER, "super/election", {"kind": "suspect_ok", "zone": (0, 0)})
     sim.bus.set_partition(())
     sim._pump(1)
     assert [z for z, lr in sim.leader_rounds.items() if lr.confirm_ok] == (

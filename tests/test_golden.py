@@ -65,6 +65,23 @@ GOLDEN = {
         "684c6eb06da40e6b13e068a899ebe552ffba45f05a064a3ecbae912cb32d32d7",
 }
 
+# The messages.* values of metrics.flat() for three runs of the corpus. No
+# trace records a message count, so a miscount moves these and no digest.
+MESSAGES = {
+    "bench/30x50": {
+        "messages.db_update": 1894, "messages.global_tick": 461,
+        "messages.super_election": 68, "messages.super_loads": 86,
+        "messages.super_mandates": 25, "messages.tick_ack": 1006},
+    "kill_revive/99": {
+        "messages.db_update": 170, "messages.global_tick": 79,
+        "messages.super_election": 14, "messages.super_loads": 10,
+        "messages.super_mandates": 2, "messages.tick_ack": 57},
+    "lossy_faults/3": {
+        "messages.db_update": 840, "messages.global_tick": 379,
+        "messages.super_election": 126, "messages.super_loads": 50,
+        "messages.super_mandates": 19, "messages.tick_ack": 245},
+}
+
 
 def _isolation_base(seed: int) -> dict:
     # Same two-zone layout as criteria 03 and 04 in test_acceptance.py.
@@ -154,6 +171,14 @@ def corpus_digests() -> dict[str, str]:
 
 def test_golden_digests_in_process():
     assert corpus_digests() == GOLDEN
+
+
+def test_golden_message_counts():
+    runs = corpus()
+    for name, counts in MESSAGES.items():
+        metrics, _ = run_scenario(scenario_from_dict(runs[name]))
+        flat = metrics.flat()
+        assert {k: v for k, v in flat.items() if k.startswith("messages.")} == counts, name
 
 
 def test_golden_digests_across_hash_seeds():

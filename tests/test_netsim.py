@@ -221,6 +221,7 @@ class ReferenceBus:
         self._seq = {}
         self._last_deliver_at = {}
         self._group = {}
+        self.published = {}  # publishes not dropped, per topic
 
     def subscribe(self, agent, topic):
         self._subs.setdefault(topic, set()).add(agent)
@@ -234,6 +235,7 @@ class ReferenceBus:
     def publish(self, sender, topic, payload):
         if self.config.drop_prob > 0 and self._rng.random() < self.config.drop_prob:
             return False
+        self.published[topic] = self.published.get(topic, 0) + 1
         key = (sender, topic)
         seq = self._seq.get(key, 0) + 1
         self._seq[key] = seq
@@ -305,7 +307,9 @@ def test_bus_matches_per_recipient_reference(seed, drop_prob, delay, ops):
             ref.set_partition([])
         else:
             assert flatten(bus.step_deliver()) == ref.step_deliver()
-        assert (bus.pending() == 0) == (ref.pending() == 0)
+        # The bus queues one entry per publish, (sender, topic, seq).
+        assert bus.pending() == len({entry[1:4] for entry in ref._queue})
+        assert bus.published() == ref.published
     while ref.pending():
         assert flatten(bus.step_deliver()) == ref.step_deliver()
     assert bus.pending() == 0
