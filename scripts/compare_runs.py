@@ -15,10 +15,11 @@ The scenarios are built once, by this checkout, so the other checkout's
 generators cannot change the input. Each checkout then runs the whole set in a
 fresh interpreter with its own ``src/`` first on ``PYTHONPATH`` and writes
 its traces to a temporary directory. The script prints every run whose trace
-digest or ``metrics.flat()`` differs, with the keys that differ, each side's
-verifier violations and the first trace line that differs (its number, and
-each side's tick, kind and actor there), and exits 1 if any run differs (0
-if none, 2 if a checkout fails to run the set). It also prints the line count
+digest, ``metrics.flat()`` or list of verifier violations differs, with the
+keys that differ, each side's violation count, the first violation message
+that differs and the first trace line that differs (its number, and each
+side's tick, kind and actor there), and exits 1 if any run differs (0 if
+none, 2 if a checkout fails to run the set). It also prints the line count
 of each ``src/gridswarm/*.py`` file in both checkouts and the net change.
 
     python3 scripts/compare_runs.py --census
@@ -27,8 +28,10 @@ builds and runs the same set in this checkout alone, as ``--emit`` runs it
 (digest, ``metrics.flat()`` and ``verify_trace`` included), under
 ``sys.settrace`` (standard library only), and prints each line of
 ``src/gridswarm/*.py`` (not ``cli.py``) that nothing executed, as
-``file:line  source``. It skips class bodies and module-level statements,
-which run at import, and ``raise`` statements.
+``file:line  source``. The tracer is on from the import of gridswarm, so a
+function called while a module builds its tables counts as run. It skips
+class bodies and module-level statements, which run at import, and
+``raise`` statements.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def build_runs() -> dict[str, dict]:
 
 def run_one(sc: dict) -> tuple[str, dict]:
     """Run one scenario: its trace text, and its digest, ``metrics.flat()``
-    and verifier violation count."""
+    and verifier violations."""
     from gridswarm.engine import run_scenario
     from gridswarm.scenario import scenario_from_dict
     from gridswarm.trace import trace_digest, verify_trace
@@ -80,7 +83,7 @@ def run_one(sc: dict) -> tuple[str, dict]:
     metrics, trace = run_scenario(scenario_from_dict(sc))
     text = trace.dump()
     return text, {"digest": trace_digest(text), "flat": metrics.flat(),
-                  "violations": len(verify_trace(text))}
+                  "violations": verify_trace(text)}
 
 
 def emit(path: str, traces: str) -> None:
@@ -123,6 +126,25 @@ def first_difference(a_path: str, b_path: str) -> str | None:
             if a != b:
                 return f"line {number}: {describe(a)} -> {describe(b)}"
     return None
+
+
+def run_report(name: str, a: dict, b: dict) -> list[str]:
+    """How run `name` differs from the other checkout's result `a` to this
+    one's `b`, as report lines; none if the digests, ``metrics.flat()`` and
+    violation lists are equal."""
+    keys = sorted(k for k in a["flat"].keys() | b["flat"].keys()
+                  if a["flat"].get(k) != b["flat"].get(k))
+    va, vb = a["violations"], b["violations"]
+    if a["digest"] == b["digest"] and not keys and va == vb:
+        return []
+    out = [f"{name}: digest {'differs' if a['digest'] != b['digest'] else 'same'}, "
+           f"violations {len(va)} -> {len(vb)}"]
+    for number, (x, y) in enumerate(zip_longest(va, vb), start=1):
+        if x != y:
+            out.append(f"    first differing violation, number {number}: {x!r} -> {y!r}")
+            break
+    out.extend(f"    {k}: {a['flat'].get(k)!r} -> {b['flat'].get(k)!r}" for k in keys)
+    return out
 
 
 def line_counts(checkout: Path) -> dict[str, int]:
@@ -170,16 +192,13 @@ def code_lines(source: str, filename: str) -> set[int]:
 
 
 def census(build: Callable[[], dict[str, dict]]) -> list[str]:
-    """Build the run set with `build` and run each scenario as `emit` does,
-    all under a line tracer; return ``file:line  source`` for each line of
-    ``code_lines`` in src/gridswarm (not cli.py) that nothing executed, in
-    file and line order."""
+    """Import gridswarm, build the run set with `build` and run each scenario
+    as `emit` does, all under a line tracer, so that a function called at
+    import counts as run if gridswarm was not imported yet; return
+    ``file:line  source`` for each line of ``code_lines`` in src/gridswarm
+    (not cli.py) that nothing executed, in file and line order."""
     src = ROOT / "src" / "gridswarm"
     sys.path[:0] = [str(ROOT / "src")]
-    import gridswarm
-
-    if Path(gridswarm.__file__).resolve().parent != src.resolve():
-        raise SystemExit(f"error: gridswarm comes from {gridswarm.__file__}, not {src}")
     files = {os.path.realpath(p): p for p in sorted(src.glob("*.py")) if p.name != "cli.py"}
     hits: dict[Path, set[int]] = {p: set() for p in files.values()}
     tracers = {}  # co_filename -> the line tracer of its file, or None
@@ -204,6 +223,10 @@ def census(build: Callable[[], dict[str, dict]]) -> list[str]:
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
+        import gridswarm
+
+        if Path(gridswarm.__file__).resolve().parent != src.resolve():
+            raise SystemExit(f"error: gridswarm comes from {gridswarm.__file__}, not {src}")
         for sc in build().values():
             run_one(sc)
     finally:
@@ -247,16 +270,11 @@ def main() -> int:
         this = run_checkout(ROOT, scenarios, this_traces)
 
         for i, name in enumerate(runs):
-            a, b = base[name], this[name]
-            keys = sorted(k for k in a["flat"].keys() | b["flat"].keys()
-                          if a["flat"].get(k) != b["flat"].get(k))
-            if a["digest"] == b["digest"] and not keys:
+            report = run_report(name, base[name], this[name])
+            if not report:
                 continue
             differing += 1
-            print(f"{name}: digest {'differs' if a['digest'] != b['digest'] else 'same'}, "
-                  f"violations {a['violations']} -> {b['violations']}")
-            for k in keys:
-                print(f"    {k}: {a['flat'].get(k)!r} -> {b['flat'].get(k)!r}")
+            print("\n".join(report))
             where = first_difference(os.path.join(base_traces, f"{i}.jsonl"),
                                      os.path.join(this_traces, f"{i}.jsonl"))
             if where is not None:

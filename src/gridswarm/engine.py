@@ -318,9 +318,8 @@ class Simulation:
                 continue
             if a.status is cons.Liveness.ALIVE:
                 rec = self._record_for(a)
-                self.trace.emit(self.round, "StatePublish", aid, zone=a.home,
-                                position=tuple(a.position), intent=tuple(rec.intent),
-                                job=rec.job, agent_tick=a.local_tick)
+                self.trace.emit(self.round, "StatePublish", aid, a.home, tuple(a.position),
+                                tuple(rec.intent), rec.job, a.local_tick)
                 state = {"kind": "state", "record": rec}  # one payload for every zone
                 for z in a.subscribed:
                     publish(aid, zone_topics[z].db_update, state)
@@ -386,8 +385,8 @@ class Simulation:
             if job is not None:
                 job.assign_tick = None
                 self._drop_job(a)
-            self.trace.emit(self.round, "MarkDead", lr.leader, zone=lr.zone, agent=aid,
-                            released_job=None if job is None else job.id)
+            self.trace.emit(self.round, "MarkDead", lr.leader, lr.zone, aid,
+                            None if job is None else job.id)
             lr.expected.discard(aid)
 
     def _leader_broadcast(self, lr: LeaderRound) -> None:
@@ -413,13 +412,12 @@ class Simulation:
         self._commit(leader, new_tick)
         lr.broadcast = True
         lr.waited = 0
-        self.trace.emit(self.round, "TickBroadcast", lr.leader, zone=lr.zone,
-                        new_tick=new_tick, roster=roster,
-                        digest=snapshot.digest())
+        self.trace.emit(self.round, "TickBroadcast", lr.leader, lr.zone, new_tick, roster,
+                        snapshot.digest())
 
     def _bid(self, lr: LeaderRound, agent: str, job_id: str, cost: Optional[int]) -> None:
         lr.bids[job_id].append(jobmod.Bid(agent, job_id, cost))
-        self.trace.emit(self.round, "Bid", agent, job=job_id, cost=cost, zone=lr.zone)
+        self.trace.emit(self.round, "Bid", agent, job_id, cost, lr.zone)
 
     # ---------------------------------------------------------- bus handlers
 
@@ -513,8 +511,7 @@ class Simulation:
             self._commit(a, new_tick)
             bids = ([[job_id, self.costs.cost(a.position, loc)] for job_id, loc in solicit]
                     if a.idle else [])
-            self.trace.emit(self.round, "TickAck", aid, zone=zone, committed_tick=new_tick,
-                            digest=digest)
+            self.trace.emit(self.round, "TickAck", aid, zone, new_tick, digest)
             publish(aid, topics.tick_ack, {"bids": bids})
 
     def _handle_global_tick(self, a: AgentSim, zone: ZoneId, payload: dict) -> None:
@@ -525,7 +522,7 @@ class Simulation:
         self._commit(a, payload["tick"])
         # Rejoins the leader's expected set from the next round on; it has
         # not published state this round, so gating on it would stall.
-        self.trace.emit(self.round, "Resync", a.id, zone=zone, resync_tick=payload["tick"])
+        self.trace.emit(self.round, "Resync", a.id, zone, payload["tick"])
 
     def _handle_election_msg(self, a: AgentSim, payload: dict) -> None:
         kind, zone = payload["kind"], payload["zone"]
@@ -547,7 +544,7 @@ class Simulation:
             zs.leader = a.id
             zs.tick = max(zs.tick, payload["since_tick"])
             if zs.tick > a.local_tick:
-                self.trace.emit(self.round, "Resync", a.id, zone=zone, resync_tick=zs.tick)
+                self.trace.emit(self.round, "Resync", a.id, zone, zs.tick)
                 a.local_tick = zs.tick
             topics = self._zone_topics[zone]
             self.bus.subscribe(a.id, topics.db_update)
@@ -574,9 +571,8 @@ class Simulation:
             self.sup.deficits[zone] = payload["pending"] - len(idle_ids)
             self.sup.idle_ids[zone] = idle_ids
             self.sup.controller_pending.pop(zone, None)
-            self.trace.emit(self.round, "LoadReport", SUPER, zone=zone,
-                            pending=payload["pending"], idle=len(idle_ids),
-                            total=payload["total"])
+            self.trace.emit(self.round, "LoadReport", SUPER, zone, payload["pending"],
+                            len(idle_ids), payload["total"])
         elif kind == "leader_loss":
             if zone not in self.sup.elections:
                 self._start_election(zone, elec.ElectionReason.LEADER_DEAD)
@@ -620,8 +616,8 @@ class Simulation:
             self.bus.publish(SUPER, "super/election",
                              {"kind": "role", "zone": zone, "leader": winner,
                               "since_tick": since})
-            self.trace.emit(self.round, "Election", SUPER, zone=zone, leader=winner,
-                            since_tick=since, reason=st.reason.value)
+            self.trace.emit(self.round, "Election", SUPER, zone, winner, since,
+                            st.reason.value)
 
     # Phase 2: scripted faults.
     def _phase_faults(self) -> None:
@@ -656,16 +652,14 @@ class Simulation:
                 job = jobmod.spawn_job(self.grid, job_id, spec.location,
                                        spec.priority, self.round)
             except jobmod.SpawnRejected:
-                self.trace.emit(self.round, "JobSpawn", CONTROLLER, job=job_id,
-                                location=tuple(spec.location), priority=spec.priority,
-                                zone=None, rejected=True)
+                self.trace.emit(self.round, "JobSpawn", CONTROLLER, job_id,
+                                tuple(spec.location), spec.priority, None, True)
                 continue
             zone = home_zone(job.location, self.partition)
             self.jobs[job_id] = job
             self.zones[zone].pool[job_id] = job
-            self.trace.emit(self.round, "JobSpawn", CONTROLLER, job=job_id,
-                            location=tuple(job.location), priority=job.priority,
-                            zone=zone, rejected=False)
+            self.trace.emit(self.round, "JobSpawn", CONTROLLER, job_id,
+                            tuple(job.location), job.priority, zone, False)
             self.bus.publish(CONTROLLER, "super/loads",
                              {"kind": "job_notice", "zone": zone})
 
@@ -692,8 +686,8 @@ class Simulation:
                 a.goal = job.location
                 a.path = None
                 a.mandate = None  # assignment takes precedence over migration
-                self.trace.emit(self.round, "Assign", leader.id, job=job_id, agent=best.agent,
-                                cost=best.cost, zone=zone)
+                self.trace.emit(self.round, "Assign", leader.id, job_id, best.agent, best.cost,
+                                zone)
 
     # Phase 5: periodic load reporting and daisy-chain planning.
     def _phase_balance(self) -> None:
@@ -727,8 +721,8 @@ class Simulation:
         if starved:
             self.metrics.starvation = True
         for m in mandates:
-            self.trace.emit(self.round, "Mandate", SUPER, mandate=m.id, agent=m.agent,
-                            from_zone=m.from_zone, to_zone=m.to_zone)
+            self.trace.emit(self.round, "Mandate", SUPER, m.id, m.agent, m.from_zone,
+                            m.to_zone)
             self.bus.publish(SUPER, "super/mandates", {"mandate": m})
 
     # Phases 6-7: per-zone conflict resolution, then simultaneous movement.
@@ -777,9 +771,8 @@ class Simulation:
                 else:
                     tick_used = self.zones[ya.home].tick
                 kind_name = kind.value if isinstance(kind, plan.ConflictKind) else kind
-                self.trace.emit(self.round, "ConflictResolved", yielder, zone=zone,
-                                kind_detail=kind_name, keeper=keeper, yielder=yielder,
-                                tick_used=tick_used)
+                self.trace.emit(self.round, "ConflictResolved", yielder, zone, kind_name,
+                                keeper, yielder, tick_used)
         return proposals, movable
 
     def _phase_move(self, proposals: dict[str, Cell], movable: set[str]) -> None:
@@ -791,7 +784,7 @@ class Simulation:
         for aid, a in self.agents.items():
             target = final[aid]
             if target != a.position:
-                self.trace.emit(self.round, "Move", aid, src=tuple(a.position), dst=tuple(target))
+                self.trace.emit(self.round, "Move", aid, tuple(a.position), tuple(target))
                 if a.path and a.path[-1] == target:
                     a.path.pop()
                 else:
@@ -837,7 +830,7 @@ class Simulation:
             del zs.pool[job.id]
             self.costs.release(job.location, zs.pool.values())
             leader = zs.leader or aid
-            self.trace.emit(self.round, "Complete", leader, job=job.id, agent=aid, zone=zone)
+            self.trace.emit(self.round, "Complete", leader, job.id, aid, zone)
             self._drop_job(a)
 
 

@@ -1,4 +1,4 @@
-"""The line census of scripts/compare_runs.py (``--census``)."""
+"""The line census of scripts/compare_runs.py (``--census``) and its per-run report."""
 
 import importlib.util
 import re
@@ -52,3 +52,22 @@ def test_census_lists_unreached_lines_in_file_and_line_order():
     # Lines every run executes are not listed.
     assert not any(e.endswith("self._phase_consensus()") for e in unreached)
     assert not [e for e in unreached if any(d in e for d in DELETED)]
+
+
+def test_report_names_the_first_violation_that_differs():
+    compare_runs = load_compare_runs()
+    base = {"digest": "d0", "flat": {"rounds": 40},
+            "violations": ["tick 3: job j0 double-assigned", "tick 9: agent a holds two assignments"]}
+    this = dict(base, violations=["tick 3: job j0 double-assigned",
+                                  "tick 9: agent b holds two assignments"])
+    assert compare_runs.run_report("lossy/13", base, base) == []
+    assert compare_runs.run_report("lossy/13", base, this) == [
+        "lossy/13: digest same, violations 2 -> 2",
+        "    first differing violation, number 2: 'tick 9: agent a holds two assignments' -> "
+        "'tick 9: agent b holds two assignments'"]
+    longer = dict(this, digest="d1", flat={"rounds": 41},
+                  violations=base["violations"] + ["tick 12: job j1 double-assigned"])
+    assert compare_runs.run_report("lossy/13", base, longer) == [
+        "lossy/13: digest differs, violations 2 -> 3",
+        "    first differing violation, number 3: None -> 'tick 12: job j1 double-assigned'",
+        "    rounds: 40 -> 41"]

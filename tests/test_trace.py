@@ -3,6 +3,7 @@ import gc
 import json
 
 import pytest
+import test_golden
 from hypothesis import given, settings, strategies as st
 
 from gridswarm import trace
@@ -19,9 +20,11 @@ def as_event(row):
 
 
 def writer_with(*events):
+    """A writer holding `events`, each (tick, kind, actor, payload), with the
+    payload's values passed to emit in EVENT_FIELDS order."""
     w = TraceWriter()
     for tick, kind, actor, payload in events:
-        w.emit(tick, kind, actor, **payload)
+        w.emit(tick, kind, actor, *(payload[name] for name in EVENT_FIELDS[kind]))
     return w
 
 
@@ -30,18 +33,23 @@ def test_emit_rejects_unknown_kind_and_fields():
     with pytest.raises(ValueError):
         w.emit(0, "Nonsense", "a")
     with pytest.raises(ValueError):
-        w.emit(0, "Move", "a", src=[0, 0], dst=[1, 0], extra=True)
+        w.emit(0, "Move", "a", [0, 0], [1, 0], True)
 
 
 def test_field_order_is_fixed():
     w = TraceWriter()
-    w.emit(3, "Move", "a", src=[0, 0], dst=[1, 0])
+    w.emit(3, "Move", "a", (0, 0), (1, 0))
     assert w.lines() == ['{"tick":3,"kind":"Move","actor":"a","src":[0,0],"dst":[1,0]}']
-    # A payload out of schema order, or one lacking a field, is refused
-    # rather than reordered or written as a line the parser rejects.
-    for payload in ({"dst": [1, 0], "src": [0, 0]}, {"src": [0, 0]}):
-        with pytest.raises(ValueError, match="Move: payload fields"):
-            w.emit(4, "Move", "a", **payload)
+    assert w.rows == [("Move", 3, "a", (0, 0), (1, 0))]
+    # Too few or too many values, or an unknown kind, is refused rather than
+    # written as a line the parser rejects.
+    for values in ([(0, 0)], [(0, 0), (1, 0), (2, 0)], []):
+        with pytest.raises(ValueError, match=r"Move takes 2 values \['src', 'dst'\], got "
+                           f"{len(values)}"):
+            w.emit(4, "Move", "a", *values)
+    for kind in ("move", "Nonsense", ""):
+        with pytest.raises(ValueError, match=f"unknown event kind {kind!r}"):
+            w.emit(4, kind, "a", (0, 0), (1, 0))
     assert len(w.rows) == 1
 
 
@@ -184,7 +192,7 @@ def test_actors_of_mixed_types_are_a_format_error():
 def test_every_emitted_kind_parses_back():
     w = TraceWriter()
     for kind, fields in EVENT_FIELDS.items():
-        w.emit(0, kind, "a", **{name: SAMPLE[FIELD_TYPES[name]] for name in fields})
+        w.emit(0, kind, "a", *(SAMPLE[FIELD_TYPES[name]] for name in fields))
     events = parse_trace(w.dump())
     assert [e["kind"] for e in events] == list(EVENT_FIELDS)
     assert events == [json.loads(json.dumps(as_event(row))) for row in w.rows]
@@ -477,7 +485,7 @@ def test_each_kind_is_written_as_json_dumps_writes_it(kind, data):
             values = st.none() | values
         payload[name] = data.draw(values, label=name)
     w = TraceWriter()
-    w.emit(tick, kind, actor, **payload)
+    w.emit(tick, kind, actor, *payload.values())
     expected = json.dumps({"tick": tick, "kind": kind, "actor": actor, **payload},
                           separators=(",", ":"))
     assert w.dump() == expected + "\n"
@@ -578,9 +586,9 @@ _json_values = st.recursive(
     max_leaves=5)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_mutated_trace_gives_violations_or_a_format_error(data):
+def _mutated_trace(data, separators=None):
+    """The real trace with one to four edits drawn from `data`; an edited
+    event is written by json.dumps with `separators`."""
     lines = list(_real_trace_lines())
     for _ in range(data.draw(st.integers(1, 4))):
         op = data.draw(st.sampled_from(["drop_key", "retype", "swap", "duplicate", "delete"]))
@@ -592,7 +600,7 @@ def test_mutated_trace_gives_violations_or_a_format_error(data):
                 del event[key]
             else:
                 event[key] = data.draw(_json_values)
-            lines[i] = json.dumps(event)
+            lines[i] = json.dumps(event, separators=separators)
         elif op == "swap":
             j = data.draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], lines[i]
@@ -600,9 +608,165 @@ def test_mutated_trace_gives_violations_or_a_format_error(data):
             lines.insert(i, lines[i])
         elif len(lines) > 1:
             del lines[i]
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_trace_gives_violations_or_a_format_error(data):
     try:
-        violations = verify_trace("".join(line + "\n" for line in lines))
+        violations = verify_trace(_mutated_trace(data))
     except TraceFormatError:
         return
     assert isinstance(violations, list)
     assert all(isinstance(v, str) for v in violations)
+
+
+# --- the line patterns against json ------------------------------------------
+
+def _outcome(text):
+    """What verify_trace gives for `text`: its violations, or the line number
+    and message of the TraceFormatError it raises."""
+    try:
+        return verify_trace(text)
+    except TraceFormatError as err:
+        return err.line_no, str(err)
+
+
+def _outcome_through_json(text):
+    """_outcome with no line patterns, so that json reads every line."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace, "_PATTERNS", {})
+        return _outcome(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_texts)
+def test_generated_trace_verifies_as_through_json(text):
+    assert _outcome(text) == _outcome_through_json(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_trace_verifies_as_through_json(data):
+    text = _mutated_trace(data, data.draw(st.sampled_from([None, (",", ":")])))
+    assert _outcome(text) == _outcome_through_json(text)
+
+
+def _fallbacks(text):
+    """The numbers of the lines of `text` that verify_trace reads by json."""
+    numbers = []
+    parse = trace._parse
+
+    def counting(idx, line):
+        numbers.append(idx)
+        return parse(idx, line)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace, "_parse", counting)
+        _outcome(text)
+    return numbers
+
+
+def test_escaped_ids_name_the_same_agents_and_jobs():
+    # The leader "lead", the job "j\u00e9" and the agent "a" with json escapes
+    # on lines 1, 3 and 5; json reads those and the patterns the others.
+    text = "".join(line + "\n" for line in [
+        '{"tick":0,"kind":"Election","actor":"super","zone":[0,0],"leader":"le\\u0061d",'
+        '"since_tick":0,"reason":"bootstrap"}',
+        '{"tick":1,"kind":"Assign","actor":"lead","job":"j\u00e9","agent":"a","cost":2,'
+        '"zone":[0,0]}',
+        '{"tick":2,"kind":"Complete","actor":"lead","job":"j\\u00e9","agent":"\\u0061",'
+        '"zone":[0,0]}',
+        '{"tick":4,"kind":"Complete","actor":"lead","job":"j\u00e9","agent":"a","zone":[0,0]}',
+        '{"tick":5,"kind":"Move","actor":"\\u0061","src":[0,0],"dst":[1,0]}',
+        '{"tick":5,"kind":"Move","actor":"b","src":[2,0],"dst":[1,0]}',
+    ])
+    expected = ["tick 4: completion of j\u00e9 by a, which does not hold it",
+                "tick 5: vertex violation at [1, 0] between a and b"]
+    assert _outcome(text) == _outcome_through_json(text) == expected
+    assert _fallbacks(text) == [1, 3, 5]
+
+
+# Lines that their kind's pattern refuses: spaces, a duplicate or extra key,
+# an escape, an integer of 19 digits, NaN, a value of another type, and text
+# that is not JSON. Each goes to json, which reads some and refuses others.
+NON_CANONICAL = [
+    '{"tick": 4, "kind": "Move", "actor": "b", "src": [0, 0], "dst": [1, 0]}',
+    '{"tick":4,"kind":"Move","actor":"b","src":[0,0],"dst":[1,0],"dst":[2,0]}',
+    '{"tick":4,"kind":"Move","actor":"b","src":[0,0],"dst":[1,0],"pad":1}',
+    '{"tick":4,"kind":"Move","actor":"\\u0062","src":[0,0],"dst":[1,0]}',
+    '{"tick":4,"kind":"Move","actor":"b","src":[0,0],"dst":[1,1000000000000000000]}',
+    '{"tick":4,"kind":"Bid","actor":"b","job":"j","cost":NaN,"zone":[0,0]}',
+    '{"tick":4,"kind":"Bid","actor":"b","job":"j","cost":1.0,"zone":[0,0]}',
+    '{"tick":4,"kind":"Resync","actor":"b","zone":[0,0],"resync_tick":true}',
+    '{"tick":4,"kind":"MarkDead","actor":"b","zone":[0,0],"agent":"a","released_job":false}',
+    '{"tick":4.0,"kind":"Move","actor":"b","src":[0,0],"dst":[1,0]}',
+    '{"tick":4,"kind":"Move","actor":"b","src":[0,0],"dst":[1,01]}',
+    '{"tick":4,"kind":"Move","actor":"b\x01","src":[0,0],"dst":[1,0]}',
+    '{"tick":4,"kind":"Move","actor":"b","src":[0,0],"dst":[1,0]}}',
+]
+
+
+@pytest.mark.parametrize("line", NON_CANONICAL)
+def test_line_a_pattern_refuses_verifies_as_through_json(line):
+    text = ('{"tick":3,"kind":"Move","actor":"a","src":[5,0],"dst":[1,0]}\n'
+            + line + "\n")
+    assert _fallbacks(text) == [2]
+    assert _outcome(text) == _outcome_through_json(text)
+
+
+def test_lowered_tick_is_raised_before_a_wrong_type():
+    text = ('{"tick":3,"kind":"Move","actor":"a","src":[0,0],"dst":[1,0]}\n'
+            '{"tick":1,"kind":"Move","actor":"b","src":[0,0],"dst":5}\n'
+            '{"tick":1,"kind":"Move","actor":"b","src":[0,0],"dst":[1,0]}\n')
+    expected = (2, "line 2: tick 1 is lower than tick 3 before it")
+    assert _outcome(text) == _outcome_through_json(text) == expected
+    # With the wrong type gone, the lowered tick on line 3 matches its pattern.
+    text = text.replace(',"dst":5', ',"dst":[1,0]')
+    assert _fallbacks(text.splitlines()[0] + "\n") == []
+    assert _outcome(text) == _outcome_through_json(text) == expected
+
+
+def _escape_free(value):
+    """`value` with each string cut to printable ASCII other than a quote or
+    a backslash and each integer cut to at most 18 digits, so that dump
+    writes it with no escape and its kind's pattern must match the line."""
+    if type(value) is str:
+        return "".join(c for c in value if " " <= c <= "~" and c not in '"\\')
+    if type(value) is int:
+        return abs(value) % 10**18 * (-1 if value < 0 else 1)
+    if type(value) in (list, tuple):
+        return type(value)(map(_escape_free, value))
+    return value
+
+
+@pytest.mark.parametrize("kind", sorted(EVENT_FIELDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_each_kind_line_matches_its_pattern(kind, data):
+    tick, actor = _escape_free(data.draw(_ints)), _escape_free(data.draw(_text))
+    values = []
+    for name in EVENT_FIELDS[kind]:
+        drawn = TYPE_STRATEGIES[FIELD_TYPES[name]]
+        if (kind, name) in NULLABLE:
+            drawn = st.none() | drawn
+        values.append(_escape_free(data.draw(drawn, label=name)))
+    w = TraceWriter()
+    w.emit(tick, kind, actor, *values)
+    line = w.lines()[0]
+    fullmatch, row_from = trace._PATTERNS[kind]
+    match = fullmatch(line)
+    assert match is not None, line
+    # The row from the captured text is json's, with cells as tuples.
+    expected = trace._ROW_OF[kind](json.loads(line))
+    assert row_from(*match.groups()) == tuple(
+        tuple(v) if type(v) is list else v for v in expected)
+
+
+def test_golden_traces_read_without_json():
+    runs = test_golden.corpus()
+    for name in ("bench/30x50", "lossy_faults/3"):
+        text = run_scenario(scenario_from_dict(runs[name]))[1].dump()
+        assert _fallbacks(text) == [], name
+        assert _outcome(text) == _outcome_through_json(text), name
