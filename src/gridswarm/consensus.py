@@ -14,7 +14,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .planner import rank
-from .trace import _q, _qn
+from .trace import _q
 from .world import Cell
 
 
@@ -34,8 +34,9 @@ class StateRecord(NamedTuple):
 
 
 # A record as json.dumps writes the NamedTuple, after a comma, formatted the way
-# trace._LINES writes rows: agent, two cells, job or null, the finite priority
-# by its repr, and the tick.
+# the trace's line writers (generated in trace.py from its schema table) write
+# those shapes: agent, two cells, job or null, the finite priority by its repr,
+# and the tick.
 _RECORD = ",[%s,[%d,%d],[%d,%d],%s,%r,%d]"
 
 
@@ -50,7 +51,8 @@ class ZoneSnapshot:
         if self._digest is None:
             # json.dumps((tick, *records), separators=(",", ":")).
             blob = "[%d%s]" % (self.tick, "".join([
-                _RECORD % (_q(agent), *position, *intent, _qn(job), priority, tick)
+                _RECORD % (_q(agent), *position, *intent, "null" if job is None else _q(job),
+                            priority, tick)
                 for agent, position, intent, job, priority, tick in self.records]))
             object.__setattr__(self, "_digest", hashlib.sha256(blob.encode()).hexdigest()[:16])
         return self._digest

@@ -4,197 +4,122 @@ A trace is line-delimited JSON, one event per line, fields in a fixed order
 per kind, ticks in non-decreasing order. The digest is SHA-256 over the
 exact byte stream, so determinism checks reduce to digest equality.
 
-``TraceWriter.emit(tick, kind, actor, *values)`` takes the kind's fields by
-position and refuses an unknown kind or a wrong number of values. The
-verifier reads a line as ``dump`` writes it (strings with no escape and no
-control character, integers of at most 18 digits) by its kind's compiled
-full-line pattern, and any other line by json, with the checks and messages
-of ``parse_trace``; both readers feed one verifier body.
+One table, ``_SCHEMA``, lists each kind's fields with their shapes. At
+import it gives ``EVENT_FIELDS``, each kind's line writer (``_LINES``), and
+each kind's full-line pattern with its verifier row builder (``_PATTERNS``),
+all three compiled from generated source once. ``TraceWriter.emit(tick,
+kind, actor, *values)`` takes the kind's fields by position. ``verify_trace``
+reads only the lines ``dump`` writes: a trace in any other form has another
+digest, so it cannot be the proof of a run, and its first such line is a
+``TraceFormatError``. ``parse_trace`` reads any line that is a JSON event.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import re
 from typing import Any, Callable, Iterator, Optional
 
-# Payload fields per event kind, in the order `TraceWriter.emit` takes them.
+# Each kind's fields, in the order `TraceWriter.emit` takes them, as
+# "name:shape". A shape is cell (two ints), int, str, roster (a list of
+# strs), float or bool; "?" after it lets the value be None (written null),
+# and "*" marks a field verify_trace reads. Adding a field is one edit here.
+_SCHEMA: dict[str, str] = {
+    "StatePublish": "zone:cell position:cell* intent:cell job:str? agent_tick:int",
+    "TickBroadcast": "zone:cell* new_tick:int* roster:roster digest:str*",
+    "TickAck": "zone:cell* committed_tick:int* digest:str*",
+    "MarkDead": "zone:cell agent:str* released_job:str?*",
+    "Resync": "zone:cell resync_tick:int*",
+    "Election": "zone:cell* leader:str* since_tick:int reason:str",
+    "JobSpawn": "job:str location:cell priority:float zone:cell? rejected:bool",
+    "Bid": "job:str cost:int? zone:cell",
+    "Assign": "job:str* agent:str* cost:int zone:cell*",
+    "Move": "src:cell* dst:cell*",
+    "Complete": "job:str* agent:str* zone:cell",
+    "LoadReport": "zone:cell pending:int idle:int total:int",
+    "Mandate": "mandate:str* agent:str from_zone:cell to_zone:cell",
+    "ConflictResolved": "zone:cell kind_detail:str keeper:str yielder:str tick_used:int",
+}
+# kind -> ((name, shape, may be null, read by verify_trace), ...)
+_FIELDS = {kind: tuple((name, shape.rstrip("?*"), "?" in shape, "*" in shape)
+                       for name, _, shape in (field.partition(":") for field in spec.split()))
+           for kind, spec in _SCHEMA.items()}
 EVENT_FIELDS: dict[str, tuple[str, ...]] = {
-    "StatePublish": ("zone", "position", "intent", "job", "agent_tick"),
-    "TickBroadcast": ("zone", "new_tick", "roster", "digest"),
-    "TickAck": ("zone", "committed_tick", "digest"),
-    "MarkDead": ("zone", "agent", "released_job"),
-    "Resync": ("zone", "resync_tick"),
-    "Election": ("zone", "leader", "since_tick", "reason"),
-    "JobSpawn": ("job", "location", "priority", "zone", "rejected"),
-    "Bid": ("job", "cost", "zone"),
-    "Assign": ("job", "agent", "cost", "zone"),
-    "Move": ("src", "dst"),
-    "Complete": ("job", "agent", "zone"),
-    "LoadReport": ("zone", "pending", "idle", "total"),
-    "Mandate": ("mandate", "agent", "from_zone", "to_zone"),
-    "ConflictResolved": ("zone", "kind_detail", "keeper", "yielder", "tick_used"),
-}
-
-_q = json.encoder.encode_basestring_ascii
-
-
-def _qn(value: Optional[str]) -> str:
-    return "null" if value is None else _q(value)
-
-
-# Each kind's line from its row (kind, tick, actor, *values): the compact JSON
-# of {"tick", "kind", "actor", **fields} as json.dumps writes it. Cells are
-# two ints, strings go through json's ASCII escaping, and a field that may be
-# null is written by _qn or a conditional. The priority is a float, written
-# by its repr as json does.
-_LINES: dict[str, Callable[[tuple], str]] = {
-    "StatePublish": lambda r: (
-        '{"tick":%d,"kind":"StatePublish","actor":%s,"zone":[%d,%d],"position":[%d,%d],'
-        '"intent":[%d,%d],"job":%s,"agent_tick":%d}\n'
-        % (r[1], _q(r[2]), *r[3], *r[4], *r[5], _qn(r[6]), r[7])),
-    "TickBroadcast": lambda r: (
-        '{"tick":%d,"kind":"TickBroadcast","actor":%s,"zone":[%d,%d],"new_tick":%d,'
-        '"roster":[%s],"digest":%s}\n'
-        % (r[1], _q(r[2]), *r[3], r[4], ",".join(map(_q, r[5])), _q(r[6]))),
-    "TickAck": lambda r: (
-        '{"tick":%d,"kind":"TickAck","actor":%s,"zone":[%d,%d],"committed_tick":%d,'
-        '"digest":%s}\n'
-        % (r[1], _q(r[2]), *r[3], r[4], _q(r[5]))),
-    "MarkDead": lambda r: (
-        '{"tick":%d,"kind":"MarkDead","actor":%s,"zone":[%d,%d],"agent":%s,'
-        '"released_job":%s}\n'
-        % (r[1], _q(r[2]), *r[3], _q(r[4]), _qn(r[5]))),
-    "Resync": lambda r: (
-        '{"tick":%d,"kind":"Resync","actor":%s,"zone":[%d,%d],"resync_tick":%d}\n'
-        % (r[1], _q(r[2]), *r[3], r[4])),
-    "Election": lambda r: (
-        '{"tick":%d,"kind":"Election","actor":%s,"zone":[%d,%d],"leader":%s,'
-        '"since_tick":%d,"reason":%s}\n'
-        % (r[1], _q(r[2]), *r[3], _q(r[4]), r[5], _q(r[6]))),
-    "JobSpawn": lambda r: (
-        '{"tick":%d,"kind":"JobSpawn","actor":%s,"job":%s,"location":[%d,%d],"priority":%r,'
-        '"zone":%s,"rejected":%s}\n'
-        % (r[1], _q(r[2]), _q(r[3]), *r[4], r[5],
-           "null" if r[6] is None else "[%d,%d]" % tuple(r[6]),
-           "true" if r[7] else "false")),
-    "Bid": lambda r: (
-        '{"tick":%d,"kind":"Bid","actor":%s,"job":%s,"cost":%s,"zone":[%d,%d]}\n'
-        % (r[1], _q(r[2]), _q(r[3]), "null" if r[4] is None else "%d" % r[4], *r[5])),
-    "Assign": lambda r: (
-        '{"tick":%d,"kind":"Assign","actor":%s,"job":%s,"agent":%s,"cost":%d,'
-        '"zone":[%d,%d]}\n'
-        % (r[1], _q(r[2]), _q(r[3]), _q(r[4]), r[5], *r[6])),
-    "Move": lambda r: (
-        '{"tick":%d,"kind":"Move","actor":%s,"src":[%d,%d],"dst":[%d,%d]}\n'
-        % (r[1], _q(r[2]), *r[3], *r[4])),
-    "Complete": lambda r: (
-        '{"tick":%d,"kind":"Complete","actor":%s,"job":%s,"agent":%s,"zone":[%d,%d]}\n'
-        % (r[1], _q(r[2]), _q(r[3]), _q(r[4]), *r[5])),
-    "LoadReport": lambda r: (
-        '{"tick":%d,"kind":"LoadReport","actor":%s,"zone":[%d,%d],"pending":%d,"idle":%d,'
-        '"total":%d}\n'
-        % (r[1], _q(r[2]), *r[3], r[4], r[5], r[6])),
-    "Mandate": lambda r: (
-        '{"tick":%d,"kind":"Mandate","actor":%s,"mandate":%s,"agent":%s,"from_zone":[%d,%d],'
-        '"to_zone":[%d,%d]}\n'
-        % (r[1], _q(r[2]), _q(r[3]), _q(r[4]), *r[5], *r[6])),
-    "ConflictResolved": lambda r: (
-        '{"tick":%d,"kind":"ConflictResolved","actor":%s,"zone":[%d,%d],"kind_detail":%s,'
-        '"keeper":%s,"yielder":%s,"tick_used":%d}\n'
-        % (r[1], _q(r[2]), *r[3], _q(r[4]), _q(r[5]), _q(r[6]), r[7])),
-}
-
+    kind: tuple(f[0] for f in fields) for kind, fields in _FIELDS.items()}
 # Every key an event of each kind must carry, checked once per parsed line.
 _REQUIRED: dict[str, frozenset[str]] = {
-    kind: frozenset(("tick", "kind", "actor") + fields)
-    for kind, fields in EVENT_FIELDS.items()}
+    kind: frozenset(("tick", "kind", "actor") + fields) for kind, fields in EVENT_FIELDS.items()}
 
-# The fields of each kind that verify_trace reads, in EVENT_FIELDS order. A
-# verifier row is (tick, kind, actor, *these values).
-_READS: dict[str, tuple[str, ...]] = {
-    "StatePublish": ("position",),
-    "Move": ("src", "dst"),
-    "TickAck": ("zone", "committed_tick", "digest"),
-    "TickBroadcast": ("zone", "new_tick", "digest"),
-    "Resync": ("resync_tick",),
-    "MarkDead": ("agent", "released_job"),
-    "Election": ("zone", "leader"),
-    "Assign": ("job", "agent", "zone"),
-    "Complete": ("job", "agent"),
-    "Mandate": ("mandate",),
-}
-# A parsed event's verifier row.
-_ROW_OF: dict[str, Callable[[dict], tuple]] = {
-    kind: operator.itemgetter("tick", "kind", "actor", *_READS.get(kind, ()))
-    for kind in EVENT_FIELDS}
-
-# Each kind's line as dump writes it, as one full-line pattern. It admits only
-# values that json reads the same way and cannot fail on: strings with no
-# escape and no control character, integers of at most 18 digits, null, true
-# and false where the schema has them, and for the priority a JSON number
-# whose integer part has at most 18 digits. The tick, the actor and the
-# fields in _READS are captured (a cell as two groups, a nullable string as
-# its text or None), and _ROW_FROM turns the groups into the verifier row;
-# a line that does not match goes through json.
+# The values as dump writes them: integers by %d, floats by their repr, and
+# strings as json.encoder.encode_basestring_ascii writes them, printable
+# ASCII other than " and \ as itself and every other code unit escaped, by
+# its short form where JSON has one and else by \u and four lowercase hex
+# digits. An integer of more than 18 digits is not canonical: no run can
+# write one, since ticks are bounded by max_ticks and cells by the map.
 _INT = r"-?(?:[1-9]\d{0,17}|0)"
-_TEXT = r'[^"\\\x00-\x1f]*'
+_PLAIN = r"[ !#-\[\]-~]*"
+_TEXT = (_PLAIN + r'(?:\\(?:["\\bfnrt]|u(?:00(?:0[0-7bef]|1[0-9a-f]|7f|[89a-f][0-9a-f])'
+         r"|0[1-9a-f][0-9a-f]{2}|[1-9a-f][0-9a-f]{3}))" + _PLAIN + ")*")
+# shape: (its pattern, its %-format, the format's arguments for the value v,
+# and for a field the verifier reads, the value from its captured groups g).
 _SHAPES = {
-    "cell": rf"\[{_INT},{_INT}\]", "int": _INT, "str": f'"{_TEXT}"',
-    "roster": rf'\[(?:"{_TEXT}"(?:,"{_TEXT}")*)?\]',
-    "float": rf"{_INT}(?:\.\d+)?(?:[eE][-+]?\d+)?", "bool": "(?:true|false)"}
-_FIELD_SHAPES = {
-    **dict.fromkeys(("zone", "position", "intent", "location", "src", "dst", "from_zone",
-                     "to_zone"), "cell"),
-    **dict.fromkeys(("agent_tick", "new_tick", "committed_tick", "resync_tick",
-                     "since_tick", "cost", "pending", "idle", "total", "tick_used"), "int"),
-    **dict.fromkeys(("job", "digest", "agent", "released_job", "leader", "reason",
-                     "mandate", "kind_detail", "keeper", "yielder"), "str"),
-    "roster": "roster", "priority": "float", "rejected": "bool"}
-_NULLABLE = {("StatePublish", "job"), ("MarkDead", "released_job"), ("JobSpawn", "zone"),
-             ("Bid", "cost")}
-
-
-def _capture(shape: str) -> str:
-    """`shape` (a cell, an int or a string) with its integers or its text as groups."""
-    return shape.replace(_INT, f"({_INT})").replace(_TEXT, f"({_TEXT})")
-
-
-def _line_pattern(kind: str) -> re.Pattern:
-    parts = [rf'\{{"tick":({_INT}),"kind":"{kind}","actor":"({_TEXT})"']
-    for name in EVENT_FIELDS[kind]:
-        shape = _SHAPES[_FIELD_SHAPES[name]]
-        if name in _READS.get(kind, ()):
-            shape = _capture(shape)
-        if (kind, name) in _NULLABLE:
-            shape = f"(?:{shape}|null)"
-        parts.append(f',"{name}":{shape}')
-    return re.compile("".join(parts) + "}")
-
-
-def _bare_row(kind: str) -> Callable[[str, str], tuple]:
-    return lambda t, a: (int(t), kind, a)
-
-
-_ROW_FROM: dict[str, Callable[..., tuple]] = {
-    "StatePublish": lambda t, a, x, y: (int(t), "StatePublish", a, (int(x), int(y))),
-    "Move": lambda t, a, x, y, u, v: (int(t), "Move", a, (int(x), int(y)), (int(u), int(v))),
-    "TickAck": lambda t, a, x, y, n, d: (int(t), "TickAck", a, (int(x), int(y)), int(n), d),
-    "TickBroadcast": lambda t, a, x, y, n, d: (
-        int(t), "TickBroadcast", a, (int(x), int(y)), int(n), d),
-    "Resync": lambda t, a, n: (int(t), "Resync", a, int(n)),
-    "MarkDead": lambda t, a, agent, job: (int(t), "MarkDead", a, agent, job),
-    "Election": lambda t, a, x, y, leader: (int(t), "Election", a, (int(x), int(y)), leader),
-    "Assign": lambda t, a, job, agent, x, y: (int(t), "Assign", a, job, agent, (int(x), int(y))),
-    "Complete": lambda t, a, job, agent: (int(t), "Complete", a, job, agent),
-    "Mandate": lambda t, a, mandate: (int(t), "Mandate", a, mandate),
-    **{kind: _bare_row(kind) for kind in EVENT_FIELDS if kind not in _READS},
+    "cell": (rf"\[({_INT}),({_INT})\]", "[%d,%d]", "*{v}", "(int({g}0), int({g}1))"),
+    "int": (f"({_INT})", "%d", "{v}", "int({g}0)"),
+    "str": (f'"({_TEXT})"', "%s", "_q({v})", '({g}0 if "\\\\" not in {g}0 else _str({g}0))'),
+    "roster": (rf'\[(?:"{_TEXT}"(?:,"{_TEXT}")*)?\]', "[%s]", '",".join(map(_q, {v}))', None),
+    "float": (rf"{_INT}(?:\.\d+(?:e[-+]\d+)?|e[-+]\d+)", "%r", "{v}", None),
+    "bool": ("(?:true|false)", "%s", '"true" if {v} else "false"', None),
 }
+_q = json.encoder.encode_basestring_ascii
+_scanstring = json.decoder.scanstring
+
+
+def _str(text: str) -> str:
+    """A captured string's text with its escapes decoded, as json decodes them."""
+    return _scanstring(text + '"', 0)[0]
+
+
+def _compile(kind: str) -> tuple[Callable[[tuple], str], tuple[Callable, Callable[..., tuple]]]:
+    """`kind`'s line writer, and the fullmatch of its line pattern with the
+    builder of a verifier row, ``(tick, kind, actor, *read values)``, from
+    the pattern's groups. Both are built from generated source, as
+    collections.namedtuple builds its methods, so that neither loops over
+    the fields per event."""
+    fmt, args = ['{"tick":%d,"kind":"' + kind + '","actor":%s'], ["r[1]", "_q(r[2])"]
+    tick, actor = _SHAPES["int"], _SHAPES["str"]
+    pattern = [rf'\{{"tick":{tick[0]},"kind":"{kind}","actor":{actor[0]}']
+    params, row = ["t0", "a0"], [tick[3].format(g="t"), repr(kind), actor[3].format(g="a")]
+    for i, (name, shape, nullable, read) in enumerate(_FIELDS[kind], start=3):
+        regex, form, arg, value = _SHAPES[shape]
+        arg = arg.format(v=f"r[{i}]")
+        if nullable:
+            written = arg if form == "%s" else f"{form!r} % ({arg},)"
+            arg, form = f'"null" if r[{i}] is None else {written}', "%s"
+        fmt.append(f',"{name}":{form}')
+        args.append(arg)
+        if read:
+            g = f"g{i}_"
+            params += [f"{g}{n}" for n in range(re.compile(regex).groups)]
+            value = value.format(g=g)
+            row.append(f"(None if {g}0 is None else {value})" if nullable else value)
+        else:  # its groups become non-capturing
+            regex = re.sub(r"\((?!\?)", "(?:", regex)
+        pattern.append(f',"{name}":' + (f"(?:{regex}|null)" if nullable else regex))
+    namespace = {"_q": _q, "_str": _str}
+    text = "".join(fmt) + "}\n"
+    line = eval(f"lambda r: {text!r} % ({', '.join(args)})", namespace)
+    build = eval(f"lambda {', '.join(params)}: ({', '.join(row)})", namespace)
+    return line, (re.compile("".join(pattern) + "}").fullmatch, build)
+
+
+_COMPILED = {kind: _compile(kind) for kind in _SCHEMA}
+# Each kind's line from its row (kind, tick, actor, *values): the compact JSON
+# of {"tick", "kind", "actor", **fields} as json.dumps writes it.
+_LINES: dict[str, Callable[[tuple], str]] = {kind: c[0] for kind, c in _COMPILED.items()}
 # Kind -> (the fullmatch of its line pattern, its row builder).
 _PATTERNS: dict[str, tuple[Callable, Callable[..., tuple]]] = {
-    kind: (_line_pattern(kind).fullmatch, _ROW_FROM[kind]) for kind in EVENT_FIELDS}
+    kind: c[1] for kind, c in _COMPILED.items()}
 
 _scan = json.JSONDecoder().scan_once
 _SLICE = 1 << 16  # characters of trace text split into lines at a time
@@ -211,7 +136,7 @@ class TraceWriter:
 
     Each event is kept as one row, ``(kind, tick, actor, *values)``, with the
     values in EVENT_FIELDS order, and ``dump`` writes it through its kind's
-    format in ``_LINES``."""
+    line writer in ``_LINES``, which ``_SCHEMA`` generates."""
 
     def __init__(self) -> None:
         self.rows: list[tuple] = []
@@ -221,11 +146,12 @@ class TraceWriter:
         EVENT_FIELDS. An unknown kind or a wrong number of values is a
         ValueError.
 
-        The values are not checked, so they must have the schema's types (see
-        ``_LINES``): ints, cells of two ints, strings, a float priority, a
-        bool ``rejected``, and None only where the schema allows it. ``%d``
+        The values are not checked, so they must have the shapes ``_SCHEMA``
+        gives them: ints, cells of two ints, strings, a float priority, a
+        bool ``rejected``, and None only where a field may be null. ``%d``
         writes a bool as 1 or 0 and truncates a float, so a value of another
-        type gives a line that differs from its JSON form."""
+        type gives a line that differs from its JSON form, and that
+        ``verify_trace`` may refuse."""
         fields = EVENT_FIELDS.get(kind)
         if fields is None:
             raise ValueError(f"unknown event kind {kind!r}")
@@ -296,10 +222,10 @@ def _parse(idx: int, line: str) -> Optional[dict]:
 
 def _rows(text: str) -> Iterator[tuple[int, tuple]]:
     """Yield (line number, verifier row) for each non-blank line. The kind is
-    read from the text after the first ``,"kind":"``; a line that its kind's
-    pattern matches whole gives its row from the captured text, and any
-    other line is read by ``_parse``, so it is accepted or refused as
-    ``parse_trace`` would, with the same message."""
+    read from the text after the first ``,"kind":"``, and the line must be
+    the one ``dump`` writes, which its kind's pattern matches whole; the row
+    comes from the captured text. Any other line is a TraceFormatError, with
+    ``_parse``'s message where json's reading refuses it too."""
     patterns = _PATTERNS
     for idx, line in enumerate(_lines(text), start=1):
         start = line.find(',"kind":"') + 9
@@ -311,7 +237,9 @@ def _rows(text: str) -> Iterator[tuple[int, tuple]]:
                 continue
         event = _parse(idx, line)
         if event is not None:
-            yield idx, _ROW_OF[event["kind"]](event)
+            raise TraceFormatError(
+                idx, f"{event['kind']} event at tick {event['tick']} by {event['actor']!r} "
+                "is not in the form dump writes")
 
 
 def parse_trace(text: str) -> list[dict]:
@@ -322,25 +250,6 @@ def parse_trace(text: str) -> list[dict]:
         if event is not None:
             events.append(event)
     return events
-
-
-def _cell(value: Any) -> tuple[int, int]:
-    """`value` as a hashable cell; TypeError unless it is two integers. A
-    tuple comes from a line pattern, which admits only two integers."""
-    if type(value) is tuple:
-        return value
-    if type(value) is list and len(value) == 2:
-        x, y = value
-        if type(x) is int and type(y) is int:
-            return (x, y)
-    raise TypeError(f"a cell must be two integers, got {value!r}")
-
-
-def _ids(job: Any, agent: Any) -> tuple[str, str]:
-    """The job and agent of an Assign or Complete; TypeError unless strings."""
-    if type(job) is not str or type(agent) is not str:
-        raise TypeError(f"a job and an agent must be strings, got {job!r} and {agent!r}")
-    return job, agent
 
 
 def _check_safety(tick: int, positions: dict[str, tuple], moves: set[tuple],
@@ -372,16 +281,12 @@ def verify_trace(trace: str) -> list[str]:
     uniqueness, that assignments and mandates come from the right actors, and
     that a job is completed by the agent that holds it.
     A text is read one line at a time and checked one tick at a time, so its
-    ticks must not decrease. A value of the wrong type in a field the checks
-    read is a TraceFormatError: cells are two integers, zone-ticks integers
-    (not bools), digests strings, and the ids the checks key on strings.
-
-    A line that its kind's pattern in ``_PATTERNS`` matches whole is read
-    from the pattern's groups; every other line (spaces, extra or duplicate
-    keys, escapes, NaN, integers past 18 digits, other types, text that is
-    not JSON) is read by json as ``parse_trace`` reads it. Either way the
-    result, the first error and its message are what reading every line by
-    json would give.
+    ticks must not decrease. Each non-blank line must be as ``dump`` writes
+    it, which its kind's pattern in ``_PATTERNS`` checks, so every value the
+    checks read has its schema's type; any other line (spaces, extra or
+    duplicate keys, escapes that dump does not write, integers past 18
+    digits, values of another type, text that is not JSON) is a
+    TraceFormatError naming its line.
     """
     violations: list[str] = []
     positions: dict[str, tuple] = {}
@@ -404,84 +309,66 @@ def verify_trace(trace: str) -> list[str]:
                 moves = set()
             tick = row[0]
         kind, actor = row[1], row[2]
-        try:
-            if kind == "StatePublish":
-                positions[actor] = _cell(row[3])
-            elif kind == "Move":
-                src, dst = _cell(row[3]), _cell(row[4])
-                positions[actor] = dst
-                moves.add((actor, src, dst))
-            elif kind in ("TickAck", "TickBroadcast"):
-                _, _, _, zone, t, digest = row
-                if type(t) is not int or type(digest) is not str:
-                    raise TypeError(f"a zone-tick must be an integer and a digest a string, "
-                                    f"got {t!r} and {digest!r}")
-                key = (_cell(zone), t)
-                seen = snapshots.get(key)
-                if seen is None:
-                    snapshots[key] = digest
-                elif seen != digest:
+        if kind == "StatePublish":
+            positions[actor] = row[3]
+        elif kind == "Move":
+            _, _, _, src, dst = row
+            positions[actor] = dst
+            moves.add((actor, src, dst))
+        elif kind in ("TickAck", "TickBroadcast"):
+            _, _, _, zone, t, digest = row
+            seen = snapshots.get((zone, t))
+            if seen is None:
+                snapshots[(zone, t)] = digest
+            elif seen != digest:
+                violations.append(
+                    f"tick {tick}: snapshot disagreement in zone {list(zone)} at zone-tick {t}")
+            last = committed.get(actor)
+            if last is not None:
+                if t <= last:
                     violations.append(
-                        f"tick {tick}: snapshot disagreement in zone {list(key[0])} at zone-tick {t}")
-                last = committed.get(actor)
-                if last is not None:
-                    if t <= last:
-                        violations.append(
-                            f"tick {tick}: {actor} committed zone-tick {t} after {last}")
-                    elif t != last + 1 and not resynced_since.get(actor):
-                        violations.append(
-                            f"tick {tick}: {actor} jumped from zone-tick {last} to {t} without resync")
-                committed[actor] = t
-                resynced_since[actor] = False
-            elif kind == "Resync":
-                t = row[3]
-                if type(t) is not int:
-                    raise TypeError(f"a zone-tick must be an integer, got {t!r}")
-                resynced_since[actor] = True
-                committed[actor] = t
-            elif kind == "MarkDead":
-                agent, released = row[3], row[4]
-                if type(agent) is not str or not (released is None or type(released) is str):
-                    raise TypeError(f"an agent must be a string and a released job a string "
-                                    f"or null, got {agent!r} and {released!r}")
-                if released is not None:
-                    job_assignee[released] = None
-                agent_job[agent] = None
-                resynced_since[agent] = True  # rejoin may jump
-            elif kind == "Election":
-                zone = _cell(row[3])
-                new_leader = row[4]
-                if type(new_leader) is not str:
-                    raise TypeError(f"a leader must be a string, got {new_leader!r}")
-                for other_zone, lead in list(leaders.items()):
-                    if lead == new_leader and other_zone != zone:
-                        del leaders[other_zone]
-                leaders[zone] = new_leader
-            elif kind == "Assign":
-                job, agent = _ids(row[3], row[4])
-                if leaders.get(_cell(row[5])) != actor:
-                    violations.append(f"tick {tick}: assignment of {job} by non-leader {actor}")
-                if job_assignee.get(job) is not None:
-                    violations.append(f"tick {tick}: job {job} double-assigned")
-                if agent_job.get(agent) is not None:
-                    violations.append(f"tick {tick}: agent {agent} holds two assignments")
-                job_assignee[job] = agent
-                agent_job[agent] = job
-            elif kind == "Complete":
-                job, agent = _ids(row[3], row[4])
-                if job_assignee.get(job) != agent:
+                        f"tick {tick}: {actor} committed zone-tick {t} after {last}")
+                elif t != last + 1 and not resynced_since.get(actor):
                     violations.append(
-                        f"tick {tick}: completion of {job} by {agent}, which does not hold it")
-                job_assignee[job] = None
-                agent_job[agent] = None
-            elif kind == "Mandate":
-                if actor != "super":
-                    violations.append(
-                        f"tick {tick}: mandate {row[3]} issued by {actor}, not the super-leader")
-        except (TypeError, ValueError) as exc:
-            raise TraceFormatError(
-                line_no, f"{kind} event at tick {tick} by {actor!r} "
-                f"holds a value of the wrong type: {exc}") from exc
+                        f"tick {tick}: {actor} jumped from zone-tick {last} to {t} without resync")
+            committed[actor] = t
+            resynced_since[actor] = False
+        elif kind == "Resync":
+            resynced_since[actor] = True
+            committed[actor] = row[3]
+        elif kind == "MarkDead":
+            _, _, _, agent, released = row
+            if released is not None:
+                job_assignee[released] = None
+            agent_job[agent] = None
+            resynced_since[agent] = True  # rejoin may jump
+        elif kind == "Election":
+            _, _, _, zone, new_leader = row
+            for other_zone, lead in list(leaders.items()):
+                if lead == new_leader and other_zone != zone:
+                    del leaders[other_zone]
+            leaders[zone] = new_leader
+        elif kind == "Assign":
+            _, _, _, job, agent, zone = row
+            if leaders.get(zone) != actor:
+                violations.append(f"tick {tick}: assignment of {job} by non-leader {actor}")
+            if job_assignee.get(job) is not None:
+                violations.append(f"tick {tick}: job {job} double-assigned")
+            if agent_job.get(agent) is not None:
+                violations.append(f"tick {tick}: agent {agent} holds two assignments")
+            job_assignee[job] = agent
+            agent_job[agent] = job
+        elif kind == "Complete":
+            _, _, _, job, agent = row
+            if job_assignee.get(job) != agent:
+                violations.append(
+                    f"tick {tick}: completion of {job} by {agent}, which does not hold it")
+            job_assignee[job] = None
+            agent_job[agent] = None
+        elif kind == "Mandate":
+            if actor != "super":
+                violations.append(
+                    f"tick {tick}: mandate {row[3]} issued by {actor}, not the super-leader")
     if tick is not None:
         _check_safety(tick, positions, moves, violations)
     return violations

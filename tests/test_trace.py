@@ -1,12 +1,14 @@
 import functools
 import gc
 import json
+import math
 
 import pytest
 import test_golden
 from hypothesis import given, settings, strategies as st
 
 from gridswarm import trace
+from gridswarm.cli import main
 from gridswarm.engine import run_scenario
 from gridswarm.scenario import random_scenario, scenario_from_dict
 from gridswarm.trace import (EVENT_FIELDS, TraceFormatError, TraceWriter, parse_trace,
@@ -107,6 +109,7 @@ def test_tick_must_be_an_integer():
 
 
 # Values of the wrong type that the verifier used to crash on with a TypeError.
+# No line dump writes holds one, so each is refused as not in dump's form.
 WRONG_TYPE = [
     '{"tick":4,"kind":"Move","actor":"a7","src":[0,0],"dst":5}',
     '{"tick":4,"kind":"Move","actor":"a7","src":null,"dst":[1,0]}',
@@ -148,10 +151,10 @@ def test_value_of_the_wrong_type_is_a_format_error(line):
     text = ('{"tick":1,"kind":"TickAck","actor":"a7","zone":[0,0],"committed_tick":1,'
             '"digest":"d"}\n' + line + "\n")
     kind = json.loads(line)["kind"]
-    with pytest.raises(TraceFormatError, match=f"line 2: {kind} event at tick 4 by 'a7'") as err:
+    with pytest.raises(TraceFormatError, match=f"line 2: {kind} event at tick 4 by 'a7' "
+                       "is not in the form dump writes") as err:
         verify_trace(text)
     assert err.value.line_no == 2
-    assert isinstance(err.value.__cause__, (TypeError, ValueError))
 
 
 @pytest.mark.parametrize("value", ["null", "1.0", "false"])
@@ -622,7 +625,49 @@ def test_mutated_trace_gives_violations_or_a_format_error(data):
     assert all(isinstance(v, str) for v in violations)
 
 
-# --- the line patterns against json ------------------------------------------
+# --- the canonical lines, and only they, verify ------------------------------
+
+# The fields verify_trace reads of each kind, in EVENT_FIELDS order; a
+# verifier row is (tick, kind, actor, *these values).
+READS = {
+    "StatePublish": ("position",), "Move": ("src", "dst"),
+    "TickAck": ("zone", "committed_tick", "digest"),
+    "TickBroadcast": ("zone", "new_tick", "digest"), "Resync": ("resync_tick",),
+    "MarkDead": ("agent", "released_job"), "Election": ("zone", "leader"),
+    "Assign": ("job", "agent", "zone"), "Complete": ("job", "agent"), "Mandate": ("mandate",),
+}
+_SHORT = 10**18  # integers of at most 18 digits are below this
+
+
+def _has_type(value, field_type):
+    if field_type == "int":
+        return type(value) is int and abs(value) < _SHORT
+    if field_type == "cell":
+        return type(value) is list and len(value) == 2 and all(_has_type(v, "int") for v in value)
+    if field_type == "roster":
+        return type(value) is list and all(type(v) is str for v in value)
+    if field_type == "float":
+        return type(value) is float and math.isfinite(value)
+    return type(value) is {"str": str, "bool": bool}[field_type]
+
+
+def _is_canonical(line):
+    """Whether `line` is one dump can write: a JSON event whose keys are its
+    kind's fields in order, whose values have their fields' types (integers
+    of at most 18 digits), and that json.dumps writes back byte for byte."""
+    try:
+        event = json.loads(line)
+    except ValueError:
+        return False
+    kind = event.get("kind") if type(event) is dict else None
+    fields = EVENT_FIELDS.get(kind) if type(kind) is str else None
+    return (fields is not None and list(event) == ["tick", "kind", "actor", *fields]
+            and _has_type(event["tick"], "int") and type(event["actor"]) is str
+            and all(_has_type(event[name], FIELD_TYPES[name])
+                    or (event[name] is None and (kind, name) in NULLABLE)
+                    for name in fields)
+            and json.dumps(event, separators=(",", ":")) == line)
+
 
 def _outcome(text):
     """What verify_trace gives for `text`: its violations, or the line number
@@ -633,64 +678,63 @@ def _outcome(text):
         return err.line_no, str(err)
 
 
-def _outcome_through_json(text):
-    """_outcome with no line patterns, so that json reads every line."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trace, "_PATTERNS", {})
-        return _outcome(text)
+def _expected_outcome(text):
+    """What verify_trace must give for `text`: the first non-blank line that
+    is not canonical, or whose tick is lower than the one before, is refused
+    there, with parse_trace's message where parse_trace refuses it; a text
+    with no such line verifies as its canonical lines written by dump."""
+    lines, tick = [], None
+    for idx, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if not _is_canonical(line):
+            try:
+                event, = parse_trace("\n" * (idx - 1) + line)
+            except TraceFormatError as err:
+                return idx, str(err)
+            return idx, (f"line {idx}: {event['kind']} event at tick {event['tick']} "
+                         f"by {event['actor']!r} is not in the form dump writes")
+        new_tick = json.loads(line)["tick"]
+        if tick is not None and new_tick < tick:
+            return idx, f"line {idx}: tick {new_tick} is lower than tick {tick} before it"
+        lines.append(line)
+        tick = new_tick
+    return verify_trace("".join(line + "\n" for line in lines))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_trace_texts)
-def test_generated_trace_verifies_as_through_json(text):
-    assert _outcome(text) == _outcome_through_json(text)
+def test_generated_trace_verifies_only_its_canonical_lines(text):
+    assert _outcome(text) == _expected_outcome(text)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_mutated_trace_verifies_as_through_json(data):
+def test_mutated_trace_verifies_only_its_canonical_lines(data):
     text = _mutated_trace(data, data.draw(st.sampled_from([None, (",", ":")])))
-    assert _outcome(text) == _outcome_through_json(text)
-
-
-def _fallbacks(text):
-    """The numbers of the lines of `text` that verify_trace reads by json."""
-    numbers = []
-    parse = trace._parse
-
-    def counting(idx, line):
-        numbers.append(idx)
-        return parse(idx, line)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trace, "_parse", counting)
-        _outcome(text)
-    return numbers
+    assert _outcome(text) == _expected_outcome(text)
 
 
 def test_escaped_ids_name_the_same_agents_and_jobs():
-    # The leader "lead", the job "j\u00e9" and the agent "a" with json escapes
-    # on lines 1, 3 and 5; json reads those and the patterns the others.
-    text = "".join(line + "\n" for line in [
-        '{"tick":0,"kind":"Election","actor":"super","zone":[0,0],"leader":"le\\u0061d",'
-        '"since_tick":0,"reason":"bootstrap"}',
-        '{"tick":1,"kind":"Assign","actor":"lead","job":"j\u00e9","agent":"a","cost":2,'
-        '"zone":[0,0]}',
-        '{"tick":2,"kind":"Complete","actor":"lead","job":"j\\u00e9","agent":"\\u0061",'
-        '"zone":[0,0]}',
-        '{"tick":4,"kind":"Complete","actor":"lead","job":"j\u00e9","agent":"a","zone":[0,0]}',
-        '{"tick":5,"kind":"Move","actor":"\\u0061","src":[0,0],"dst":[1,0]}',
-        '{"tick":5,"kind":"Move","actor":"b","src":[2,0],"dst":[1,0]}',
-    ])
-    expected = ["tick 4: completion of j\u00e9 by a, which does not hold it",
-                "tick 5: vertex violation at [1, 0] between a and b"]
-    assert _outcome(text) == _outcome_through_json(text) == expected
-    assert _fallbacks(text) == [1, 3, 5]
+    # dump escapes the leader, the job and the agent on every line they are
+    # on; the verifier keys on the decoded ids and words its messages with them.
+    leader, job, agent = 'le"ad', "jé", "a\\1"
+    w = writer_with(election(0, [0, 0], leader),
+                    (1, "Assign", leader, {"job": job, "agent": agent, "cost": 2,
+                                           "zone": [0, 0]}),
+                    (2, "Complete", leader, {"job": job, "agent": agent, "zone": [0, 0]}),
+                    (4, "Complete", leader, {"job": job, "agent": agent, "zone": [0, 0]}),
+                    move(5, agent, [0, 0], [1, 0]), move(5, "b", [2, 0], [1, 0]))
+    text = w.dump()
+    assert all(escaped in text for escaped in ('"le\\"ad"', '"j\\u00e9"', '"a\\\\1"'))
+    assert verify_trace(text) == [
+        "tick 4: completion of jé by a\\1, which does not hold it",
+        "tick 5: vertex violation at [1, 0] between a\\1 and b"]
 
 
-# Lines that their kind's pattern refuses: spaces, a duplicate or extra key,
-# an escape, an integer of 19 digits, NaN, a value of another type, and text
-# that is not JSON. Each goes to json, which reads some and refuses others.
+# Lines that dump does not write: spaces, a duplicate or extra key, an
+# escape of a printable character, an integer of 19 digits, NaN, a value of
+# another type, and text that is not JSON. Each is refused where it stands.
 NON_CANONICAL = [
     '{"tick": 4, "kind": "Move", "actor": "b", "src": [0, 0], "dst": [1, 0]}',
     '{"tick":4,"kind":"Move","actor":"b","src":[0,0],"dst":[1,0],"dst":[2,0]}',
@@ -705,39 +749,44 @@ NON_CANONICAL = [
     '{"tick":4,"kind":"Move","actor":"b","src":[0,0],"dst":[1,01]}',
     '{"tick":4,"kind":"Move","actor":"b\x01","src":[0,0],"dst":[1,0]}',
     '{"tick":4,"kind":"Move","actor":"b","src":[0,0],"dst":[1,0]}}',
+    '{"tick":4,"kind":"Move","actor":"\\u00E9","src":[0,0],"dst":[1,0]}',
+    '{"tick":4,"kind":"Move","actor":"\\/","src":[0,0],"dst":[1,0]}',
+    '{"tick":4,"kind":"Move","actor":"\\u000a","src":[0,0],"dst":[1,0]}',
+    '{"tick":4,"kind":"Move","actor":"é","src":[0,0],"dst":[1,0]}',
+    '{"tick":4,"kind":"JobSpawn","actor":"c","job":"j","location":[0,0],"priority":2,'
+    '"zone":null,"rejected":false}',
 ]
 
 
 @pytest.mark.parametrize("line", NON_CANONICAL)
-def test_line_a_pattern_refuses_verifies_as_through_json(line):
+def test_line_dump_does_not_write_is_a_format_error(line):
     text = ('{"tick":3,"kind":"Move","actor":"a","src":[5,0],"dst":[1,0]}\n'
             + line + "\n")
-    assert _fallbacks(text) == [2]
-    assert _outcome(text) == _outcome_through_json(text)
+    assert not _is_canonical(line)
+    with pytest.raises(TraceFormatError) as err:
+        verify_trace(text)
+    assert err.value.line_no == 2
+    assert _outcome(text) == _expected_outcome(text)
 
 
-def test_lowered_tick_is_raised_before_a_wrong_type():
+def test_line_dump_does_not_write_is_refused_before_its_tick_is_compared():
     text = ('{"tick":3,"kind":"Move","actor":"a","src":[0,0],"dst":[1,0]}\n'
             '{"tick":1,"kind":"Move","actor":"b","src":[0,0],"dst":5}\n'
             '{"tick":1,"kind":"Move","actor":"b","src":[0,0],"dst":[1,0]}\n')
-    expected = (2, "line 2: tick 1 is lower than tick 3 before it")
-    assert _outcome(text) == _outcome_through_json(text) == expected
-    # With the wrong type gone, the lowered tick on line 3 matches its pattern.
+    assert _outcome(text) == (2, "line 2: Move event at tick 1 by 'b' "
+                                 "is not in the form dump writes")
+    # With the wrong type gone, the lowered tick on line 2 is refused.
     text = text.replace(',"dst":5', ',"dst":[1,0]')
-    assert _fallbacks(text.splitlines()[0] + "\n") == []
-    assert _outcome(text) == _outcome_through_json(text) == expected
+    assert _outcome(text) == (2, "line 2: tick 1 is lower than tick 3 before it")
 
 
-def _escape_free(value):
-    """`value` with each string cut to printable ASCII other than a quote or
-    a backslash and each integer cut to at most 18 digits, so that dump
-    writes it with no escape and its kind's pattern must match the line."""
-    if type(value) is str:
-        return "".join(c for c in value if " " <= c <= "~" and c not in '"\\')
+def _short(value):
+    """`value` with each integer cut to at most 18 digits, the longest that
+    a line dump writes can hold and still verify."""
     if type(value) is int:
-        return abs(value) % 10**18 * (-1 if value < 0 else 1)
+        return abs(value) % _SHORT * (-1 if value < 0 else 1)
     if type(value) in (list, tuple):
-        return type(value)(map(_escape_free, value))
+        return type(value)(map(_short, value))
     return value
 
 
@@ -745,13 +794,13 @@ def _escape_free(value):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_each_kind_line_matches_its_pattern(kind, data):
-    tick, actor = _escape_free(data.draw(_ints)), _escape_free(data.draw(_text))
+    tick, actor = _short(data.draw(_ints)), data.draw(_text)
     values = []
     for name in EVENT_FIELDS[kind]:
         drawn = TYPE_STRATEGIES[FIELD_TYPES[name]]
         if (kind, name) in NULLABLE:
             drawn = st.none() | drawn
-        values.append(_escape_free(data.draw(drawn, label=name)))
+        values.append(_short(data.draw(drawn, label=name)))
     w = TraceWriter()
     w.emit(tick, kind, actor, *values)
     line = w.lines()[0]
@@ -759,14 +808,31 @@ def test_each_kind_line_matches_its_pattern(kind, data):
     match = fullmatch(line)
     assert match is not None, line
     # The row from the captured text is json's, with cells as tuples.
-    expected = trace._ROW_OF[kind](json.loads(line))
+    event = json.loads(line)
+    expected = [event[name] for name in ("tick", "kind", "actor", *READS.get(kind, ()))]
     assert row_from(*match.groups()) == tuple(
         tuple(v) if type(v) is list else v for v in expected)
 
 
-def test_golden_traces_read_without_json():
+def test_golden_traces_verify_by_their_patterns():
     runs = test_golden.corpus()
     for name in ("bench/30x50", "lossy_faults/3"):
-        text = run_scenario(scenario_from_dict(runs[name]))[1].dump()
-        assert _fallbacks(text) == [], name
-        assert _outcome(text) == _outcome_through_json(text), name
+        lines = run_scenario(scenario_from_dict(runs[name]))[1].lines()
+        assert all(_is_canonical(line) for line in lines), name
+        assert all(trace._PATTERNS[json.loads(line)["kind"]][0](line) for line in lines), name
+        assert verify_trace("".join(line + "\n" for line in lines)) == [], name
+
+
+def test_run_with_escaped_agent_ids_verifies(tmp_path, capsys):
+    """Agent ids that dump escapes go through `gridswarm run` and `gridswarm
+    verify` as any others do."""
+    scenario = random_scenario(3)
+    for agent, new_id in zip(scenario["agents"], ["é0", 'q"1', "b\\2", "t\t3"]):
+        agent["id"] = new_id
+    scenario_path, trace_path = tmp_path / "scenario.json", tmp_path / "trace.jsonl"
+    scenario_path.write_text(json.dumps(scenario))
+    code = main(["run", "--scenario", str(scenario_path), "--trace-out", str(trace_path)])
+    assert code not in (1, 2), capsys.readouterr().err
+    text = trace_path.read_text()
+    assert all(f'"{escaped}"' in text for escaped in ("\\u00e90", 'q\\"1', "b\\\\2", "t\\t3"))
+    assert main(["verify", "--trace", str(trace_path)]) == 0
