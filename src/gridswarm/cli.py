@@ -48,7 +48,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    violations = verify_trace(Path(args.trace).read_text(encoding="utf-8"))
+    # Read as written: newline translation would hide a "\r\n" ending.
+    violations = verify_trace(Path(args.trace).read_bytes().decode("utf-8"))
     for v in violations:
         print(f"violation: {v}")
     print(f"{len(violations)} violation(s)")

@@ -1,9 +1,12 @@
-"""Tick-synchronized leader-driven state replication primitives.
+"""Tick-synchronized leader-driven state replication.
 
-The decision functions here are pure; the engine wires them to the bus.
-Snapshots are leader-authoritative: agents commit exactly the record set the
-leader broadcast, which makes per-zone agreement hold by construction even
-under message loss.
+``ZoneRound``, the leader's side of a zone's round, owns its decisions: how
+long to wait for members, when to suspect its own isolation, whom to mark
+dead, what the snapshot holds and which jobs a tick solicits. It reaches the
+run only through what it is given, never the engine or the bus; the
+functions under it are pure. Snapshots are leader-authoritative: agents
+commit exactly the record set the leader broadcast, which makes per-zone
+agreement hold by construction even under message loss.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
+from .jobs import Bid, Job
 from .planner import rank
 from .trace import _q
-from .world import Cell
+from .world import Cell, ZoneId
 
 
 class Liveness(Enum):
@@ -98,3 +102,108 @@ def resolve_overlap_tick(tick_i: int, tick_j: int, prio_i: float, prio_j: float,
     """Tick used when agents from different zones meet in an overlap region:
     the tick of the agent that `planner.rank` puts first."""
     return tick_i if rank(prio_i, id_i) < rank(prio_j, id_j) else tick_j
+
+
+@dataclass(slots=True)
+class ZoneState:
+    """What a zone's leaders keep between rounds, and its pool of jobs."""
+    leader: Optional[str] = None
+    tick: int = 0
+    snapshot: Optional[ZoneSnapshot] = None
+    pool: dict[str, Job] = field(default_factory=dict)
+
+
+@dataclass(slots=True, eq=False)
+class ZoneRound:
+    """The leader's side of one round of a zone from tick `tick`: the members'
+    states, a broadcast of the next tick, their acks and bids. ``on_<kind>``
+    reads one message (sender, payload). Ports: `publish` (sender, topic,
+    payload), `emit` (kind, actor, *values), `mark_dead` (the member's job id)."""
+    zone: ZoneId
+    leader: str
+    tick: int
+    expected: set[str]  # the members the round waits for, the leader among them
+    state: ZoneState
+    topic: str  # the zone's global_tick topic
+    timeout: int
+    publish: Callable[[str, str, dict], Any]
+    emit: Callable[..., None]
+    mark_dead: Callable[[str], Optional[str]]
+    states: dict[str, StateRecord] = field(default_factory=dict)
+    tick_acks: set[str] = field(default_factory=set)
+    # From the broadcast on: every solicited job id, in id order, to its bids.
+    bids: dict[str, list[Bid]] = field(default_factory=dict)
+    # Bus steps waited: from 1 for the states, from 0 for the acks after the
+    # broadcast, so the states half times out one step sooner.
+    waited: int = 1
+    probe_sent: bool = False
+    confirm_ok: bool = False
+    broadcast: bool = False
+
+    def on_state(self, sender: str, payload: dict) -> None:
+        if sender in self.expected:
+            self.states[sender] = payload["record"]
+
+    def on_tick_ack(self, sender: str, payload: dict) -> None:
+        self.tick_acks.add(sender)
+        for job_id, cost in payload["bids"]:
+            if job_id in self.bids:  # solicited in this round's broadcast
+                self._bid(sender, job_id, cost)
+
+    def on_resync_req(self, sender: str, payload: dict) -> None:
+        if self.state.snapshot is not None:
+            self.publish(self.leader, self.topic,
+                         {"kind": "resync_resp", "target": sender, "tick": self.state.tick})
+
+    def on_suspect_ok(self, sender: str, payload: dict) -> None:
+        self.confirm_ok = True
+
+    def step(self) -> bool:
+        """One bus step of the half in progress, states then acks; True once
+        it is over. Each half waits by one rule and marks the silent dead."""
+        heard = self.tick_acks if self.broadcast else self.states.keys()
+        decision = leader_tick_decision(heard | {self.leader}, self.expected, self.waited,
+                                        self.timeout)
+        if isinstance(decision, Wait):
+            self.waited += 1
+            return False
+        if isinstance(decision, MarkDeadAndAdvance):
+            if not self.broadcast and not self.states:
+                # Zero contact: suspect own isolation before declaring a
+                # whole zone dead; the super-leader acts as the arbiter.
+                if not self.probe_sent:
+                    self.probe_sent = True
+                    self.publish(self.leader, "super/inbox", {"kind": "suspect", "zone": self.zone})
+                if not self.confirm_ok:
+                    return False
+            for aid in sorted(decision.missing):
+                self.emit("MarkDead", self.leader, self.zone, aid, self.mark_dead(aid))
+                self.expected.discard(aid)
+        return True
+
+    def broadcast_tick(self, record: StateRecord,
+                       cost: Callable[[Cell, Cell], Optional[int]]) -> None:
+        """The leader, of record `record`, broadcasts the next tick with the
+        snapshot, the roster and the pool's unassigned jobs, and bids on them
+        by `cost` if it holds no job."""
+        pool = self.state.pool
+        snapshot = make_snapshot(self.tick, {**self.states, self.leader: record})
+        new_tick = self.tick + 1
+        pending = sorted(j for j, job in pool.items() if job.assign_tick is None)
+        self.bids = {job_id: [] for job_id in pending}
+        self.publish(self.leader, self.topic,
+                     {"kind": "tick", "new_tick": new_tick, "roster": frozenset(self.expected),
+                      "snapshot": snapshot, "solicit": [(j, pool[j].location) for j in pending]})
+        if record.job is None:
+            for job_id in pending:
+                self._bid(self.leader, job_id, cost(record.position, pool[job_id].location))
+        self.state.tick = new_tick
+        self.state.snapshot = snapshot
+        self.broadcast = True
+        self.waited = 0
+        self.emit("TickBroadcast", self.leader, self.zone, new_tick, tuple(sorted(self.expected)),
+                  snapshot.digest())
+
+    def _bid(self, agent: str, job_id: str, cost: Optional[int]) -> None:
+        self.bids[job_id].append(Bid(agent, job_id, cost))
+        self.emit("Bid", agent, job_id, cost, self.zone)

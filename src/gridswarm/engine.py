@@ -5,6 +5,12 @@ leader-gated consensus conversation on the simulated bus, then applies the
 remaining phases in fixed order: scripted faults, job spawns, bid assignment,
 periodic load balancing, per-zone conflict resolution, simultaneous movement,
 and completion checks. Every run is a pure function of (config, seed).
+
+The engine keeps the bus, the members' side of the protocol and the reader
+rule: every payload carries its ``kind``, and ``_deliver`` hands a message to
+the one handler of its kind. It feeds messages and bus steps to the leader's
+side of each zone's round (``consensus.ZoneRound``) and to the super-leader
+(``election.SuperLeader``).
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple, Optional
+from functools import partial
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from . import balance as bal
 from . import consensus as cons
@@ -24,9 +31,8 @@ from .scenario import ScenarioConfig, scenario_from_dict
 from .trace import TraceWriter
 from .world import Cell, ZoneId, build_partition, home_zone, subscribed_zones
 
-SUPER = "super"
+SUPER = elec.SUPER
 CONTROLLER = "controller"
-TO_SUPER = ("super/loads", "super/inbox")  # the topics only the super-leader reads
 
 
 @dataclass
@@ -43,22 +49,14 @@ class Metrics:
     deficit_history: list[int] = field(default_factory=list)  # max zone deficit per period
 
     def flat(self) -> dict[str, Any]:
-        waits_a = [w[0] for w in self.job_waits.values() if w[0] is not None]
-        waits_c = [w[1] for w in self.job_waits.values() if w[1] is not None]
-        out: dict[str, Any] = {
-            "completed": self.completed,
-            "makespan": self.makespan,
-            "rounds": self.rounds,
-            "migrations": self.migrations,
-            "collisions": self.collisions,
-            "ticks_halted": self.ticks_halted,
-            "starvation": self.starvation,
-            "mean_wait_assign": round(sum(waits_a) / len(waits_a), 3) if waits_a else None,
-            "mean_wait_complete": round(sum(waits_c) / len(waits_c), 3) if waits_c else None,
-            "deficit_history": ",".join(str(d) for d in self.deficit_history),
-        }
-        for topic, count in sorted(self.messages.items()):
-            out[f"messages.{topic}"] = count
+        out: dict[str, Any] = {name: getattr(self, name) for name in (
+            "completed", "makespan", "rounds", "migrations", "collisions", "ticks_halted",
+            "starvation")}
+        for i, name in enumerate(("mean_wait_assign", "mean_wait_complete")):
+            waits = [w[i] for w in self.job_waits.values() if w[i] is not None]
+            out[name] = round(sum(waits) / len(waits), 3) if waits else None
+        out["deficit_history"] = ",".join(str(d) for d in self.deficit_history)
+        out.update((f"messages.{topic}", count) for topic, count in sorted(self.messages.items()))
         return out
 
 
@@ -92,22 +90,13 @@ class AgentSim:
         return 1.0 if self.job is None else self.job.priority
 
 
-@dataclass(slots=True)
-class LeaderRound:
-    zone: ZoneId
-    leader: str
-    tick: int
-    expected: set[str]
-    states: dict[str, cons.StateRecord] = field(default_factory=dict)
-    tick_acks: set[str] = field(default_factory=set)
-    # From the broadcast on: every solicited job id, in id order, to its bids.
-    bids: dict[str, list[jobmod.Bid]] = field(default_factory=dict)
-    # Bus steps waited: from 1 for the states, from 0 for the acks after the
-    # broadcast, so the states half times out one step sooner.
-    waited: int = 1
-    probe_sent: bool = False
-    confirm_ok: bool = False
-    broadcast: bool = False
+def _round_reads(read: Callable, sim: Simulation, env: Envelope,
+                 recipients: tuple[str, ...]) -> None:
+    """The round leader of the message's zone reads it by `read`, if powered
+    and among `recipients`; a suspect_ok names its zone itself."""
+    lr = sim.leader_rounds.get(sim._topics[env.topic][0] or env.payload["zone"])
+    if lr is not None and sim._reads(lr.leader, recipients):
+        read(lr, env.sender, env.payload)
 
 
 class ZoneTopics(NamedTuple):
@@ -117,48 +106,19 @@ class ZoneTopics(NamedTuple):
     tick_ack: str
 
 
-@dataclass(slots=True)
-class ZoneState:
-    leader: Optional[str] = None
-    tick: int = 0
-    snapshot: Optional[cons.ZoneSnapshot] = None
-    pool: dict[str, jobmod.Job] = field(default_factory=dict)
-
-
-@dataclass(slots=True)
-class ElectionState:
-    election_id: int
-    reason: elec.ElectionReason
-    deadline: int
-    candidacies: dict[str, tuple[float, int]] = field(default_factory=dict)
-
-
-class SuperState:
-    def __init__(self, zones: Iterable[ZoneId]) -> None:
-        self.roles: dict[ZoneId, Optional[str]] = dict.fromkeys(zones)
-        self.elections: dict[ZoneId, ElectionState] = {}
-        self.next_election = 0
-        # Each zone's last reported pending - idle, kept while it is silent.
-        self.deficits: dict[ZoneId, int] = {}
-        self.idle_ids: dict[ZoneId, list[str]] = {}  # zones reporting this period
-        self.controller_pending: dict[ZoneId, int] = {}
-        self.mandate_counter = 0
-
-
 class Simulation:
     """One deterministic scenario run."""
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.cfg = config
         self.grid = config.grid
-        self.partition = build_partition(self.grid, config.rows, config.cols,
-                                         config.overlap)
+        self.partition = build_partition(self.grid, config.rows, config.cols, config.overlap)
         self.timeout = config.timeout_steps
         self.trace = TraceWriter()
         self.metrics = Metrics()
-        self.bus = Bus(config.network, config.seed)
+        self.bus = bus = Bus(config.network, config.seed)
         self.round = 0
-        self.leader_rounds: dict[ZoneId, LeaderRound] = {}  # this round's, by zone
+        self.leader_rounds: dict[ZoneId, cons.ZoneRound] = {}  # this round's, by zone
         self.costs = jobmod.CostField(self.grid)
         self.jobs: dict[str, jobmod.Job] = {}
         # Stable on spawn_tick, so jobs keep their file order within a tick.
@@ -167,7 +127,7 @@ class Simulation:
 
         # Zones in row-major order and agents by id: the canonical orders
         # every phase iterates in.
-        self.zones = {z: ZoneState() for z in self.partition.zone_ids()}
+        self.zones = {z: cons.ZoneState() for z in self.partition.zone_ids()}
         self._zone_topics = {z: ZoneTopics(*(zone_topic(z, kind) for kind in ZoneTopics._fields))
                              for z in self.zones}
         # (zone, kind) of every topic; the kind is also its message-count class.
@@ -177,12 +137,14 @@ class Simulation:
         for topic in ("super/loads", "super/election", "super/mandates"):
             self._topics[topic] = (None, topic.replace("/", "_"))
         self._topics["super/inbox"] = (None, "super_election")
-        self.sup = SuperState(self.zones)
+        # No port holds the run, so it is freed when its caller lets go.
+        self.sup = elec.SuperLeader(self.timeout, bus.publish, partial(self.trace.emit, 0),
+                                    lambda: bus.now)
 
         self.bus.register(SUPER)
         self.bus.register(CONTROLLER)
-        for topic in TO_SUPER:
-            self.bus.subscribe(SUPER, topic)
+        self.bus.subscribe(SUPER, "super/loads")
+        self.bus.subscribe(SUPER, "super/inbox")
         self.agents: dict[str, AgentSim] = {}
         for aid, start in sorted(config.agents):
             a = self.agents[aid] = AgentSim(id=aid, position=start)
@@ -224,10 +186,6 @@ class Simulation:
         """The next cell on `a`'s path, or its own cell at the path's end."""
         return a.path[-1] if a.path else a.position
 
-    @staticmethod
-    def _drop_job(a: AgentSim) -> None:
-        a.job = a.goal = a.path = None
-
     def _commit(self, a: AgentSim, tick: int) -> None:
         """`a` commits zone-tick `tick` in this round."""
         a.local_tick = tick
@@ -239,6 +197,9 @@ class Simulation:
                                 None if a.job is None else a.job.id, a.priority,
                                 a.local_tick)
 
+    def _emit(self, kind: str, actor: str, *values: Any) -> None:
+        self.trace.emit(self.round, kind, actor, *values)
+
     def _force_rng(self, agent: str) -> random.Random:
         return random.Random(derive_seed(self.cfg.seed, "force", self.round, agent))
 
@@ -249,24 +210,19 @@ class Simulation:
         while self.round < self.cfg.max_ticks and not self._all_jobs_done():
             self.round += 1
             self._run_round()
-        self.metrics.rounds = self.round
-        self.metrics.completed = self._all_jobs_done()
-        messages = self.metrics.messages
+        m, jobs = self.metrics, self.jobs.values()
+        m.rounds = self.round
+        m.completed = self._all_jobs_done()
         for topic, count in self.bus.published().items():
             cls = self._topics[topic][1]
-            messages[cls] = messages.get(cls, 0) + count
-        self.metrics.job_waits = {
-            j.id: tuple(None if t is None else t - j.spawn_tick
-                        for t in (j.assign_tick, j.completion_tick))
-            for j in self.jobs.values()}
-        if self.metrics.completed and self.jobs:
-            self.metrics.makespan = (
-                max(j.completion_tick for j in self.jobs.values())
-                - min(j.spawn_tick for j in self.jobs.values()))
-        if not self.metrics.completed and not any(
-                a.powered for a in self.agents.values()):
-            self.metrics.starvation = True
-        return self.metrics, self.trace
+            m.messages[cls] = m.messages.get(cls, 0) + count
+        m.job_waits = {j.id: tuple(None if t is None else t - j.spawn_tick
+                                   for t in (j.assign_tick, j.completion_tick)) for j in jobs}
+        if m.completed and jobs:
+            m.makespan = max(j.completion_tick for j in jobs) - min(j.spawn_tick for j in jobs)
+        if not m.completed and not any(a.powered for a in self.agents.values()):
+            m.starvation = True
+        return m, self.trace
 
     def _all_jobs_done(self) -> bool:
         return (self._spawn_idx == len(self._spawn_order)
@@ -274,7 +230,7 @@ class Simulation:
 
     def _bootstrap(self) -> None:
         for zone in self.zones:
-            self._start_election(zone, elec.ElectionReason.BOOTSTRAP)
+            self.sup.start_election(zone, elec.ElectionReason.BOOTSTRAP)
         self._pump(2 * self.timeout + 6)
 
     def _pump(self, max_steps: int) -> None:
@@ -284,10 +240,22 @@ class Simulation:
         for _ in range(max_steps):
             for env, recipients in self.bus.step_deliver():
                 self._deliver(env, recipients)
-            open_rounds = [lr for lr in open_rounds if not self._leader_eval(lr)]
-            self._super_eval()
+            open_rounds = [lr for lr in open_rounds if not self._step_round(lr)]
+            self.sup.step()
             if not open_rounds and not self.sup.elections and self.bus.pending() == 0:
                 break
+
+    def _step_round(self, lr: cons.ZoneRound) -> bool:
+        """One bus step of `lr`; True once the round is over."""
+        leader = self.agents[lr.leader]
+        if not leader.is_leader:  # demoted mid-round by a role broadcast
+            return True
+        done = lr.step()
+        if done and not lr.broadcast:  # the states' half is over: broadcast, commit
+            lr.broadcast_tick(self._record_for(leader), self.costs.cost)
+            self._commit(leader, lr.tick + 1)
+            return False
+        return done
 
     # ------------------------------------------------------------- the phases
 
@@ -304,15 +272,16 @@ class Simulation:
     # Phase 1: one consensus round per led zone, over shared bus steps.
     def _phase_consensus(self) -> None:
         self.leader_rounds = rounds = {}
-        for zone in self.zones:
-            leader = self._active_leader(zone)
-            if leader is None:
-                continue
-            expected = {m.id for m in self._members(zone)}
-            rounds[zone] = LeaderRound(zone=zone, leader=leader.id,
-                                       tick=self.zones[zone].tick, expected=expected)
+        self.sup.emit = emit = partial(self.trace.emit, self.round)  # this round's events
         publish = self.bus.publish
         zone_topics = self._zone_topics
+        for zone, zs in self.zones.items():
+            leader = self._active_leader(zone)
+            if leader is not None:
+                rounds[zone] = cons.ZoneRound(
+                    zone, leader.id, zs.tick, {m.id for m in self._members(zone)}, zs,
+                    zone_topics[zone].global_tick, self.timeout, publish, emit,
+                    partial(_mark_dead, self.agents))
         for aid, a in self.agents.items():
             if not a.powered:
                 continue
@@ -339,160 +308,44 @@ class Simulation:
                 leader.solo_rounds += 1
                 if leader.solo_rounds >= 2 and leader.is_leader:
                     self._demote(leader)
-                    self.bus.publish(lr.leader, "super/inbox", {"kind": "stepdown", "zone": zone})
+                    publish(lr.leader, "super/inbox", {"kind": "stepdown", "zone": zone})
         # Cross-round staleness drives leader-loss reporting; _commit resets it.
         for aid, a in self.agents.items():
             if not a.powered or a.is_leader or a.committed_round == self.round:
                 continue
             a.stale_rounds += 1
             if a.stale_rounds >= 2 and a.stale_rounds % 2 == 0:
-                self.bus.publish(aid, "super/inbox",
-                                 {"kind": "leader_loss", "zone": a.home})
-
-    def _leader_eval(self, lr: LeaderRound) -> bool:
-        """One bus step of a round; True once the round is over. Each half,
-        states then acks, waits for its members by one rule and marks the
-        silent ones dead when it runs out."""
-        if not self.agents[lr.leader].is_leader:  # demoted mid-round by a role broadcast
-            return True
-        heard = lr.tick_acks if lr.broadcast else lr.states.keys()
-        decision = cons.leader_tick_decision(
-            heard | {lr.leader}, lr.expected, lr.waited, self.timeout)
-        if isinstance(decision, cons.Wait):
-            lr.waited += 1
-            return False
-        if isinstance(decision, cons.MarkDeadAndAdvance):
-            if not lr.broadcast and not lr.states:
-                # Zero contact: suspect own isolation before declaring a
-                # whole zone dead; the super-leader acts as the arbiter.
-                if not lr.probe_sent:
-                    lr.probe_sent = True
-                    self.bus.publish(lr.leader, "super/inbox",
-                                     {"kind": "suspect", "zone": lr.zone})
-                if not lr.confirm_ok:
-                    return False
-            self._mark_dead(lr, decision.missing)
-        if lr.broadcast:
-            return True
-        self._leader_broadcast(lr)
-        return False
-
-    def _mark_dead(self, lr: LeaderRound, missing: Iterable[str]) -> None:
-        for aid in sorted(missing):
-            a = self.agents[aid]
-            a.status = cons.Liveness.DEAD
-            job = a.job
-            if job is not None:
-                job.assign_tick = None
-                self._drop_job(a)
-            self.trace.emit(self.round, "MarkDead", lr.leader, lr.zone, aid,
-                            None if job is None else job.id)
-            lr.expected.discard(aid)
-
-    def _leader_broadcast(self, lr: LeaderRound) -> None:
-        leader = self.agents[lr.leader]
-        zs = self.zones[lr.zone]
-        records = dict(lr.states)
-        records[lr.leader] = self._record_for(leader)
-        snapshot = cons.make_snapshot(lr.tick, records)
-        new_tick = lr.tick + 1
-        pending = sorted(j for j, job in zs.pool.items() if job.assign_tick is None)
-        lr.bids = {job_id: [] for job_id in pending}
-        roster = tuple(sorted(lr.expected))
-        self.bus.publish(lr.leader, self._zone_topics[lr.zone].global_tick,
-                         {"kind": "tick", "new_tick": new_tick,
-                          "roster": frozenset(lr.expected), "snapshot": snapshot,
-                          "solicit": [(j, zs.pool[j].location) for j in pending]})
-        if leader.idle:
-            for job_id in pending:
-                self._bid(lr, lr.leader, job_id,
-                          self.costs.cost(leader.position, zs.pool[job_id].location))
-        zs.tick = new_tick
-        zs.snapshot = snapshot
-        self._commit(leader, new_tick)
-        lr.broadcast = True
-        lr.waited = 0
-        self.trace.emit(self.round, "TickBroadcast", lr.leader, lr.zone, new_tick, roster,
-                        snapshot.digest())
-
-    def _bid(self, lr: LeaderRound, agent: str, job_id: str, cost: Optional[int]) -> None:
-        lr.bids[job_id].append(jobmod.Bid(agent, job_id, cost))
-        self.trace.emit(self.round, "Bid", agent, job_id, cost, lr.zone)
+                publish(aid, "super/inbox", {"kind": "leader_loss", "zone": a.home})
 
     # ---------------------------------------------------------- bus handlers
 
     def _deliver(self, env: Envelope, recipients: tuple[str, ...]) -> None:
-        """Hand one envelope to its readers, in id order. A message's kind
-        names its readers:
-        - db_update and tick_ack, the bulk of the traffic, and suspect_ok:
-          the zone's round leader
+        """Hand one envelope to the handler of its payload's kind, which picks
+        its readers and acts. A kind names its readers:
+        - state and tick_ack, the bulk of the traffic, resync_req and
+          suspect_ok: the zone's round leader
         - tick: the recipients whose home is the zone
         - resync_resp: its target; mandate: its agent, ``m.agent``
         - solicit: the zone's home agents; role: those of them that win or lead
-        - super/loads and super/inbox: the super-leader
+        - job_notice, load, leader_loss, stepdown, candidacy and suspect: the
+          super-leader
         They are picked on arrival, as an agent can change home in flight, and
         an agent reads only if powered and among the sorted `recipients`,
         fixed at publish without the sender and whoever a partition cut off."""
-        zone, kind = self._topics[env.topic]
-        if kind == "db_update" or kind == "tick_ack":
-            lr = self.leader_rounds.get(zone)
-            if (lr is not None and self.agents[lr.leader].powered
-                    and _among(lr.leader, recipients)):
-                self._handle_round_msg(lr, kind, env)
-            return
-        if env.topic in TO_SUPER:
-            self._handle_super(env)
-            return
+        self._handlers[env.payload["kind"]](self, env, recipients)
+
+    def _reads(self, aid: str, recipients: tuple[str, ...]) -> bool:
+        """Whether `aid` reads a message: powered and among its sorted `recipients`."""
+        i = bisect_left(recipients, aid)
+        return i < len(recipients) and recipients[i] == aid and self.agents[aid].powered
+
+    def _on_tick(self, env: Envelope, recipients: tuple[str, ...]) -> None:
+        """The zone's home agents among `recipients` read one tick, in id order.
+        A powered, live non-leader that is off the roster or missed a tick asks
+        to resync; otherwise it commits a newer tick and acks it, bidding if idle."""
+        zone = self._topics[env.topic][0]
         payload = env.payload
-        msg = payload.get("kind")
-        if msg == "tick":
-            self._handle_tick(zone, payload, recipients)
-            return
-        if msg == "resync_resp":
-            ids = (payload["target"],)
-        elif kind == "super_mandates":
-            ids = (payload["mandate"].agent,)
-        elif msg in ("solicit", "role"):
-            ids = [a.id for a in self._homed(payload["zone"])
-                   if msg == "solicit" or a.is_leader or a.id == payload["leader"]]
-        else:  # suspect_ok
-            lr = self.leader_rounds.get(payload["zone"])
-            ids = () if lr is None else (lr.leader,)
-        for aid in ids:
-            a = self.agents[aid]
-            if not a.powered or not _among(aid, recipients):
-                continue
-            if kind == "global_tick":
-                self._handle_global_tick(a, zone, payload)
-            elif kind == "super_election":
-                self._handle_election_msg(a, payload)
-            else:
-                self._handle_mandate_msg(a, payload["mandate"])
-
-    def _handle_round_msg(self, lr: LeaderRound, kind: str, env: Envelope) -> None:
-        """The round's leader reads an ack, a state or a resync request."""
-        if kind == "tick_ack":
-            lr.tick_acks.add(env.sender)
-            for job_id, cost in env.payload["bids"]:
-                if job_id in lr.bids:  # solicited in this round's broadcast
-                    self._bid(lr, env.sender, job_id, cost)
-        elif env.payload["kind"] == "state":
-            if env.sender in lr.expected:
-                lr.states[env.sender] = env.payload["record"]
-        else:  # resync_req
-            zs = self.zones[lr.zone]
-            if zs.snapshot is not None:
-                self.bus.publish(lr.leader, self._zone_topics[lr.zone].global_tick,
-                                 {"kind": "resync_resp", "target": env.sender, "tick": zs.tick})
-
-    def _handle_tick(self, zone: ZoneId, payload: dict, recipients: tuple[str, ...]) -> None:
-        """The zone's home agents among `recipients` read one tick broadcast,
-        in id order, from one read of it. A powered member that is alive and
-        not a leader asks to resync if it is off the roster or missed a tick,
-        and otherwise commits a newer tick and acks it, with bids if idle."""
-        new_tick = payload["new_tick"]
-        roster: frozenset[str] = payload["roster"]
-        solicit = payload["solicit"]
+        new_tick, roster, solicit = payload["new_tick"], payload["roster"], payload["solicit"]
         digest = payload["snapshot"].digest()
         topics = self._zone_topics[zone]
         publish = self.bus.publish
@@ -512,112 +365,67 @@ class Simulation:
             bids = ([[job_id, self.costs.cost(a.position, loc)] for job_id, loc in solicit]
                     if a.idle else [])
             self.trace.emit(self.round, "TickAck", aid, zone, new_tick, digest)
-            publish(aid, topics.tick_ack, {"bids": bids})
+            publish(aid, topics.tick_ack, {"kind": "tick_ack", "bids": bids})
 
-    def _handle_global_tick(self, a: AgentSim, zone: ZoneId, payload: dict) -> None:
-        """`a`, the target of a resync reply, rejoins at its tick."""
-        if a.status is cons.Liveness.ALIVE:
-            return
-        a.status = cons.Liveness.ALIVE
-        self._commit(a, payload["tick"])
-        # Rejoins the leader's expected set from the next round on; it has
-        # not published state this round, so gating on it would stall.
-        self.trace.emit(self.round, "Resync", a.id, zone, payload["tick"])
-
-    def _handle_election_msg(self, a: AgentSim, payload: dict) -> None:
-        kind, zone = payload["kind"], payload["zone"]
-        if kind == "solicit":
-            if a.status is cons.Liveness.ALIVE:
-                dist = elec.centroid_distance(a.position, self.partition.zone(zone))
-                self.bus.publish(a.id, "super/inbox",
-                                 {"kind": "candidacy", "zone": zone,
-                                  "election": payload["election"], "distance": dist,
-                                  "tick": a.local_tick})
-        elif kind == "suspect_ok":
-            self.leader_rounds[zone].confirm_ok = True
-        elif a.id != payload["leader"]:  # a role naming another: the leader steps down
-            self._demote(a)
-        elif a.status is cons.Liveness.ALIVE:  # the role's winner takes office
-            a.is_leader = True
-            a.solo_rounds = 0
-            zs = self.zones[zone]
-            zs.leader = a.id
-            zs.tick = max(zs.tick, payload["since_tick"])
-            if zs.tick > a.local_tick:
-                self.trace.emit(self.round, "Resync", a.id, zone, zs.tick)
-                a.local_tick = zs.tick
-            topics = self._zone_topics[zone]
-            self.bus.subscribe(a.id, topics.db_update)
-            self.bus.subscribe(a.id, topics.tick_ack)
-
-    def _handle_mandate_msg(self, a: AgentSim, m: bal.MigrationMandate) -> None:
-        if not a.idle or a.status is not cons.Liveness.ALIVE or a.home != m.from_zone:
-            return  # busy, dead, or already moved: the mandate lapses
-        a.mandate = m
-        # Inside the target zone, so _after_move clears it on arrival.
-        a.goal = bal.nearest_free_cell(self.grid, self.partition.zone(m.to_zone))
-        a.path = None
-
-    def _handle_super(self, env: Envelope) -> None:
+    def _on_resync_resp(self, env: Envelope, recipients: tuple[str, ...]) -> None:
+        """The target of a resync reply, unless alive, rejoins at its tick."""
         payload = env.payload
-        kind, zone = payload["kind"], payload["zone"]
-        if kind == "job_notice":
-            # Counts as unserved demand until a leader's load report covers
-            # the zone again; a fresh report pops the counter.
-            self.sup.controller_pending[zone] = (
-                self.sup.controller_pending.get(zone, 0) + 1)
-        elif kind == "load":
-            idle_ids = payload["idle_ids"]
-            self.sup.deficits[zone] = payload["pending"] - len(idle_ids)
-            self.sup.idle_ids[zone] = idle_ids
-            self.sup.controller_pending.pop(zone, None)
-            self.trace.emit(self.round, "LoadReport", SUPER, zone, payload["pending"],
-                            len(idle_ids), payload["total"])
-        elif kind == "leader_loss":
-            if zone not in self.sup.elections:
-                self._start_election(zone, elec.ElectionReason.LEADER_DEAD)
-        elif kind == "stepdown":
-            if self.sup.roles.get(zone) == env.sender:
-                self.sup.roles[zone] = None
-            if zone not in self.sup.elections:
-                self._start_election(zone, elec.ElectionReason.LEADER_MIGRATED)
-        elif kind == "candidacy":
-            st = self.sup.elections.get(zone)
-            if st is not None and st.election_id == payload["election"]:
-                st.candidacies[env.sender] = (payload["distance"], payload["tick"])
-        elif kind == "suspect":
-            if self.sup.roles.get(zone) == env.sender:
-                self.bus.publish(SUPER, "super/election", {"kind": "suspect_ok", "zone": zone})
+        a = self.agents[payload["target"]]
+        if a.status is not cons.Liveness.ALIVE and self._reads(a.id, recipients):
+            a.status = cons.Liveness.ALIVE
+            self._commit(a, payload["tick"])
+            # Rejoins the leader's expected set from the next round on; it has
+            # not published state this round, so gating on it would stall.
+            self._emit("Resync", a.id, self._topics[env.topic][0], payload["tick"])
 
-    def _start_election(self, zone: ZoneId, reason: elec.ElectionReason) -> None:
-        self.sup.next_election += 1
-        self.sup.elections[zone] = ElectionState(
-            election_id=self.sup.next_election, reason=reason,
-            deadline=self.bus.now + self.timeout)
-        self.bus.publish(SUPER, "super/election",
-                         {"kind": "solicit", "zone": zone,
-                          "election": self.sup.next_election})
+    def _on_solicit(self, env: Envelope, recipients: tuple[str, ...]) -> None:
+        """Each live home agent of the zone stands as a candidate."""
+        payload, zone = env.payload, env.payload["zone"]
+        for a in self._homed(zone):
+            if a.status is cons.Liveness.ALIVE and self._reads(a.id, recipients):
+                dist = elec.centroid_distance(a.position, self.partition.zone(zone))
+                self.bus.publish(a.id, "super/inbox", {"kind": "candidacy", "zone": zone,
+                                 "election": payload["election"], "distance": dist,
+                                 "tick": a.local_tick})
 
-    def _super_eval(self) -> None:
-        if not self.sup.elections:
-            return
-        for zone in sorted(self.sup.elections):
-            st = self.sup.elections[zone]
-            if self.bus.now < st.deadline:
-                continue
-            del self.sup.elections[zone]
-            if not st.candidacies:
-                self.sup.roles[zone] = None
-                continue
-            winner = elec.elect_zone_leader(
-                {aid: d for aid, (d, _t) in st.candidacies.items()})
-            since = max(t for _d, t in st.candidacies.values())
-            self.sup.roles[zone] = winner
-            self.bus.publish(SUPER, "super/election",
-                             {"kind": "role", "zone": zone, "leader": winner,
-                              "since_tick": since})
-            self.trace.emit(self.round, "Election", SUPER, zone, winner, since,
-                            st.reason.value)
+    def _on_role(self, env: Envelope, recipients: tuple[str, ...]) -> None:
+        """A leader the role does not name steps down; its live winner takes office."""
+        payload = env.payload
+        zone, winner = payload["zone"], payload["leader"]
+        for a in self._homed(zone):
+            if a.id != winner:
+                if a.is_leader and self._reads(a.id, recipients):
+                    self._demote(a)
+            elif a.status is cons.Liveness.ALIVE and self._reads(a.id, recipients):
+                a.is_leader = True
+                a.solo_rounds = 0
+                zs = self.zones[zone]
+                zs.leader = a.id
+                zs.tick = max(zs.tick, payload["since_tick"])
+                if zs.tick > a.local_tick:
+                    self._emit("Resync", a.id, zone, zs.tick)
+                    a.local_tick = zs.tick
+                topics = self._zone_topics[zone]
+                self.bus.subscribe(a.id, topics.db_update)
+                self.bus.subscribe(a.id, topics.tick_ack)
+
+    def _on_mandate(self, env: Envelope, recipients: tuple[str, ...]) -> None:
+        m: bal.MigrationMandate = env.payload["mandate"]
+        a = self.agents[m.agent]
+        if (a.idle and a.status is cons.Liveness.ALIVE and a.home == m.from_zone
+                and self._reads(a.id, recipients)):
+            # The goal is inside the target zone, so _after_move clears it on arrival.
+            a.mandate, a.path = m, None
+            a.goal = bal.nearest_free_cell(self.grid, self.partition.zone(m.to_zone))
+
+    # The handler of each payload kind, called with the run by _deliver.
+    _handlers = {kind: partial(_round_reads, getattr(cons.ZoneRound, "on_" + kind))
+                 for kind in ("state", "tick_ack", "resync_req", "suspect_ok")}
+    _handlers.update(tick=_on_tick, resync_resp=_on_resync_resp, solicit=_on_solicit,
+                     role=_on_role, mandate=_on_mandate)
+    _handlers.update({kind: lambda sim, env, _, f=getattr(elec.SuperLeader, "on_" + kind):
+                      f(sim.sup, env.sender, env.payload) for kind in (
+                          "job_notice", "load", "leader_loss", "stepdown", "candidacy", "suspect")})
 
     # Phase 2: scripted faults.
     def _phase_faults(self) -> None:
@@ -635,10 +443,8 @@ class Simulation:
                 if a.status is cons.Liveness.ALIVE:
                     # Never marked dead: a stale tick will trip the gap check.
                     a.stale_rounds = 0
-            elif f.kind == "partition":
+            else:  # partition, or heal, which holds no groups
                 self.bus.set_partition(f.groups)
-            elif f.kind == "heal":
-                self.bus.set_partition(())
 
     # Phase 3: job spawns from the independent controller.
     def _phase_spawns(self) -> None:
@@ -652,42 +458,33 @@ class Simulation:
                 job = jobmod.spawn_job(self.grid, job_id, spec.location,
                                        spec.priority, self.round)
             except jobmod.SpawnRejected:
-                self.trace.emit(self.round, "JobSpawn", CONTROLLER, job_id,
-                                tuple(spec.location), spec.priority, None, True)
+                self._emit("JobSpawn", CONTROLLER, job_id, tuple(spec.location), spec.priority,
+                           None, True)
                 continue
             zone = home_zone(job.location, self.partition)
             self.jobs[job_id] = job
             self.zones[zone].pool[job_id] = job
-            self.trace.emit(self.round, "JobSpawn", CONTROLLER, job_id,
-                            tuple(job.location), job.priority, zone, False)
-            self.bus.publish(CONTROLLER, "super/loads",
-                             {"kind": "job_notice", "zone": zone})
+            self._emit("JobSpawn", CONTROLLER, job_id, tuple(job.location), job.priority, zone,
+                       False)
+            self.bus.publish(CONTROLLER, "super/loads", {"kind": "job_notice", "zone": zone})
 
     # Phase 4: leaders assign solicited jobs from bus-delivered bids.
     def _phase_assign(self) -> None:
         for zone, lr in self.leader_rounds.items():
-            if not lr.broadcast:
-                continue
             leader = self._active_leader(zone)
-            if leader is None:
+            if not lr.broadcast or leader is None:
                 continue
-            zs = self.zones[zone]
             for job_id, offers in lr.bids.items():
                 # An agent assigned earlier in this loop holds a job: not idle.
-                bids = [b for b in offers if self.agents[b.agent].idle
-                        and self.agents[b.agent].status is cons.Liveness.ALIVE]
-                best = jobmod.choose_assignee(bids)
+                best = jobmod.choose_assignee([b for b in offers if self.agents[b.agent].idle and
+                                               self.agents[b.agent].status is cons.Liveness.ALIVE])
                 if best is None:
                     continue
                 a = self.agents[best.agent]
-                job = zs.pool[job_id]
+                a.job = job = self.zones[zone].pool[job_id]
                 job.assign_tick = self.round
-                a.job = job
-                a.goal = job.location
-                a.path = None
-                a.mandate = None  # assignment takes precedence over migration
-                self.trace.emit(self.round, "Assign", leader.id, job_id, best.agent, best.cost,
-                                zone)
+                a.goal, a.path, a.mandate = job.location, None, None  # assignment beats migration
+                self._emit("Assign", leader.id, job_id, best.agent, best.cost, zone)
 
     # Phase 5: periodic load reporting and daisy-chain planning.
     def _phase_balance(self) -> None:
@@ -698,32 +495,16 @@ class Simulation:
             if leader is None:
                 continue
             members = self._members(zone)
-            pending = sum(1 for j in self.zones[zone].pool.values()
-                          if j.assign_tick is None)
+            pending = sum(j.assign_tick is None for j in self.zones[zone].pool.values())
             idle_ids = [m.id for m in members if m.idle and m.mandate is None and m.powered]
             self.bus.publish(leader.id, "super/loads",
                              {"kind": "load", "zone": zone, "pending": pending,
                               "total": len(members), "idle_ids": idle_ids})
-        # The super-leader plans on the loads delivered so far (previous
-        # period's reports); this period's reports arrive next round. Chains
-        # are staffed only from zones heard from this period; stale rosters
-        # would mandate agents that have long since moved on.
-        idle_by_zone = self.sup.idle_ids
-        self.sup.idle_ids = {}
-        deficits = dict(self.sup.deficits)
-        for zone, count in self.sup.controller_pending.items():
-            deficits[zone] = max(deficits.get(zone, 0), count)
-        self.metrics.deficit_history.append(
-            max([d for d in deficits.values() if d > 0], default=0))
-        mandates, starved = bal.plan_daisy_chain(
-            deficits, idle_by_zone, start_id=self.sup.mandate_counter)
-        self.sup.mandate_counter += len(mandates)
+        # This period's reports arrive next round.
+        deficit, starved = self.sup.plan_period()
+        self.metrics.deficit_history.append(deficit)
         if starved:
             self.metrics.starvation = True
-        for m in mandates:
-            self.trace.emit(self.round, "Mandate", SUPER, m.id, m.agent, m.from_zone,
-                            m.to_zone)
-            self.bus.publish(SUPER, "super/mandates", {"mandate": m})
 
     # Phases 6-7: per-zone conflict resolution, then simultaneous movement.
     def _phase_plan(self) -> tuple[dict[str, Cell], set[str]]:
@@ -764,15 +545,10 @@ class Simulation:
                 if yielder not in members:
                     continue
                 ka, ya = self.agents[keeper], self.agents[yielder]
-                if ka.home != ya.home:
-                    tick_used = cons.resolve_overlap_tick(
-                        ya.local_tick, ka.local_tick, ya.priority, ka.priority,
-                        yielder, keeper)
-                else:
-                    tick_used = self.zones[ya.home].tick
-                kind_name = kind.value if isinstance(kind, plan.ConflictKind) else kind
-                self.trace.emit(self.round, "ConflictResolved", yielder, zone, kind_name,
-                                keeper, yielder, tick_used)
+                tick_used = (self.zones[ya.home].tick if ka.home == ya.home else
+                             cons.resolve_overlap_tick(ya.local_tick, ka.local_tick, ya.priority,
+                                                       ka.priority, yielder, keeper))
+                self._emit("ConflictResolved", yielder, zone, kind, keeper, yielder, tick_used)
         return proposals, movable
 
     def _phase_move(self, proposals: dict[str, Cell], movable: set[str]) -> None:
@@ -792,11 +568,10 @@ class Simulation:
                 a.position = target
                 a.stuck = 0
                 self._after_move(a)
+            elif aid in movable and a.goal is not None and a.position != a.goal:
+                a.stuck += 1
             else:
-                if aid in movable and a.goal is not None and a.position != a.goal:
-                    a.stuck += 1
-                else:
-                    a.stuck = 0
+                a.stuck = 0
         positions = [a.position for a in self.agents.values() if a.powered]
         self.metrics.collisions += len(positions) - len(set(positions))
 
@@ -817,12 +592,9 @@ class Simulation:
     # Phase 8: completion checks at committed positions.
     def _phase_complete(self) -> None:
         for aid, a in self.agents.items():
-            if (a.job is None or not a.powered
-                    or a.status is not cons.Liveness.ALIVE
-                    or a.committed_round != self.round):
-                continue
             job = a.job
-            if a.position != job.location:
+            if (job is None or a.position != job.location or not a.powered
+                    or a.status is not cons.Liveness.ALIVE or a.committed_round != self.round):
                 continue
             job.completion_tick = self.round
             zone = home_zone(job.location, self.partition)
@@ -831,13 +603,18 @@ class Simulation:
             self.costs.release(job.location, zs.pool.values())
             leader = zs.leader or aid
             self.trace.emit(self.round, "Complete", leader, job.id, aid, zone)
-            self._drop_job(a)
+            a.job = a.goal = a.path = None
 
 
-def _among(aid: str, recipients: tuple[str, ...]) -> bool:
-    """Whether `aid` is one of the sorted `recipients`."""
-    i = bisect_left(recipients, aid)
-    return i < len(recipients) and recipients[i] == aid
+def _mark_dead(agents: dict[str, AgentSim], aid: str) -> Optional[str]:
+    """Mark `aid` dead; its job, if any, goes back to its pool. The job's id."""
+    a = agents[aid]
+    a.status = cons.Liveness.DEAD
+    job = a.job
+    if job is not None:
+        job.assign_tick = None
+        a.job = a.goal = a.path = None
+    return None if job is None else job.id
 
 
 def run_scenario(config: ScenarioConfig | dict) -> tuple[Metrics, TraceWriter]:

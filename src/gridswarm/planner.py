@@ -300,7 +300,7 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
     deadlocked = _matured_cycles(blockers)
 
     def give_way(yielder: KinematicState, keeper: KinematicState, deadlock: bool,
-                 tag: ConflictKind | str) -> None:
+                 tag: str) -> None:
         force = compute_force(yielder, keeper, grid, rng_for(yielder.agent),
                               deadlock=deadlock, blocked=blocked)
         # taken still holds the yielder's own cell; quantize_move never tests it.
@@ -314,7 +314,7 @@ def resolve_zone_step(states: list[KinematicState], grid: GridMap,
         if kind in (ConflictKind.VERTEX, ConflictKind.EDGE, ConflictKind.STATIC):
             keeper, yielder = ((si, sj) if rank(si.priority, ai) < rank(sj.priority, aj)
                                else (sj, si))
-            give_way(yielder, keeper, yielder.agent in deadlocked, kind)
+            give_way(yielder, keeper, yielder.agent in deadlocked, kind.value)
 
     # Matured blocking cycles get the ramped branch even without a pairwise
     # conflict (a rotation cycle classifies as no-conflict on every pair).

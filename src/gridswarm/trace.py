@@ -176,14 +176,14 @@ def trace_digest(text: str) -> str:
 
 
 def _lines(text: str) -> Iterator[str]:
-    r"""The lines of ``text.splitlines()``, split one slice at a time so that
-    only one slice's lines are held at once. A slice ends just after a "\n"
-    (or at the end of the text), so no slice cuts a "\r\n" in two; a line
+    r"""The lines of ``text``, each ended by "\n" alone (the last may lack
+    it), split one slice at a time so that only one slice's lines are held at
+    once. A slice ends just after a "\n" or at the end of the text; a line
     longer than a slice extends the slice to its end."""
     start, size = 0, len(text)
     while start < size:
         end = text.find("\n", start + _SLICE - 1) + 1 or size
-        yield from text[start:end].splitlines()
+        yield from text[start:end].removesuffix("\n").split("\n")
         start = end
 
 
@@ -221,11 +221,11 @@ def _parse(idx: int, line: str) -> Optional[dict]:
 
 
 def _rows(text: str) -> Iterator[tuple[int, tuple]]:
-    """Yield (line number, verifier row) for each non-blank line. The kind is
-    read from the text after the first ``,"kind":"``, and the line must be
-    the one ``dump`` writes, which its kind's pattern matches whole; the row
-    comes from the captured text. Any other line is a TraceFormatError, with
-    ``_parse``'s message where json's reading refuses it too."""
+    """Yield (line number, verifier row) for each line. The kind is read from
+    the text after the first ``,"kind":"``, and the line must be the one
+    ``dump`` writes, which its kind's pattern matches whole; the row comes
+    from the captured text. Any other line, blank ones too, is a
+    TraceFormatError, with ``_parse``'s message where json refuses it."""
     patterns = _PATTERNS
     for idx, line in enumerate(_lines(text), start=1):
         start = line.find(',"kind":"') + 9
@@ -236,14 +236,13 @@ def _rows(text: str) -> Iterator[tuple[int, tuple]]:
                 yield idx, entry[1](*match.groups())
                 continue
         event = _parse(idx, line)
-        if event is not None:
-            raise TraceFormatError(
-                idx, f"{event['kind']} event at tick {event['tick']} by {event['actor']!r} "
-                "is not in the form dump writes")
+        raise TraceFormatError(idx, "blank line, which dump does not write" if event is None else
+                               f"{event['kind']} event at tick {event['tick']} by "
+                               f"{event['actor']!r} is not in the form dump writes")
 
 
 def parse_trace(text: str) -> list[dict]:
-    """The events of `text` in line order, each line read by ``_parse``."""
+    """The events of `text` in line order, read by ``_parse``; blank lines are skipped."""
     events = []
     for idx, line in enumerate(_lines(text), start=1):
         event = _parse(idx, line)
@@ -281,12 +280,12 @@ def verify_trace(trace: str) -> list[str]:
     uniqueness, that assignments and mandates come from the right actors, and
     that a job is completed by the agent that holds it.
     A text is read one line at a time and checked one tick at a time, so its
-    ticks must not decrease. Each non-blank line must be as ``dump`` writes
-    it, which its kind's pattern in ``_PATTERNS`` checks, so every value the
-    checks read has its schema's type; any other line (spaces, extra or
-    duplicate keys, escapes that dump does not write, integers past 18
-    digits, values of another type, text that is not JSON) is a
-    TraceFormatError naming its line.
+    ticks must not decrease. Each line, ended by "\n" alone, must be as
+    ``dump`` writes it, which its kind's pattern in ``_PATTERNS`` checks, so
+    every value the checks read has its schema's type; any other line (blank,
+    ended by "\r\n", spaces, extra or duplicate keys, escapes that dump does
+    not write, integers past 18 digits, values of another type, text that is
+    not JSON) is a TraceFormatError naming its line.
     """
     violations: list[str] = []
     positions: dict[str, tuple] = {}

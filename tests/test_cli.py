@@ -81,6 +81,25 @@ def test_verify_clean_and_dirty(tmp_path, scenario_file, capsys):
     assert "vertex violation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit", ["crlf", "blank"])
+def test_verify_exits_2_on_a_line_dump_does_not_end_so(tmp_path, scenario_file, capsys, edit):
+    """A clean run's trace with "\r\n" line ends, or with a blank line
+    inserted, has another digest; verify reads the file as written and
+    exits 2 naming the line."""
+    trace_path = tmp_path / "trace.jsonl"
+    main(["run", "--scenario", scenario_file, "--trace-out", str(trace_path)])
+    lines = trace_path.read_text().splitlines(keepends=True)
+    if edit == "crlf":
+        text, line_no = "".join(line.replace("\n", "\r\n") for line in lines), 1
+    else:
+        text, line_no = "".join(lines[:3] + ["\n"] + lines[3:]), 4
+    edited = tmp_path / "edited.jsonl"
+    edited.write_bytes(text.encode("utf-8"))
+    capsys.readouterr()
+    assert main(["verify", "--trace", str(edited)]) == 2
+    assert f"error: line {line_no}: " in capsys.readouterr().err
+
+
 def test_verify_flags_a_completion_by_an_agent_without_the_job(tmp_path, capsys):
     dirty = tmp_path / "dirty.jsonl"
     dirty.write_text(

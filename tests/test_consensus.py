@@ -3,9 +3,10 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from gridswarm.consensus import (Advance, MarkDeadAndAdvance, StateRecord, Wait,
-                                 ZoneSnapshot, leader_tick_decision, make_snapshot,
+from gridswarm.consensus import (Advance, MarkDeadAndAdvance, StateRecord, Wait, ZoneRound,
+                                 ZoneSnapshot, ZoneState, leader_tick_decision, make_snapshot,
                                  resolve_overlap_tick, tick_gap_requires_resync)
+from gridswarm.jobs import Bid, Job
 from gridswarm.world import Cell
 
 
@@ -93,3 +94,88 @@ def test_overlap_tick_tie_breaks_to_lower_id():
 
 def test_overlap_tick_equal_ticks():
     assert resolve_overlap_tick(6, 6, 1.0, 3.0, "a", "b") == 6
+
+
+# --- one zone's round, driven with plain values and recorders -----------------
+
+ZONE, TOPIC = (0, 0), "zone/0,0/global_tick"
+
+
+def distance(position, location):
+    """A cost function for the leader's bids."""
+    return abs(position.x - location.x) + abs(position.y - location.y)
+
+
+def zone_round(expected, pool, holds=None, timeout=3, tick=4):
+    """A round led by L with its publishes, events and dead members recorded.
+    Marking a member dead releases the job `holds` gives it, as the engine
+    does."""
+    published, events, dead = [], [], []
+
+    def mark_dead(aid):
+        dead.append(aid)
+        job = (holds or {}).get(aid)
+        if job is None:
+            return None
+        job.assign_tick = None
+        return job.id
+
+    state = ZoneState(leader="L", tick=tick, pool=pool)
+    rnd = ZoneRound(ZONE, "L", tick, set(expected), state, TOPIC, timeout,
+                    lambda *message: published.append(message),
+                    lambda *event: events.append(event), mark_dead)
+    return rnd, published, events, dead
+
+
+def test_zone_round_marks_a_silent_member_dead_and_solicits_its_job():
+    """L leads a, b and c with timeout 3. c's state never arrives, so on the
+    third step L marks c dead, which releases c's job j1, and solicits it with
+    the pending j0. b's ack arrives in the step that would have timed it out,
+    the last one at which it counts, so the round ends with b alive."""
+    j0, j1 = Job("j0", Cell(1, 1), 1.0, 0), Job("j1", Cell(3, 0), 2.0, 0, assign_tick=2)
+    rnd, published, events, dead = zone_round({"L", "a", "b", "c"}, {"j0": j0, "j1": j1},
+                                              holds={"c": j1})
+    rec = {aid: record(aid, x, tick=4) for aid, x in (("L", 0), ("a", 1), ("b", 2))}
+    rnd.on_state("a", {"kind": "state", "record": rec["a"]})
+    rnd.on_state("b", {"kind": "state", "record": rec["b"]})
+    rnd.on_state("z", {"kind": "state", "record": record("z")})  # not a member: ignored
+    assert [rnd.step() for _ in range(3)] == [False, False, True]
+    assert dead == ["c"] and j1.assign_tick is None
+
+    rnd.broadcast_tick(rec["L"], distance)
+    snapshot = make_snapshot(4, rec)
+    assert published == [
+        ("L", TOPIC, {"kind": "tick", "new_tick": 5, "roster": frozenset({"L", "a", "b"}),
+                      "snapshot": snapshot, "solicit": [("j0", Cell(1, 1)), ("j1", Cell(3, 0))]})]
+    assert (rnd.state.tick, rnd.state.snapshot) == (5, snapshot)
+
+    rnd.on_tick_ack("a", {"kind": "tick_ack", "bids": [["j1", 2], ["j9", 1]]})  # j9: unsolicited
+    assert [rnd.step() for _ in range(3)] == [False, False, False]
+    rnd.on_tick_ack("b", {"kind": "tick_ack", "bids": []})
+    assert rnd.step()
+    assert dead == ["c"] and rnd.tick_acks == {"a", "b"}
+    assert events == [("MarkDead", "L", ZONE, "c", "j1"),
+                      ("Bid", "L", "j0", 2, ZONE), ("Bid", "L", "j1", 3, ZONE),
+                      ("TickBroadcast", "L", ZONE, 5, ("L", "a", "b"), snapshot.digest()),
+                      ("Bid", "a", "j1", 2, ZONE)]
+    assert rnd.bids == {"j0": [Bid("L", "j0", 2)], "j1": [Bid("L", "j1", 3), Bid("a", "j1", 2)]}
+    assert len(published) == 1
+
+
+def test_zone_round_without_contact_waits_for_the_super_leader_once_probed():
+    """A leader that hears no state at the timeout suspects its own isolation:
+    it probes the super-leader once and marks no one dead until the answer."""
+    rnd, published, events, dead = zone_round({"L", "a"}, {}, timeout=2)
+    assert [rnd.step() for _ in range(4)] == [False, False, False, False]
+    assert published == [("L", "super/inbox", {"kind": "suspect", "zone": ZONE})]
+    rnd.on_suspect_ok("super", {"kind": "suspect_ok", "zone": ZONE})
+    assert rnd.step() and dead == ["a"] and events == [("MarkDead", "L", ZONE, "a", None)]
+
+
+def test_zone_round_answers_a_resync_request_once_the_zone_has_a_snapshot():
+    rnd, published, _, _ = zone_round({"L"}, {})
+    rnd.on_resync_req("a", {"kind": "resync_req"})
+    assert published == []
+    rnd.state.snapshot = make_snapshot(4, {})
+    rnd.on_resync_req("a", {"kind": "resync_req"})
+    assert published == [("L", TOPIC, {"kind": "resync_resp", "target": "a", "tick": 4})]

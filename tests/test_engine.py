@@ -1,14 +1,17 @@
 import copy
+import gc
 import importlib.util
 import random
+import weakref
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from gridswarm.balance import MigrationMandate
-from gridswarm.consensus import Liveness, make_snapshot
+from gridswarm.consensus import Liveness, ZoneRound, make_snapshot
 from gridswarm.election import ElectionReason
-from gridswarm.engine import SUPER, LeaderRound, Simulation, run_scenario
+from gridswarm.engine import SUPER, Simulation, _mark_dead, run_scenario
 from gridswarm.jobs import spawn_job
 from gridswarm.netsim import Bus, Envelope, zone_topic
 from gridswarm.scenario import bench_scenario, random_scenario, scenario_from_dict
@@ -549,11 +552,18 @@ FOUR_AGENTS = [{"id": "a00", "start": [2, 3]}, {"id": "a01", "start": [4, 1]},
                {"id": "a03", "start": [1, 4]}, {"id": "a02", "start": [9, 3]}]
 
 
+def open_round(sim, zone, leader, expected):
+    """A round of `zone` led by `leader` over `expected`, wired to the run as
+    the consensus phase wires one."""
+    zs = sim.zones[zone]
+    return ZoneRound(zone, leader, zs.tick, expected, zs, zone_topic(zone, "global_tick"),
+                     sim.timeout, sim.bus.publish, sim._emit, partial(_mark_dead, sim.agents))
+
+
 def test_leader_demoted_mid_round_reads_no_member_messages():
     sim = Simulation(two_zone(agents=FOUR_AGENTS))
     zone = run_until(sim, "a00", lambda s: s.zones[(0, 0)].snapshot is not None)
-    lr = LeaderRound(zone=zone, leader="a00", tick=sim.zones[zone].tick,
-                     expected={"a00", "a01", "a03"})
+    lr = open_round(sim, zone, "a00", {"a00", "a01", "a03"})
     sim.bus.publish(SUPER, "super/election",
                     {"kind": "role", "zone": zone, "leader": "a01", "since_tick": 0})
     sim.leader_rounds = {zone: lr}
@@ -576,8 +586,7 @@ def test_ack_bids_only_on_jobs_the_round_solicited():
     sim = Simulation(two_zone(agents=FOUR_AGENTS, jobs=[]))
     zone = run_until(sim, "a00", lambda s: s.zones[(0, 0)].snapshot is not None)
     sim.zones[zone].pool["j900"] = spawn_job(sim.grid, "j900", (1, 1), 1.0, sim.round)
-    lr = LeaderRound(zone=zone, leader="a00", tick=sim.zones[zone].tick,
-                     expected={"a00", "a01", "a03"})
+    lr = open_round(sim, zone, "a00", {"a00", "a01", "a03"})
     for aid in ("a01", "a03"):
         sim.bus.publish(aid, zone_topic(zone, "db_update"),
                         {"kind": "state", "record": sim._record_for(sim.agents[aid])})
@@ -602,8 +611,7 @@ def test_wait_rule_marks_a_silent_member_dead_at_the_timeout(half):
     timeout = 4
     sim = Simulation(two_zone(agents=FOUR_AGENTS, timeout=timeout))
     zone = run_until(sim, "a00", lambda s: s.zones[(0, 0)].snapshot is not None)
-    lr = LeaderRound(zone=zone, leader="a00", tick=sim.zones[zone].tick,
-                     expected={"a00", "a01", "a03"})
+    lr = open_round(sim, zone, "a00", {"a00", "a01", "a03"})
     for aid in ["a01", "a03"] if half == "acks" else ["a01"]:
         sim.bus.publish(aid, zone_topic(zone, "db_update"),
                         {"kind": "state", "record": sim._record_for(sim.agents[aid])})
@@ -620,7 +628,7 @@ def test_wait_rule_marks_a_silent_member_dead_at_the_timeout(half):
         assert steps == {"broadcast": timeout, "dead": timeout}
     else:
         assert steps == {"broadcast": 1, "dead": 1 + timeout + 1}
-    assert sim._leader_eval(lr) and lr.tick_acks == {"a01"}
+    assert sim._step_round(lr) and lr.tick_acks == {"a01"}
     assert [e["agent"] for e in events_of(sim.trace, "MarkDead")] == ["a03"]
 
 
@@ -671,8 +679,8 @@ def test_one_tick_envelope_is_read_by_each_reader_case(monkeypatch):
         ("a01", [0, 0], tick + 1, snapshot.digest()),
         ("a02", [0, 0], tick + 1, snapshot.digest())]
     ack, resync = zone_topic(zone, "tick_ack"), zone_topic(zone, "db_update")
-    assert published == [("a01", ack, {"bids": [["j900", 2]]}),  # by Manhattan distance
-                         ("a02", ack, {"bids": []}),
+    assert published == [("a01", ack, {"kind": "tick_ack", "bids": [["j900", 2]]}),  # by Manhattan
+                         ("a02", ack, {"kind": "tick_ack", "bids": []}),
                          ("a06", resync, {"kind": "resync_req"}),
                          ("a07", resync, {"kind": "resync_req"})]
     committed = {"a01", "a02"}
@@ -695,13 +703,14 @@ def bootstrapped():
 def send_to_a01(sim, message):
     """Publish `message`, addressed to a01 or to its zone (0, 0)."""
     if message == "solicit":
-        sim._start_election((0, 0), ElectionReason.LEADER_DEAD)
+        sim.sup.start_election((0, 0), ElectionReason.LEADER_DEAD)
     elif message == "role":
         sim.bus.publish(SUPER, "super/election",
                         {"kind": "role", "zone": (0, 0), "leader": "a01", "since_tick": 0})
     elif message == "mandate":
         sim.bus.publish(SUPER, "super/mandates",
-                        {"mandate": MigrationMandate("m900", "a01", (0, 0), (0, 1))})
+                        {"kind": "mandate",
+                         "mandate": MigrationMandate("m900", "a01", (0, 0), (0, 1))})
     elif message == "tick":
         tick = sim.zones[(0, 0)].tick
         sim.bus.publish("a00", zone_topic((0, 0), "global_tick"),
@@ -784,16 +793,28 @@ def test_a_second_resync_reply_does_not_recommit_an_older_tick():
 @pytest.mark.parametrize("cut_off", [False, True], ids=["reachable", "cut_off"])
 def test_suspect_ok_reaches_only_the_rounds_leader(cut_off):
     sim = bootstrapped()
-    sim.leader_rounds = {
-        zone: LeaderRound(zone=zone, leader=zs.leader, tick=zs.tick,
-                          expected={m.id for m in sim._members(zone)})
-        for zone, zs in sim.zones.items()}
+    sim.leader_rounds = {zone: open_round(sim, zone, zs.leader, {m.id for m in sim._members(zone)})
+                         for zone, zs in sim.zones.items()}
     sim.bus.set_partition([["a00"]] if cut_off else [])
     sim.bus.publish(SUPER, "super/election", {"kind": "suspect_ok", "zone": (0, 0)})
     sim.bus.set_partition(())
     sim._pump(1)
     assert [z for z, lr in sim.leader_rounds.items() if lr.confirm_ok] == (
         [] if cut_off else [(0, 0)])
+
+
+def test_a_finished_run_is_freed_without_a_collection():
+    """No protocol object holds the run, so neither the run nor its trace
+    outlives its caller's last reference until a cyclic collection."""
+    sim = Simulation(scenario_from_dict(random_scenario(3, drop_prob=0.1, delay=1)))
+    gc.disable()
+    try:
+        _, trace = sim.run()
+        refs = weakref.ref(sim), weakref.ref(trace)
+        del sim, trace
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.xfail(strict=True, reason="the super-leader publishes each role "

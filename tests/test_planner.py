@@ -407,7 +407,7 @@ def test_resolution_log_matches_classifying_every_pair(data):
         if kind in (ConflictKind.VERTEX, ConflictKind.EDGE, ConflictKind.STATIC):
             # i has the lower id, so it keeps its intent unless j outranks it.
             keeper, yielder = (i, j) if i.priority >= j.priority else (j, i)
-            expected.append((kind, keeper.agent, yielder.agent))
+            expected.append((kind.value, keeper.agent, yielder.agent))
     assert [entry for entry in log if entry[0] != "deadlock"] == expected
 
 
