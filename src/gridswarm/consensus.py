@@ -147,8 +147,9 @@ class ZoneRound:
     def on_tick_ack(self, sender: str, payload: dict) -> None:
         self.tick_acks.add(sender)
         for job_id, cost in payload["bids"]:
-            if job_id in self.bids:  # solicited in this round's broadcast
-                self._bid(sender, job_id, cost)
+            offers = self.bids.get(job_id)
+            if offers is not None:  # solicited in this round's broadcast
+                self._bid(offers, sender, job_id, cost)
 
     def on_resync_req(self, sender: str, payload: dict) -> None:
         if self.state.snapshot is not None:
@@ -195,8 +196,8 @@ class ZoneRound:
                      {"kind": "tick", "new_tick": new_tick, "roster": frozenset(self.expected),
                       "snapshot": snapshot, "solicit": [(j, pool[j].location) for j in pending]})
         if record.job is None:
-            for job_id in pending:
-                self._bid(self.leader, job_id, cost(record.position, pool[job_id].location))
+            for job_id, offers in self.bids.items():
+                self._bid(offers, self.leader, job_id, cost(record.position, pool[job_id].location))
         self.state.tick = new_tick
         self.state.snapshot = snapshot
         self.broadcast = True
@@ -204,6 +205,6 @@ class ZoneRound:
         self.emit("TickBroadcast", self.leader, self.zone, new_tick, tuple(sorted(self.expected)),
                   snapshot.digest())
 
-    def _bid(self, agent: str, job_id: str, cost: Optional[int]) -> None:
-        self.bids[job_id].append(Bid(agent, job_id, cost))
+    def _bid(self, offers: list[Bid], agent: str, job_id: str, cost: Optional[int]) -> None:
+        offers.append(Bid(agent, job_id, cost))
         self.emit("Bid", agent, job_id, cost, self.zone)

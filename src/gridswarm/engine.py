@@ -7,10 +7,11 @@ periodic load balancing, per-zone conflict resolution, simultaneous movement,
 and completion checks. Every run is a pure function of (config, seed).
 
 The engine keeps the bus, the members' side of the protocol and the reader
-rule: every payload carries its ``kind``, and ``_deliver`` hands a message to
-the one handler of its kind. It feeds messages and bus steps to the leader's
-side of each zone's round (``consensus.ZoneRound``) and to the super-leader
-(``election.SuperLeader``).
+rule: each bus step delivers queue entries (sender, topic, seq, payload,
+recipients), every payload carries its ``kind``, and ``_pump`` hands each
+entry to the one handler of its kind. It feeds messages and bus steps to the
+leader's side of each zone's round (``consensus.ZoneRound``) and to the
+super-leader (``election.SuperLeader``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import consensus as cons
 from . import election as elec
 from . import jobs as jobmod
 from . import planner as plan
-from .netsim import Bus, Envelope, derive_seed, zone_topic
+from .netsim import Bus, derive_seed, zone_topic
 from .scenario import ScenarioConfig, scenario_from_dict
 from .trace import TraceWriter
 from .world import Cell, ZoneId, build_partition, home_zone, subscribed_zones
@@ -90,13 +91,16 @@ class AgentSim:
         return 1.0 if self.job is None else self.job.priority
 
 
-def _round_reads(read: Callable, sim: Simulation, env: Envelope,
+def _round_reads(read: Callable, sim: Simulation, sender: str, topic: str, payload: dict,
                  recipients: tuple[str, ...]) -> None:
     """The round leader of the message's zone reads it by `read`, if powered
     and among `recipients`; a suspect_ok names its zone itself."""
-    lr = sim.leader_rounds.get(sim._topics[env.topic][0] or env.payload["zone"])
-    if lr is not None and sim._reads(lr.leader, recipients):
-        read(lr, env.sender, env.payload)
+    lr = sim.leader_rounds.get(sim._topics[topic][0] or payload["zone"])
+    if lr is not None:
+        leader = lr.leader
+        i = bisect_left(recipients, leader)
+        if i < len(recipients) and recipients[i] == leader and sim.agents[leader].powered:
+            read(lr, sender, payload)
 
 
 class ZoneTopics(NamedTuple):
@@ -237,9 +241,10 @@ class Simulation:
         """Step the bus, the leaders' rounds and the super-leader until every
         round is complete and the bus is quiet, or `max_steps` run out."""
         open_rounds = list(self.leader_rounds.values())
+        handlers = self._handlers
         for _ in range(max_steps):
-            for env, recipients in self.bus.step_deliver():
-                self._deliver(env, recipients)
+            for sender, topic, _, payload, recipients in self.bus.step_deliver():
+                handlers[payload["kind"]](self, sender, topic, payload, recipients)
             open_rounds = [lr for lr in open_rounds if not self._step_round(lr)]
             self.sup.step()
             if not open_rounds and not self.sup.elections and self.bus.pending() == 0:
@@ -319,39 +324,24 @@ class Simulation:
 
     # ---------------------------------------------------------- bus handlers
 
-    def _deliver(self, env: Envelope, recipients: tuple[str, ...]) -> None:
-        """Hand one envelope to the handler of its payload's kind, which picks
-        its readers and acts. A kind names its readers:
-        - state and tick_ack, the bulk of the traffic, resync_req and
-          suspect_ok: the zone's round leader
-        - tick: the recipients whose home is the zone
-        - resync_resp: its target; mandate: its agent, ``m.agent``
-        - solicit: the zone's home agents; role: those of them that win or lead
-        - job_notice, load, leader_loss, stepdown, candidacy and suspect: the
-          super-leader
-        They are picked on arrival, as an agent can change home in flight, and
-        an agent reads only if powered and among the sorted `recipients`,
-        fixed at publish without the sender and whoever a partition cut off."""
-        self._handlers[env.payload["kind"]](self, env, recipients)
-
     def _reads(self, aid: str, recipients: tuple[str, ...]) -> bool:
         """Whether `aid` reads a message: powered and among its sorted `recipients`."""
         i = bisect_left(recipients, aid)
         return i < len(recipients) and recipients[i] == aid and self.agents[aid].powered
 
-    def _on_tick(self, env: Envelope, recipients: tuple[str, ...]) -> None:
+    def _on_tick(self, sender: str, topic: str, payload: dict,
+                 recipients: tuple[str, ...]) -> None:
         """The zone's home agents among `recipients` read one tick, in id order.
         A powered, live non-leader that is off the roster or missed a tick asks
         to resync; otherwise it commits a newer tick and acks it, bidding if idle."""
-        zone = self._topics[env.topic][0]
-        payload = env.payload
+        zone = self._topics[topic][0]
         new_tick, roster, solicit = payload["new_tick"], payload["roster"], payload["solicit"]
         digest = payload["snapshot"].digest()
-        topics = self._zone_topics[zone]
-        publish = self.bus.publish
-        alive = cons.Liveness.ALIVE
+        agents, emit, cost = self.agents, self.trace.emit, self.costs.cost
+        publish, topics, rnd = self.bus.publish, self._zone_topics[zone], self.round
+        ack, alive = topics.tick_ack, cons.Liveness.ALIVE
         for aid in recipients:
-            a = self.agents[aid]
+            a = agents[aid]
             # A recovering agent rejoins through the resync path.
             if a.home != zone or not a.powered or a.is_leader or a.status is not alive:
                 continue
@@ -362,25 +352,25 @@ class Simulation:
             if new_tick <= a.local_tick:
                 continue
             self._commit(a, new_tick)
-            bids = ([[job_id, self.costs.cost(a.position, loc)] for job_id, loc in solicit]
-                    if a.idle else [])
-            self.trace.emit(self.round, "TickAck", aid, zone, new_tick, digest)
-            publish(aid, topics.tick_ack, {"kind": "tick_ack", "bids": bids})
+            bids = [[job_id, cost(a.position, loc)] for job_id, loc in solicit] if a.idle else []
+            emit(rnd, "TickAck", aid, zone, new_tick, digest)
+            publish(aid, ack, {"kind": "tick_ack", "bids": bids})
 
-    def _on_resync_resp(self, env: Envelope, recipients: tuple[str, ...]) -> None:
+    def _on_resync_resp(self, sender: str, topic: str, payload: dict,
+                        recipients: tuple[str, ...]) -> None:
         """The target of a resync reply, unless alive, rejoins at its tick."""
-        payload = env.payload
         a = self.agents[payload["target"]]
         if a.status is not cons.Liveness.ALIVE and self._reads(a.id, recipients):
             a.status = cons.Liveness.ALIVE
             self._commit(a, payload["tick"])
             # Rejoins the leader's expected set from the next round on; it has
             # not published state this round, so gating on it would stall.
-            self._emit("Resync", a.id, self._topics[env.topic][0], payload["tick"])
+            self._emit("Resync", a.id, self._topics[topic][0], payload["tick"])
 
-    def _on_solicit(self, env: Envelope, recipients: tuple[str, ...]) -> None:
+    def _on_solicit(self, sender: str, topic: str, payload: dict,
+                    recipients: tuple[str, ...]) -> None:
         """Each live home agent of the zone stands as a candidate."""
-        payload, zone = env.payload, env.payload["zone"]
+        zone = payload["zone"]
         for a in self._homed(zone):
             if a.status is cons.Liveness.ALIVE and self._reads(a.id, recipients):
                 dist = elec.centroid_distance(a.position, self.partition.zone(zone))
@@ -388,9 +378,9 @@ class Simulation:
                                  "election": payload["election"], "distance": dist,
                                  "tick": a.local_tick})
 
-    def _on_role(self, env: Envelope, recipients: tuple[str, ...]) -> None:
+    def _on_role(self, sender: str, topic: str, payload: dict,
+                 recipients: tuple[str, ...]) -> None:
         """A leader the role does not name steps down; its live winner takes office."""
-        payload = env.payload
         zone, winner = payload["zone"], payload["leader"]
         for a in self._homed(zone):
             if a.id != winner:
@@ -409,8 +399,9 @@ class Simulation:
                 self.bus.subscribe(a.id, topics.db_update)
                 self.bus.subscribe(a.id, topics.tick_ack)
 
-    def _on_mandate(self, env: Envelope, recipients: tuple[str, ...]) -> None:
-        m: bal.MigrationMandate = env.payload["mandate"]
+    def _on_mandate(self, sender: str, topic: str, payload: dict,
+                    recipients: tuple[str, ...]) -> None:
+        m: bal.MigrationMandate = payload["mandate"]
         a = self.agents[m.agent]
         if (a.idle and a.status is cons.Liveness.ALIVE and a.home == m.from_zone
                 and self._reads(a.id, recipients)):
@@ -418,13 +409,25 @@ class Simulation:
             a.mandate, a.path = m, None
             a.goal = bal.nearest_free_cell(self.grid, self.partition.zone(m.to_zone))
 
-    # The handler of each payload kind, called with the run by _deliver.
+    # The handler of each payload kind, which _pump calls with the run and a
+    # delivered entry's sender, topic, payload and recipients; it picks the
+    # kind's readers and acts. A kind names its readers:
+    # - state and tick_ack, the bulk of the traffic, resync_req and
+    #   suspect_ok: the zone's round leader
+    # - tick: the recipients whose home is the zone
+    # - resync_resp: its target; mandate: its agent, ``m.agent``
+    # - solicit: the zone's home agents; role: those of them that win or lead
+    # - job_notice, load, leader_loss, stepdown, candidacy, suspect: the super-leader
+    # They are picked on arrival, as an agent can change home in flight, and an
+    # agent reads only if powered and among the sorted `recipients`, fixed at
+    # publish without the sender and whoever a partition cut off.
     _handlers = {kind: partial(_round_reads, getattr(cons.ZoneRound, "on_" + kind))
                  for kind in ("state", "tick_ack", "resync_req", "suspect_ok")}
     _handlers.update(tick=_on_tick, resync_resp=_on_resync_resp, solicit=_on_solicit,
                      role=_on_role, mandate=_on_mandate)
-    _handlers.update({kind: lambda sim, env, _, f=getattr(elec.SuperLeader, "on_" + kind):
-                      f(sim.sup, env.sender, env.payload) for kind in (
+    _handlers.update({kind: lambda sim, sender, topic, payload, recipients,
+                      f=getattr(elec.SuperLeader, "on_" + kind): f(sim.sup, sender, payload)
+                      for kind in (
                           "job_notice", "load", "leader_loss", "stepdown", "candidacy", "suspect")})
 
     # Phase 2: scripted faults.

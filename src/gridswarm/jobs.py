@@ -82,9 +82,9 @@ class CostField:
         w = grid.width
         if not (0 <= x < w and 0 <= y < grid.height):
             return None
-        origin = Cell(*job_location)
-        search = self._fields.get(origin)
+        search = self._fields.get(job_location)
         if search is None:
+            origin = Cell(*job_location)
             if not grid.in_bounds(origin):
                 raise InvalidPositionError(f"cost field origin {origin} outside the map")
             search = _Search(w * grid.height, origin.y * w + origin.x)

@@ -2,9 +2,10 @@
 
 Replaces a real middleware transport with an in-process queue that supports
 named topics, per-message delay, seeded probabilistic drop, and partition
-injection. Each publish is one queue entry carrying its recipients, worked out
-once at publish time, and each (sender, topic) keeps one record of its last
-seq and deliver_at; that seq also counts the publishes not dropped. A ranged
+injection. Each publish is one queue entry, a plain tuple (sender, topic, seq,
+payload, recipients) with its recipients worked out once at publish time, and
+that entry is what a step delivers. Each (sender, topic) keeps one record of
+its last seq and deliver_at; that seq also counts the publishes not dropped. A ranged
 delay is drawn from `getrandbits` by the rule `random.randint` follows, so the
 stream of draws is the same. The queue is one list per delivery step, sorted
 once when it falls due, which gives the order a heap over every queued publish
@@ -18,7 +19,7 @@ import hashlib
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable
 
 
 def derive_seed(*parts: Any) -> int:
@@ -38,14 +39,6 @@ class UnknownSenderError(KeyError):
 
 class PartitionConfigError(ValueError):
     pass
-
-
-class Envelope(NamedTuple):
-    seq: int
-    sender: str
-    topic: str
-    deliver_at: int
-    payload: Any
 
 
 @dataclass(frozen=True)
@@ -71,12 +64,13 @@ class Bus:
 
     def __init__(self, config: BusConfig, seed: int) -> None:
         self.config = config
+        self._drop = config.drop_prob
         self.now = 0
         self._rng = random.Random(derive_seed(seed, "bus"))
         self._registered: set[str] = set()
         self._subs: defaultdict[str, set[str]] = defaultdict(set)
         self._sorted_subs: dict[str, tuple[str, ...]] = {}
-        # Per deliver_at: (sender, topic, seq, envelope, recipients) of each publish.
+        # Per deliver_at: (sender, topic, seq, payload, recipients) of each publish.
         self._queue: defaultdict[int, list[tuple]] = defaultdict(list)
         self._pending = 0
         # Per (sender, topic): [last seq, last deliver_at].
@@ -128,8 +122,8 @@ class Bus:
         (sender, topic) numbers the publish and keeps its delivery FIFO."""
         if sender not in self._registered:
             raise UnknownSenderError(sender)
-        drop_prob = self.config.drop_prob
-        if drop_prob > 0 and self._rng.random() < drop_prob:
+        drop = self._drop
+        if drop > 0 and self._rng.random() < drop:
             return False
         key = (sender, topic)
         last = self._last.get(key)
@@ -151,7 +145,9 @@ class Bus:
             deliver_at = last[1]
         else:
             last[1] = deliver_at
-        recipients = self._sorted_subs.get(topic) or self.subscribers(topic)
+        recipients = self._sorted_subs.get(topic)
+        if recipients is None:
+            recipients = self.subscribers(topic)
         group = self._group
         if group:
             mine = group.get(sender, -1)
@@ -161,8 +157,7 @@ class Bus:
             i = recipients.index(sender)
             recipients = recipients[:i] + recipients[i + 1:]
         if recipients:
-            self._queue[deliver_at].append(
-                (sender, topic, seq, Envelope(seq, sender, topic, deliver_at, payload), recipients))
+            self._queue[deliver_at].append((sender, topic, seq, payload, recipients))
             self._pending += 1
         return True
 
@@ -178,19 +173,19 @@ class Bus:
         """Queued publishes that still have recipients to reach."""
         return self._pending
 
-    def step_deliver(self) -> list[tuple[Envelope, tuple[str, ...]]]:
-        """Advance one step and return every due envelope with its recipients
-        (sorted), in canonical order."""
+    def step_deliver(self) -> list[tuple[str, str, int, Any, tuple[str, ...]]]:
+        """Advance one step and return every due queue entry, (sender, topic,
+        seq, payload, recipients) with the recipients sorted, in canonical order."""
         self.now = now = self.now + 1
         queue = self._queue
-        out: list[tuple[Envelope, tuple[str, ...]]] = []
+        out: list[tuple[str, str, int, Any, tuple[str, ...]]] = []
         # Keys run from the last step to now plus the longest delay, so the
         # scan is short; due lists are taken in deliver_at order.
         for deliver_at in sorted(t for t in queue if t <= now):
             batch = queue.pop(deliver_at)
             # (sender, topic, seq) is unique per publish, so the sort never
-            # compares envelopes.
+            # compares payloads.
             batch.sort()
-            out += [(env, recipients) for _, _, _, env, recipients in batch]
+            out += batch
         self._pending -= len(out)
         return out

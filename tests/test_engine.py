@@ -13,7 +13,7 @@ from gridswarm.consensus import Liveness, ZoneRound, make_snapshot
 from gridswarm.election import ElectionReason
 from gridswarm.engine import SUPER, Simulation, _mark_dead, run_scenario
 from gridswarm.jobs import spawn_job
-from gridswarm.netsim import Bus, Envelope, zone_topic
+from gridswarm.netsim import Bus, zone_topic
 from gridswarm.scenario import bench_scenario, random_scenario, scenario_from_dict
 from gridswarm.trace import parse_trace, verify_trace
 from gridswarm.world import Cell, subscribed_zones
@@ -672,8 +672,7 @@ def test_one_tick_envelope_is_read_by_each_reader_case(monkeypatch):
     # when a tick from a former leader reaches the new one.
     payload = {"kind": "tick", "new_tick": tick + 1, "snapshot": snapshot,
                "roster": frozenset(homed) - {"a06"}, "solicit": [("j900", Cell(5, 2))]}
-    sim._deliver(Envelope(1, SUPER, zone_topic(zone, "global_tick"), sim.bus.now, payload),
-                 homed)
+    Simulation._handlers["tick"](sim, SUPER, zone_topic(zone, "global_tick"), payload, homed)
     assert [(e["actor"], e["zone"], e["committed_tick"], e["digest"])
             for e in events_of(sim.trace, "TickAck")[acks:]] == [
         ("a01", [0, 0], tick + 1, snapshot.digest()),

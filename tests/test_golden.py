@@ -16,7 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from gridswarm.engine import run_scenario
+from gridswarm.engine import Simulation, run_scenario
+from gridswarm.netsim import Bus
 from gridswarm.scenario import bench_scenario, random_scenario, scenario_from_dict
 from gridswarm.trace import parse_trace
 
@@ -179,6 +180,23 @@ def test_golden_message_counts():
         metrics, _ = run_scenario(scenario_from_dict(runs[name]))
         flat = metrics.flat()
         assert {k: v for k, v in flat.items() if k.startswith("messages.")} == counts, name
+
+
+def test_every_published_kind_has_one_handler_and_every_handler_is_sent(monkeypatch):
+    # A delivery goes to the handler of its payload's kind and nowhere else,
+    # so the table must name exactly the kinds the corpus publishes.
+    kinds = set()
+    publish = Bus.publish
+
+    def recording(bus, sender, topic, payload):
+        kinds.add(payload["kind"])
+        return publish(bus, sender, topic, payload)
+
+    monkeypatch.setattr(Bus, "publish", recording)
+    for sc in corpus().values():
+        run_scenario(scenario_from_dict(sc))
+    assert kinds == set(Simulation._handlers)
+    assert len(kinds) == 15
 
 
 def test_golden_digests_across_hash_seeds():

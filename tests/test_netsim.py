@@ -1,11 +1,12 @@
 import heapq
 import random
+from typing import Any, NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridswarm.netsim import (Bus, BusConfig, Envelope, PartitionConfigError,
-                              UnknownSenderError, derive_seed, zone_topic)
+from gridswarm.netsim import (Bus, BusConfig, PartitionConfigError, UnknownSenderError,
+                              derive_seed, zone_topic)
 
 
 def make_bus(**kw):
@@ -16,9 +17,23 @@ def make_bus(**kw):
     return bus
 
 
+class Delivery(NamedTuple):
+    recipient: str
+    sender: str
+    topic: str
+    seq: int
+    payload: Any
+
+
 def flatten(due):
-    """(recipient, envelope) pairs of one step, in delivery order."""
-    return [(r, env) for env, recipients in due for r in recipients]
+    """The deliveries of one step's queue entries, (sender, topic, seq,
+    payload, recipients), one per recipient in delivery order."""
+    return [Delivery(r, *entry[:4]) for entry in due for r in entry[4]]
+
+
+def queued_at(bus):
+    """Each queued payload's deliver_at, read from the bus's queue."""
+    return {entry[3]: t for t, batch in bus._queue.items() for entry in batch}
 
 
 def drain(bus, steps):
@@ -44,7 +59,7 @@ def test_delivery_next_step_with_zero_delay():
     bus.subscribe("b", "t")
     bus.publish("a", "t", "hello")
     got = flatten(bus.step_deliver())
-    assert [(r, e.payload) for r, e in got] == [("b", "hello")]
+    assert [(d.recipient, d.payload) for d in got] == [("b", "hello")]
     assert bus.step_deliver() == []
 
 
@@ -54,7 +69,7 @@ def test_fixed_delay():
     bus.publish("a", "t", 1)
     assert bus.step_deliver() == []
     got = flatten(bus.step_deliver())
-    assert [(r, e.payload) for r, e in got] == [("b", 1)]
+    assert [(d.recipient, d.payload) for d in got] == [("b", 1)]
 
 
 def test_no_self_delivery():
@@ -63,7 +78,7 @@ def test_no_self_delivery():
     bus.subscribe("b", "t")
     bus.publish("a", "t", "x")
     got = drain(bus, 2)
-    assert [r for r, _ in got] == ["b"]
+    assert [d.recipient for d in got] == ["b"]
 
 
 def test_subscription_evaluated_at_publish():
@@ -75,7 +90,7 @@ def test_subscription_evaluated_at_publish():
     bus.publish("a", "t", "late")
     got = drain(bus, 3)
     # b still receives the message published while it was subscribed; c only the later one
-    assert sorted((r, e.payload) for r, e in got) == [("b", "early"), ("c", "late")]
+    assert sorted((d.recipient, d.payload) for d in got) == [("b", "early"), ("c", "late")]
 
 
 def test_unsubscribe_applies_to_the_next_publish():
@@ -86,7 +101,7 @@ def test_unsubscribe_applies_to_the_next_publish():
     bus.unsubscribe("b", "t")
     bus.publish("a", "t", 2)
     got = drain(bus, 2)
-    assert [(r, e.payload) for r, e in got] == [("b", 1), ("c", 1), ("c", 2)]
+    assert [(d.recipient, d.payload) for d in got] == [("b", 1), ("c", 1), ("c", 2)]
 
 
 def test_fifo_per_sender_topic_under_random_delay():
@@ -95,7 +110,7 @@ def test_fifo_per_sender_topic_under_random_delay():
     for i in range(20):
         bus.publish("a", "t", i)
     got = drain(bus, 10)
-    assert [e.payload for _, e in got] == list(range(20))
+    assert [d.payload for d in got] == list(range(20))
 
 
 def test_one_value_delay_range_still_draws():
@@ -109,8 +124,9 @@ def test_one_value_delay_range_still_draws():
         bus.publish("a", "t", i)
         ref.randint(3, 3)
     assert bus._rng.getstate() == ref.getstate()
+    assert queued_at(bus) == {i: 3 for i in range(n)}
     got = drain(bus, 3)
-    assert [e.deliver_at for _, e in got] == [3] * n
+    assert [d.payload for d in got] == list(range(n))
 
 
 def test_drop_and_delay_draws_follow_random_then_randint():
@@ -127,8 +143,9 @@ def test_drop_and_delay_draws_follow_random_then_randint():
         if ref.random() >= 0.3:
             expected[i] = ref.randint(0, 2)
     assert kept == [i in expected for i in range(n)]
+    assert queued_at(bus) == expected
     got = drain(bus, 3)
-    assert {e.payload: e.deliver_at for _, e in got} == expected
+    assert sorted(d.payload for d in got) == sorted(expected)
     assert set(expected.values()) == {0, 1, 2}
 
 
@@ -152,11 +169,11 @@ def test_partition_blocks_and_heals():
     bus.set_partition([["a", "b"]])
     bus.publish("a", "t", 1)  # c is in the implicit rest group
     got = drain(bus, 2)
-    assert [(r, e.payload) for r, e in got] == [("b", 1)]
+    assert [(d.recipient, d.payload) for d in got] == [("b", 1)]
     bus.set_partition([])
     bus.publish("a", "t", 2)
     got = drain(bus, 2)
-    assert sorted(r for r, _ in got) == ["b", "c"]
+    assert sorted(d.recipient for d in got) == ["b", "c"]
 
 
 def test_partition_groups_must_be_disjoint():
@@ -188,7 +205,7 @@ def test_delivery_order_is_canonical():
     bus.publish("b", "t1", "from-b")
     bus.publish("a", "t2", "from-a")
     got = flatten(bus.step_deliver())
-    assert [e.sender for _, e in got] == ["a", "b"]
+    assert [d.sender for d in got] == ["a", "b"]
 
 
 def test_state_fan_out_is_one_queue_entry_per_publish():
@@ -243,11 +260,9 @@ class ReferenceBus:
         delay = d if isinstance(d, int) else self._rng.randint(d[0], d[1])
         deliver_at = max(self.now + delay, self._last_deliver_at.get(key, 0))
         self._last_deliver_at[key] = deliver_at
-        env = Envelope(seq=seq, sender=sender, topic=topic, deliver_at=deliver_at,
-                       payload=payload)
         for sub in sorted(self._subs.get(topic, ())):
             if sub != sender and self._group.get(sub, -1) == self._group.get(sender, -1):
-                heapq.heappush(self._queue, (deliver_at, sender, topic, seq, sub, env))
+                heapq.heappush(self._queue, (deliver_at, sender, topic, seq, sub, payload))
         return True
 
     def pending(self):
@@ -257,8 +272,8 @@ class ReferenceBus:
         self.now += 1
         out = []
         while self._queue and self._queue[0][0] <= self.now:
-            _, _, _, _, recipient, env = heapq.heappop(self._queue)
-            out.append((recipient, env))
+            _, sender, topic, seq, recipient, payload = heapq.heappop(self._queue)
+            out.append(Delivery(recipient, sender, topic, seq, payload))
         return out
 
 
@@ -307,8 +322,11 @@ def test_bus_matches_per_recipient_reference(seed, drop_prob, delay, ops):
             ref.set_partition([])
         else:
             assert flatten(bus.step_deliver()) == ref.step_deliver()
-        # The bus queues one entry per publish, (sender, topic, seq).
+        # The bus queues one entry per publish, (sender, topic, seq), on the
+        # deliver_at the reference gives it.
         assert bus.pending() == len({entry[1:4] for entry in ref._queue})
+        assert ({(t, *entry[:3]) for t, batch in bus._queue.items() for entry in batch}
+                == {entry[:4] for entry in ref._queue})
         assert bus.published() == ref.published
     while ref.pending():
         assert flatten(bus.step_deliver()) == ref.step_deliver()

@@ -4,13 +4,10 @@ import pytest
 
 from gridswarm.consensus import StateRecord
 from gridswarm.jobs import Bid
-from gridswarm.netsim import Envelope
 from gridswarm.planner import KinematicState
 from gridswarm.world import Cell
 
 RECORDS = [
-    (Envelope, dict(seq=3, sender="a01", topic="zone/0,1/db_update", deliver_at=7,
-                    payload={"kind": "state"})),
     (StateRecord, dict(agent="a01", position=Cell(1, 2), intent=Cell(1, 3), job="j004",
                        priority=1.5, tick=9)),
     (KinematicState, dict(agent="a01", current=Cell(1, 2), intent=Cell(2, 2), priority=2.0,
