@@ -5,11 +5,11 @@ named topics, per-message delay, seeded probabilistic drop, and partition
 injection. Each publish is one queue entry, a plain tuple (sender, topic, seq,
 payload, recipients) with its recipients worked out once at publish time, and
 that entry is what a step delivers. Each (sender, topic) keeps one record of
-its last seq and deliver_at; that seq also counts the publishes not dropped. A ranged
-delay is drawn from `getrandbits` by the rule `random.randint` follows, so the
-stream of draws is the same. The queue is one list per delivery step, sorted
-once when it falls due, which gives the order a heap over every queued publish
-would. Delivery is totally ordered by (deliver_at, sender, topic, seq,
+its last seq and deliver_at; that seq also counts the publishes not dropped. A
+ranged delay is drawn from `getrandbits` by the rule `random.randint` follows,
+so the stream of draws is the same. The queue is one list per delivery step,
+sorted once when it falls due, which gives the order a heap over every queued
+publish would. Delivery is totally ordered by (deliver_at, sender, topic, seq,
 recipient) so identical seeds replay identically.
 """
 
